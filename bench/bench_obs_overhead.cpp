@@ -71,7 +71,6 @@ RunOutcome run_once(const workload::Scenario& scenario,
 
   runtime::RuntimeConfig rt;
   rt.flowtime = flowtime;
-  rt.async_replan = true;
   rt.barrier_mode = true;  // identical plan sequence in every mode
 
   const auto start = std::chrono::steady_clock::now();

@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
   {
     runtime::RuntimeConfig rt;
     rt.flowtime = flowtime;
-    rt.async_replan = true;
     rt.barrier_mode = true;
     runtime::ConcurrentScheduler scheduler(rt);
     const sim::SimResult result =

@@ -208,7 +208,6 @@ int check_async_chain(const std::string& path,
   sim_config.max_horizon_s = 6000.0;
   runtime::RuntimeConfig rt;
   rt.flowtime.cluster = cluster;
-  rt.async_replan = true;
   rt.barrier_mode = true;
   {
     runtime::ConcurrentScheduler scheduler(rt);

@@ -27,8 +27,10 @@
 //   --async-barrier      with --async-replan: wait for every solve before
 //                        serving its slot — deterministic (plan-for-plan
 //                        identical to the synchronous path)
-//   --runtime-threads N  solver threads for the concurrent runtime
-//                        (default 1)
+//   --runtime-threads N  solver threads for federated runs (--cells > 1
+//                        with --async-replan; default 1, 0 = one per
+//                        cell). A single-cell run always solves on one
+//                        thread.
 //   --cells N            shard the cluster into N cells and run the
 //                        FlowTime variants federated: per-cell lexmin
 //                        plans, greedy cross-cell routing and hotspot

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <variant>
 
@@ -44,14 +44,12 @@ CellScheduler::CellScheduler(CellSpec spec, core::FlowTimeConfig config,
       scheduler_(std::make_unique<core::FlowTimeScheduler>(config_)),
       admission_(std::make_unique<core::AdmissionController>(
           admission_config_for(spec_, scheduler_->config()))),
-      warm_cache_(std::make_unique<core::PlacementWarmCache>()),
       probe_backoff_(probe_backoff) {}
 
 void CellScheduler::reset() {
   scheduler_ = std::make_unique<core::FlowTimeScheduler>(config_);
   admission_ = std::make_unique<core::AdmissionController>(
       admission_config_for(spec_, scheduler_->config()));
-  warm_cache_ = std::make_unique<core::PlacementWarmCache>();
   adhoc_active_ = 0;
   was_overloaded_ = false;
 }
@@ -88,7 +86,6 @@ FederatedScheduler::FederatedScheduler(FederatedConfig config)
     // Invisible at cells = 1: no cell stamps on traces/counters, so the
     // single-cell federation is byte-for-byte a plain FlowTimeScheduler.
     cell_config.cell_id = n > 1 ? spec.id : -1;
-    cell_config.external_replan_driver = true;
     // Each cell gets a 1/N slice of the solver allowance so the federation
     // spends the same aggregate budget as one whole-cluster scheduler.
     if (cell_config.solver_budget_ms > 0.0) cell_config.solver_budget_ms /= n;
@@ -196,22 +193,10 @@ void FederatedScheduler::on_event(const sim::SchedulerEvent& event) {
     return;
   }
   if (const auto* adhoc = std::get_if<sim::AdhocArrivalEvent>(&event)) {
-    // Least ad-hoc pressure wins (live ad-hoc jobs per unit of cell
-    // capacity); ties go to the lowest cell id, so routing is deterministic.
     // The event is kept verbatim so a crashed cell's ad-hoc jobs can be
     // re-delivered to a survivor.
     adhoc_events_[adhoc->uid] = *adhoc;
-    int best = -1;
-    double best_pressure = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < num_cells(); ++i) {
-      if (!cell_routable(i)) continue;
-      const double pressure = static_cast<double>(cells_[i]->adhoc_active()) /
-                              std::max(cells_[i]->spec().fraction, 1e-12);
-      if (pressure < best_pressure - 1e-12) {
-        best = i;
-        best_pressure = pressure;
-      }
-    }
+    const int best = route_adhoc();
     if (best < 0) {
       // No live cell right now; parked until one re-enters the routing set.
       pending_adhoc_.push_back(adhoc->uid);
@@ -268,6 +253,29 @@ void FederatedScheduler::apply_capacity_to_cell(
 bool FederatedScheduler::cell_routable(int cell) const {
   const CellScheduler& c = *cells_[cell];
   return !c.down() && c.health() == CellHealth::kHealthy;
+}
+
+int FederatedScheduler::route_adhoc() const {
+  int best = -1;
+  double best_pressure = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < num_cells(); ++i) {
+    if (!cell_routable(i)) continue;
+    const double pressure = static_cast<double>(cells_[i]->adhoc_active()) /
+                            std::max(cells_[i]->spec().fraction, 1e-12);
+    if (pressure < best_pressure - 1e-12) {
+      best = i;
+      best_pressure = pressure;
+    }
+  }
+  return best;
+}
+
+int FederatedScheduler::quarantined_cells() const {
+  int quarantined = 0;
+  for (const auto& c : cells_) {
+    if (c->health() == CellHealth::kQuarantined) ++quarantined;
+  }
+  return quarantined;
 }
 
 namespace {
@@ -392,11 +400,8 @@ void FederatedScheduler::quarantine_cell(int cell_id, int slot, double now_s,
   cell.set_probe_at_slot(slot + backoff_delay_slots(cell.probe_backoff()));
   if (obs::enabled()) {
     obs::registry().counter("cluster.cell_quarantines").add();
-    int quarantined = 0;
-    for (const auto& c : cells_) {
-      if (c->health() == CellHealth::kQuarantined) ++quarantined;
-    }
-    obs::registry().gauge("cluster.cells_quarantined").set(quarantined);
+    obs::registry().gauge("cluster.cells_quarantined").set(
+        quarantined_cells());
     cell.quarantine_span = obs::begin_span(
         "quarantine", "cell " + std::to_string(cell_id), obs::kNoSpan, now_s);
   }
@@ -420,11 +425,8 @@ void FederatedScheduler::readmit_cell(int cell_id, int slot, double now_s) {
   }
   if (obs::enabled()) {
     obs::registry().counter("cluster.cell_recoveries").add();
-    int quarantined = 0;
-    for (const auto& c : cells_) {
-      if (c->health() == CellHealth::kQuarantined) ++quarantined;
-    }
-    obs::registry().gauge("cluster.cells_quarantined").set(quarantined);
+    obs::registry().gauge("cluster.cells_quarantined").set(
+        quarantined_cells());
     obs::emit(obs::TraceEvent("cell_recovered")
                   .field("cell", cell_id)
                   .field("downtime_slots", downtime_slots)
@@ -490,7 +492,7 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
 void FederatedScheduler::place_failover(int workflow_id, int target, int slot,
                                         double now_s, int from_cell,
                                         int jobs_moved, const char* cause) {
-  place_workflow(workflow_id, target, now_s, /*forced=*/true);
+  place_workflow(workflow_id, target, now_s);
   // The forced arrival marks the target dirty with kWorkflowArrival; the
   // extra cause tag attributes the next plan to the failover.
   cells_[target]->scheduler().request_replan(core::ReplanCause::kFailover);
@@ -532,18 +534,7 @@ void FederatedScheduler::route_pending_failover(
     for (const sim::JobUid uid : pending_adhoc_) {
       const auto it = adhoc_events_.find(uid);
       if (it == adhoc_events_.end()) continue;  // completed while parked
-      int best = -1;
-      double best_pressure = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < num_cells(); ++i) {
-        if (!cell_routable(i)) continue;
-        const double pressure =
-            static_cast<double>(cells_[i]->adhoc_active()) /
-            std::max(cells_[i]->spec().fraction, 1e-12);
-        if (pressure < best_pressure - 1e-12) {
-          best = i;
-          best_pressure = pressure;
-        }
-      }
+      const int best = route_adhoc();
       if (best < 0) {
         still_pending.push_back(uid);
         continue;
@@ -596,7 +587,7 @@ void FederatedScheduler::handle_workflow_arrival(
     pending_failover_.push_back(workflow.id);
     return;
   }
-  place_workflow(workflow.id, cell, arrival.now_s, /*forced=*/false);
+  place_workflow(workflow.id, cell, arrival.now_s);
 }
 
 int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
@@ -661,7 +652,7 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
 }
 
 void FederatedScheduler::place_workflow(int workflow_id, int cell,
-                                        double now_s, bool forced) {
+                                        double now_s) {
   WorkflowInfo& info = workflows_.at(workflow_id);
   info.cell = cell;
   CellScheduler& target = *cells_[cell];
@@ -677,10 +668,9 @@ void FederatedScheduler::place_workflow(int workflow_id, int cell,
       cell_of_uid_[info.node_uids[node]] = cell;
     }
   }
-  // Commit the demand to the cell's admission view even when the placement
-  // was forced past the feasibility gate — the routing oracle must keep
+  // Commit the demand to the cell's admission view even when routing
+  // placed it past the feasibility gate — the routing oracle must keep
   // seeing it.
-  (void)forced;
   target.admission().force_admit(*info.workflow, now_s);
 }
 
@@ -753,7 +743,7 @@ void FederatedScheduler::route_deferred(double now_s) {
       continue;
     }
     tenant_usage_[tenant] += it->second.quota_share;
-    place_workflow(workflow_id, cell, now_s, /*forced=*/true);
+    place_workflow(workflow_id, cell, now_s);
   }
   deferred_ = std::move(still_deferred);
 }
@@ -850,7 +840,7 @@ void FederatedScheduler::migrate_workflow(int workflow_id, int from, int to,
   const int dropped =
       cells_[from]->scheduler().forget_workflow(workflow_id);
   cells_[from]->admission().forget_workflow(workflow_id, now_s);
-  place_workflow(workflow_id, to, now_s, /*forced=*/true);
+  place_workflow(workflow_id, to, now_s);
   WorkflowInfo& info = workflows_.at(workflow_id);
   info.last_migration_slot = slot;
   ++migrations_;
@@ -889,6 +879,8 @@ void FederatedScheduler::replan_dirty_cells(
     int cell = 0;
     core::PendingReplan pending;
     core::PlanSolveResult solved;
+    std::future<void> done;  // pooled solves only
+    bool adopted = false;
   };
   std::vector<SolveJob> jobs;
   for (int i = 0; i < num_cells(); ++i) {
@@ -921,64 +913,60 @@ void FederatedScheduler::replan_dirty_cells(
   }
   if (jobs.empty()) return;
 
-  auto solve_one = [this](SolveJob& job) {
-    CellScheduler& cell = *cells_[job.cell];
-    std::optional<obs::ScopedTimer> timer;
-    if (obs::enabled()) timer.emplace(&job.pending.record.wall_s);
-    job.solved = core::FlowTimeScheduler::solve_replan(
-        cell.scheduler().config(), &cell.warm_cache(), job.pending);
-  };
-
-  if (pool_) {
-    runtime::WaitGroup barrier;
-    barrier.add(static_cast<int>(jobs.size()));
-    for (SolveJob& job : jobs) {
-      pool_->submit([&solve_one, &job, &barrier] {
-        solve_one(job);
-        barrier.done();
-      });
+  for (SolveJob& job : jobs) {
+    auto solve = [&job, &planner = cells_[job.cell]->scheduler()] {
+      job.solved = planner.solve_replan(job.pending);
+    };
+    if (pool_) {
+      job.done = pool_->submit(solve);
+    } else {
+      solve();
     }
-    barrier.wait();
-  } else {
-    for (SolveJob& job : jobs) solve_one(job);
   }
 
-  // Adoption always happens on the serving thread, in cell order, so runs
-  // are deterministic regardless of solver-thread interleaving.
-  const int breaker = std::max(config_.quarantine_after_failures, 1);
+  // Every pooled solve has finished before any is collected, so no solver
+  // thread still writes into `jobs` should a get() below rethrow.
+  for (const SolveJob& job : jobs) {
+    if (job.done.valid()) job.done.wait();
+  }
+  // Every cell's solve is adopted (or discarded) on the serving thread, in
+  // cell order, before any health reaction: a quarantine below fails
+  // workflows over onto other cells, which must not stale their solves.
   double round_wall = 0.0;
   for (SolveJob& job : jobs) {
-    CellScheduler& cell = *cells_[job.cell];
+    if (job.done.valid()) job.done.get();
+    job.adopted = cells_[job.cell]->scheduler().finish_replan(
+        job.pending, std::move(job.solved), now_s);
     const double wall = job.pending.record.wall_s;
-    if (job.solved.preempted) {
-      // The solve failed (deadline or broken solver): keep the old plan,
-      // re-assert the dirty bit, and count one failure toward the breaker.
-      cell.scheduler().abandon_replan(job.pending, job.solved);
+    round_wall = pool_ ? std::max(round_wall, wall) : round_wall + wall;
+  }
+  replan_round_wall_s_.push_back(round_wall);
+
+  const int breaker = std::max(config_.quarantine_after_failures, 1);
+  for (const SolveJob& job : jobs) {
+    CellScheduler& cell = *cells_[job.cell];
+    const int slot = cell_states[static_cast<std::size_t>(job.cell)].slot;
+    if (!job.adopted) {
+      // The solve failed (deadline or broken solver): the old plan keeps
+      // serving and the dirty bit is back; count one failure toward the
+      // breaker.
       cell.count_failure();
       if (cell.health() == CellHealth::kHealthy) {
         cell.set_health(CellHealth::kSuspect);
       }
       if (cell.health() != CellHealth::kQuarantined &&
           cell.consecutive_failures() >= breaker) {
-        quarantine_cell(job.cell,
-                        cell_states[static_cast<std::size_t>(job.cell)].slot,
-                        now_s, "solver_failure", /*state_lost=*/false);
+        quarantine_cell(job.cell, slot, now_s, "solver_failure",
+                        /*state_lost=*/false);
       }
-    } else {
-      cell.scheduler().finish_replan(job.pending, std::move(job.solved),
-                                     now_s);
-      if (cell.health() == CellHealth::kSuspect && !cell.down() &&
-          !cell.solver_broken()) {
-        // A clean solve is proof of life: back to healthy.
-        cell.clear_failures();
-        cell.set_health(CellHealth::kHealthy);
-        cell.set_healthy_since_slot(
-            cell_states[static_cast<std::size_t>(job.cell)].slot);
-      }
+    } else if (cell.health() == CellHealth::kSuspect && !cell.down() &&
+               !cell.solver_broken()) {
+      // A clean solve is proof of life: back to healthy.
+      cell.clear_failures();
+      cell.set_health(CellHealth::kHealthy);
+      cell.set_healthy_since_slot(slot);
     }
-    round_wall = pool_ ? std::max(round_wall, wall) : round_wall + wall;
   }
-  replan_round_wall_s_.push_back(round_wall);
 }
 
 std::vector<sim::Allocation> FederatedScheduler::allocate(

@@ -10,8 +10,9 @@
 // (prune-infeasible-first), ad-hoc jobs go to the cell with the least ad-hoc
 // pressure, and workflows migrate off a cell whose degradation ladder
 // engages or whose plan overloads/extends deadlines. Per-cell replans are
-// independent, so they run concurrently on a runtime::SolverPool; each cell
-// has its own warm cache and a 1/N slice of the solver budget.
+// independent, so they can run concurrently on a runtime::SolverPool; each
+// cell's planner solves against its own warm cache with a 1/N slice of the
+// solver budget.
 //
 // Invariant: with cells = 1 the coordinator is a pass-through — same event
 // order, same replan sequence, same serve calls — so the federated plan is
@@ -115,8 +116,8 @@ enum class CellHealth { kHealthy, kSuspect, kQuarantined };
 const char* to_string(CellHealth health);
 
 /// One cell: a FlowTimeScheduler scoped to the cell's capacity slice, the
-/// cell's admission controller (the routing oracle), and the solver-side
-/// state an external replan driver needs (warm cache, pending solve).
+/// cell's admission controller (the routing oracle), and the health state
+/// the coordinator keeps for it.
 class CellScheduler {
  public:
   CellScheduler(CellSpec spec, core::FlowTimeConfig config,
@@ -126,12 +127,11 @@ class CellScheduler {
   core::FlowTimeScheduler& scheduler() { return *scheduler_; }
   const core::FlowTimeScheduler& scheduler() const { return *scheduler_; }
   core::AdmissionController& admission() { return *admission_; }
-  core::PlacementWarmCache& warm_cache() { return *warm_cache_; }
 
-  /// Crash recovery: rebuilds the scheduler, admission ledger and warm
-  /// cache from the stored config — everything a real shard process holds
-  /// in memory and loses when it dies. Routing and health bookkeeping live
-  /// in the coordinator and survive.
+  /// Crash recovery: rebuilds the scheduler (warm cache included) and the
+  /// admission ledger from the stored config — everything a real shard
+  /// process holds in memory and loses when it dies. Routing and health
+  /// bookkeeping live in the coordinator and survive.
   void reset();
 
   /// Peak normalized load of the cell's last adopted plan (0 before any).
@@ -195,7 +195,6 @@ class CellScheduler {
   core::FlowTimeConfig config_;  ///< kept verbatim for reset()
   std::unique_ptr<core::FlowTimeScheduler> scheduler_;
   std::unique_ptr<core::AdmissionController> admission_;
-  std::unique_ptr<core::PlacementWarmCache> warm_cache_;
   int adhoc_active_ = 0;
   bool was_overloaded_ = false;
 
@@ -321,13 +320,19 @@ class FederatedScheduler : public sim::Scheduler {
   void route_pending_failover(const sim::ClusterState& state);
   /// In the routing set: healthy and currently reachable.
   bool cell_routable(int cell) const;
+  /// Ad-hoc routing: the routable cell with the least ad-hoc pressure (live
+  /// ad-hoc jobs per unit of cell capacity); ties go to the lowest cell id,
+  /// so routing is deterministic. -1 when no cell is routable.
+  int route_adhoc() const;
+  /// Cells currently quarantined (the cluster.cells_quarantined gauge).
+  int quarantined_cells() const;
   /// Delivers one capacity-change broadcast to a single cell (scaled slice
   /// to the scheduler, resource units to the admission ledger).
   void apply_capacity_to_cell(int cell, const sim::CapacityChangeEvent& change);
   /// Places a known workflow on a cell: delivers the arrival (and any
-  /// already-complete jobs), registers uids, commits admission. `forced`
-  /// bypasses the feasibility gate (migration / deferred re-route).
-  void place_workflow(int workflow_id, int cell, double now_s, bool forced);
+  /// already-complete jobs), registers uids, and commits the demand to the
+  /// cell's admission ledger whether or not it passed the feasibility gate.
+  void place_workflow(int workflow_id, int cell, double now_s);
   /// Bin-pack routing: least projected peak load among admitting cells,
   /// falling back to least-loaded when all reject. Returns the cell id.
   int route_workflow(const workload::Workflow& workflow, double now_s);
@@ -345,7 +350,8 @@ class FederatedScheduler : public sim::Scheduler {
   std::vector<sim::ClusterState> split_state(
       const sim::ClusterState& state) const;
   /// Runs the begin/solve/finish cycle for every dirty cell (serially or on
-  /// the pool) and records the round's wall time.
+  /// the pool, adopting in cell order), applies the health reactions to the
+  /// outcome, and records the round's wall time.
   void replan_dirty_cells(const std::vector<sim::ClusterState>& cell_states,
                           double now_s);
   double tenant_usage(int tenant) const;

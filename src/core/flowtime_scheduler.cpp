@@ -350,16 +350,11 @@ int FlowTimeScheduler::forget_workflow(int workflow_id) {
 
 void FlowTimeScheduler::replan(const sim::ClusterState& state) {
   // The synchronous path: the three phases of the planner/serving split
-  // run back to back on the calling thread. The concurrent runtime calls
-  // the same phases with the solve moved to a background thread; keeping
-  // one code path is what makes sync-vs-async parity testable at all.
+  // run back to back on the calling thread. The replan drivers call the
+  // same phases with the solve moved to a background thread; keeping one
+  // code path is what makes sync-vs-async parity testable at all.
   PendingReplan pending = begin_replan(state);
-  PlanSolveResult solved;
-  {
-    std::optional<obs::ScopedTimer> timer;
-    if (obs::enabled()) timer.emplace(&pending.record.wall_s);
-    solved = solve_replan(config_, &warm_cache_, pending);
-  }
+  PlanSolveResult solved = solve_replan(pending);
   finish_replan(pending, std::move(solved), state.now_s);
 }
 
@@ -444,9 +439,17 @@ PendingReplan FlowTimeScheduler::begin_replan(const sim::ClusterState& state) {
   return pending;
 }
 
-void FlowTimeScheduler::finish_replan(const PendingReplan& pending,
+bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
                                       PlanSolveResult&& solved,
                                       double now_s) {
+  // The one adoption rule. A solve whose inputs changed after
+  // begin_replan (some event bumped the epoch) or that its cancel token
+  // stopped early would install a plan for a planner state that no longer
+  // exists; the old plan keeps serving and the trigger is re-asserted.
+  if (pending.epoch != planner_epoch_ || solved.preempted) {
+    abandon_replan(pending, solved);
+    return false;
+  }
   // Counted at adoption, not at begin_replan: discarded attempts go to
   // replans_discarded_ instead, so replans() means "plans served" in both
   // sync and async runs and the comparison numbers stay comparable.
@@ -572,6 +575,7 @@ void FlowTimeScheduler::finish_replan(const PendingReplan& pending,
     if (config_.cell_id >= 0) event.field("cell", config_.cell_id);
     obs::emit(event);
   }
+  return true;
 }
 
 void FlowTimeScheduler::abandon_replan(const PendingReplan& pending,
@@ -609,6 +613,8 @@ void FlowTimeScheduler::abandon_replan(const PendingReplan& pending,
 PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
                                                 PlacementWarmCache* warm_cache,
                                                 PendingReplan& pending) {
+  std::optional<obs::ScopedTimer> timer;
+  if (obs::enabled()) timer.emplace(&pending.record.wall_s);
   PlanSolveResult out;
   if (pending.lp_jobs.empty()) return out;
   ReplanRecord& record = pending.record;
@@ -840,12 +846,7 @@ void FlowTimeScheduler::check_cluster_skew(const sim::ClusterState& state) {
 std::vector<sim::Allocation> FlowTimeScheduler::allocate(
     const sim::ClusterState& state) {
   sync_views(state);
-  // Under the concurrent runtime the replan is driven externally
-  // (begin/solve/finish on the runtime's threads); allocate() then only
-  // serves the last adopted plan and must never block on a solve.
-  if (dirty_ && !config_.external_replan_driver) {
-    replan(state);
-  }
+  if (dirty_) replan(state);
   return serve(state);
 }
 

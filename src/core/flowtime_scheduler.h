@@ -77,12 +77,6 @@ struct FlowTimeConfig {
   /// LP regardless — this only delays *reporting* recovery, so one lucky
   /// solve amid a numerical storm does not flap the mode.
   int degrade_recovery_replans = 3;
-  /// When true the scheduler never re-plans inside allocate(): an external
-  /// driver (runtime::ConcurrentScheduler) watches dirty() and runs the
-  /// begin_replan / solve_replan / finish_replan cycle itself — possibly on
-  /// another thread — while allocate() keeps serving the current plan.
-  /// DESIGN.md §11 documents the threading contract.
-  bool external_replan_driver = false;
   /// Cell this scheduler serves when it runs as one shard of a federated
   /// cluster (cluster::FederatedScheduler, DESIGN.md §13); -1 = the whole
   /// cluster. Purely observational: a cell-aware scheduler stamps `cell` on
@@ -168,8 +162,8 @@ struct ReplanRecord {
   /// lp/unimodular flow_representable gate; see LpScheduleOptions).
   bool flow_fast_path = false;
   /// The solve finished (or was preempted) but was never adopted: its
-  /// inputs went stale while it ran and the concurrent runtime discarded
-  /// it. Synchronous runs never set this.
+  /// inputs went stale while it ran, or its cancel token fired, so
+  /// finish_replan discarded it. Synchronous runs never set this.
   bool discarded = false;
 };
 
@@ -178,9 +172,9 @@ struct ReplanRecord {
 /// the heavy LP solve needs is copied in here, so `solve_replan` can run on
 /// a background thread against this immutable snapshot — a plan epoch —
 /// while the scheduler keeps serving the current plan. `epoch` captures the
-/// planner-state version the inputs were built from; the concurrent runtime
-/// compares it against the live version at adoption time to detect solves
-/// whose inputs went stale mid-flight.
+/// planner-state version the inputs were built from; finish_replan compares
+/// it against the live version to detect solves whose inputs went stale
+/// mid-flight.
 struct PendingReplan {
   sim::ClusterState state;      // trigger-time snapshot (slot, capacity)
   ReplanRecord record;          // slot/causes filled; solve adds the rest
@@ -211,15 +205,18 @@ struct PlanSolveResult {
 
 /// FlowTime as a sim::Scheduler.
 ///
-/// Threading contract: with the default config the instance is
-/// single-threaded, exactly as before. With `external_replan_driver` the
-/// class splits into two roles that may run on different threads:
-///   * serving — on_event / allocate / begin_replan / finish_replan, all
-///     from one thread (the event-loop / simulator thread);
-///   * solving — the static `solve_replan`, which reads only its arguments
-///     (config copy or stable reference, the warm cache it is handed, and
-///     the PendingReplan snapshot) and may therefore run concurrently with
-///     serving, provided at most one solve runs at a time per warm cache.
+/// Threading contract: allocate() re-plans inline, single-threaded. A
+/// replan driver (runtime::ConcurrentScheduler, cluster::FederatedScheduler)
+/// instead calls sync_views / begin_replan / solve_replan / finish_replan /
+/// serve itself, and then the class splits into two roles that may run on
+/// different threads:
+///   * serving — on_event / sync_views / serve / begin_replan /
+///     finish_replan, all from one thread (the event-loop / simulator
+///     thread);
+///   * solving — `solve_replan`, which reads only the immutable config, the
+///     planner's warm cache and the PendingReplan snapshot, and may
+///     therefore run concurrently with serving, provided at most one solve
+///     per planner is in flight.
 class FlowTimeScheduler : public sim::Scheduler {
  public:
   explicit FlowTimeScheduler(FlowTimeConfig config = {});
@@ -237,12 +234,12 @@ class FlowTimeScheduler : public sim::Scheduler {
       const sim::ClusterState& state) override;
 
   // --- Planner / serving split (DESIGN.md §11) ---------------------------
-  // The synchronous path is replan() = begin + solve + finish on one
-  // thread. The concurrent runtime drives the three steps itself so the
-  // solve can move to a background thread. These are building blocks, not
-  // a general API: begin/finish must run on the serving thread, and
-  // finish_replan must see every begin_replan exactly once (or the pending
-  // plan be explicitly abandoned via abandon_replan).
+  // The one replan cycle: begin_replan -> solve_replan -> finish_replan.
+  // allocate() runs it inline; the replan drivers run the same three steps
+  // with the solve moved to a background thread. These are building
+  // blocks, not a general API: begin/finish must run on the serving thread,
+  // and finish_replan must see every begin_replan exactly once (or the
+  // pending plan be explicitly abandoned via abandon_replan).
 
   /// True when some event since the last re-plan invalidated the plan.
   bool dirty() const { return dirty_; }
@@ -256,32 +253,43 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// Starts a re-plan: snapshots planner inputs into a PendingReplan and
   /// clears the dirty flag. Serving thread only.
   PendingReplan begin_replan(const sim::ClusterState& state);
-  /// The heavy step: bucketing, escalation ladder, LP solves. Static and
-  /// self-contained so it can run on a solver thread; `warm_cache` must not
-  /// be shared with a concurrent solve. Updates pending.record in place.
+  /// The heavy step against this planner's own warm cache. Touches no
+  /// serving state, so a driver may run it on a solver thread while the
+  /// serving thread keeps serving — one solve per planner at a time.
+  PlanSolveResult solve_replan(PendingReplan& pending) {
+    return solve_replan(config_, &warm_cache_, pending);
+  }
+  /// The same step as a free function of its arguments: bucketing,
+  /// escalation ladder, LP solves. `warm_cache` must not be shared with a
+  /// concurrent solve. Updates pending.record in place, including its wall
+  /// time (measured only while obs is enabled).
   static PlanSolveResult solve_replan(const FlowTimeConfig& config,
                                       PlacementWarmCache* warm_cache,
                                       PendingReplan& pending);
-  /// Adopts a solved plan: installs the rows, updates counters, the replan
-  /// log, the degraded-mode state machine and observability. Serving
-  /// thread only. `now_s` is adoption time (== pending.state.now_s on the
-  /// synchronous path; later under async adoption).
-  void finish_replan(const PendingReplan& pending, PlanSolveResult&& solved,
+  /// Adopts the solve when its snapshot is still current — no event bumped
+  /// planner_epoch() since begin_replan — and its cancel token did not
+  /// preempt it: installs the rows, updates counters, the replan log, the
+  /// degraded-mode state machine and observability. Otherwise discards it
+  /// through abandon_replan. Returns whether the plan was adopted; only
+  /// the plan rows are moved out of `solved`, its counters stay readable.
+  /// Serving thread only. `now_s` is adoption time (== pending.state.now_s
+  /// on the synchronous path; later under async adoption).
+  bool finish_replan(const PendingReplan& pending, PlanSolveResult&& solved,
                      double now_s);
   /// Accounts a solve that was discarded unadopted (stale or preempted):
   /// the attempt shows up in replans_discarded()/total_pivots() and the
   /// replan log so solver work is never silently unattributed, and the
   /// planner is re-marked dirty with the discarded solve's causes so the
-  /// external driver immediately re-bases a fresh solve — a discard must
-  /// never swallow its trigger. Serving thread only.
+  /// driver immediately re-bases a fresh solve — a discard must never
+  /// swallow its trigger. Serving thread only.
   void abandon_replan(const PendingReplan& pending,
                       const PlanSolveResult& solved);
 
   /// First half of allocate(): syncs job state from the authoritative views
   /// (remaining estimates, readiness, the overrun latch, plan-exhaustion).
-  /// May mark the scheduler dirty. Idempotent for a given state. The
-  /// external replan driver calls this before deciding whether to start a
-  /// solve; plain allocate() calls it internally.
+  /// May mark the scheduler dirty. Idempotent for a given state. A replan
+  /// driver calls this before deciding whether to start a solve; plain
+  /// allocate() calls it internally.
   void sync_views(const sim::ClusterState& state);
   /// Second half of allocate(): issues allocations from the current plan
   /// (deadline shares, then max-min fair ad-hoc leftover). Never solves.
@@ -321,8 +329,7 @@ class FlowTimeScheduler : public sim::Scheduler {
   int replans_discarded() const { return replans_discarded_; }
   std::int64_t total_pivots() const { return total_pivots_; }
 
-  /// The effective configuration (after construction-time adjustments);
-  /// what an external replan driver must pass to solve_replan.
+  /// The effective configuration (after construction-time adjustments).
   const FlowTimeConfig& config() const { return config_; }
 
   /// One record per re-plan, in order — cause tags, LP stats, fallbacks.
@@ -405,8 +412,9 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// final basis of one re-plan seeds the next when the LP shape (same
   /// jobs, same windows, same horizon) repeats, which is the common case
   /// for deviation/overrun re-plans. Keyed by a shape fingerprint inside
-  /// solve_placement; a mismatch falls back to a cold solve. Under the
-  /// external replan driver the solver thread owns this exclusively.
+  /// solve_placement; a mismatch falls back to a cold solve. Only
+  /// solve_replan touches it, so under a replan driver the solver thread
+  /// owns it while a solve is in flight.
   PlacementWarmCache warm_cache_;
   bool dirty_ = false;
   ReplanCause pending_causes_ = ReplanCause::kNone;

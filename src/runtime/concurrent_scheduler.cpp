@@ -1,6 +1,6 @@
 #include "runtime/concurrent_scheduler.h"
 
-#include <optional>
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -11,57 +11,43 @@ namespace flowtime::runtime {
 
 namespace {
 
-core::FlowTimeConfig make_inner_config(const RuntimeConfig& config) {
-  core::FlowTimeConfig fc = config.flowtime;
-  // In async mode the runtime drives begin/solve/finish itself; the inner
-  // scheduler must never block allocate() on an inline solve.
-  fc.external_replan_driver = config.async_replan;
-  return fc;
-}
+/// EventQueue bound: producers on other threads block (back-pressure) when
+/// it fills. Pushes from the serving thread itself never block — they
+/// exceed the bound instead (see EventQueue's deadlock guard).
+constexpr std::size_t kQueueCapacity = 4096;
 
 }  // namespace
 
 ConcurrentScheduler::ConcurrentScheduler(RuntimeConfig config)
     : config_(std::move(config)),
-      inner_(make_inner_config(config_)),
-      queue_(config_.queue_capacity) {
-  if (config_.async_replan) {
-    pool_ = std::make_unique<SolverPool>(config_.solver_threads);
-  }
-}
+      inner_(config_.flowtime),
+      queue_(kQueueCapacity) {}
 
 ConcurrentScheduler::~ConcurrentScheduler() {
   queue_.close();
-  if (inflight_) inflight_->cancel.store(true, std::memory_order_relaxed);
-  if (pool_) pool_->shutdown();  // runs the queued solve to completion
-  if (inflight_ && inflight_->done.load(std::memory_order_acquire)) {
-    // The run ended with a solve still in flight: account its pivots as a
-    // discarded attempt rather than losing them.
-    std::unique_ptr<InFlight> fin = std::move(inflight_);
-    inner_.abandon_replan(fin->pending, fin->result);
-    if (obs::enabled()) {
-      // Close the chain even on teardown: every solve_begin must reach a
-      // terminal for the trace to balance.
-      obs::end_span(fin->span, fin->pending.state.now_s);
-      emit_terminal(*fin, /*adopted=*/false, /*stale=*/true,
-                    obs::wall_now_s());
-    }
+  if (!inflight_) return;
+  // The run ended with a solve still in flight: stop it, let the solver
+  // thread finish with it, and account its pivots as a discarded attempt
+  // rather than losing them.
+  inflight_->cancel.store(true, std::memory_order_relaxed);
+  inflight_->done.wait();
+  inner_.abandon_replan(inflight_->pending, inflight_->result);
+  if (obs::enabled()) {
+    // Close the chain even on teardown: every solve_begin must reach a
+    // terminal for the trace to balance.
+    obs::end_span(inflight_->span, inflight_->pending.state.now_s);
+    emit_terminal(*inflight_, /*adopted=*/false, /*stale=*/true,
+                  obs::wall_now_s());
   }
 }
 
 void ConcurrentScheduler::on_event(const sim::SchedulerEvent& event) {
-  if (!config_.async_replan) {
-    inner_.on_event(event);
-    return;
-  }
   queue_.push(event);
 }
 
 std::vector<sim::Allocation> ConcurrentScheduler::allocate(
     const sim::ClusterState& state) {
-  if (!config_.async_replan) return inner_.allocate(state);
-
-  apply_queued_events();
+  drain_events();
   // Adopt a finished solve before syncing views, so plan-exhaustion is
   // judged against the freshest plan.
   harvest(state.now_s);
@@ -72,34 +58,28 @@ std::vector<sim::Allocation> ConcurrentScheduler::allocate(
     // Events cannot interleave here (single serving thread), so the solve
     // is never stale and the loop adopts exactly what the synchronous
     // path would have computed.
-    while (inflight_) {
-      wait_for_solve();
-      harvest(state.now_s);
-      maybe_submit(state);
-    }
+    settle(state);
   }
   return inner_.serve(state);
 }
 
-void ConcurrentScheduler::drain_events() {
-  if (!config_.async_replan) return;
-  apply_queued_events();
-}
-
 void ConcurrentScheduler::quiesce(const sim::ClusterState& state) {
-  if (!config_.async_replan) return;
-  apply_queued_events();
+  drain_events();
   harvest(state.now_s);
   inner_.sync_views(state);
   maybe_submit(state);
+  settle(state);
+}
+
+void ConcurrentScheduler::settle(const sim::ClusterState& state) {
   while (inflight_) {
-    wait_for_solve();
+    inflight_->done.wait();
     harvest(state.now_s);
     maybe_submit(state);
   }
 }
 
-void ConcurrentScheduler::apply_queued_events() {
+void ConcurrentScheduler::drain_events() {
   batch_.clear();
   queue_.drain(batch_);
   if (batch_.empty()) return;
@@ -147,8 +127,7 @@ void ConcurrentScheduler::apply_queued_events() {
       obs::registry().counter("runtime.coalesced_events").add(triggers - 1);
     }
   }
-  if (inflight_ && !inflight_->done.load(std::memory_order_acquire) &&
-      inflight_->pending.epoch != inner_.planner_epoch()) {
+  if (inflight_ && inflight_->pending.epoch != inner_.planner_epoch()) {
     // The batch changed the planner inputs under the running solve: its
     // answer is already unusable, so stop it between pivots instead of
     // letting it finish a plan nobody will adopt.
@@ -157,12 +136,19 @@ void ConcurrentScheduler::apply_queued_events() {
 }
 
 void ConcurrentScheduler::harvest(double now_s) {
-  if (!inflight_ || !inflight_->done.load(std::memory_order_acquire)) return;
+  if (!inflight_ || inflight_->done.wait_for(std::chrono::seconds(0)) !=
+                        std::future_status::ready) {
+    return;
+  }
   std::unique_ptr<InFlight> fin = std::move(inflight_);
-  const bool stale = fin->pending.epoch != inner_.planner_epoch();
-  const bool adopted = !stale && !fin->result.preempted;
-  const std::int64_t pivots = fin->result.pivots;
-  if (!adopted) {
+  fin->done.get();  // rethrows anything the solve threw
+  const bool adopted =
+      inner_.finish_replan(fin->pending, std::move(fin->result), now_s);
+  // Only an epoch bump fires the cancel token, and epochs never go back,
+  // so every solve finish_replan declines is a stale one. (finish_replan
+  // moves only the plan rows out of the result; its counters stay.)
+  const bool stale = !adopted;
+  if (stale) {
     ++stale_solves_;
     if (fin->result.preempted) ++preempted_solves_;
     if (obs::enabled()) {
@@ -171,13 +157,9 @@ void ConcurrentScheduler::harvest(double now_s) {
         obs::registry().counter("runtime.preempted_solves").add();
       }
     }
-    inner_.abandon_replan(fin->pending, fin->result);
-  } else {
-    inner_.finish_replan(fin->pending, std::move(fin->result), now_s);
   }
   if (obs::enabled()) {
     obs::end_span(fin->span, now_s);
-    fin->result.pivots = pivots;  // finish_replan moved the result out
     emit_terminal(*fin, adopted, stale, obs::wall_now_s());
   }
 }
@@ -265,14 +247,9 @@ void ConcurrentScheduler::maybe_submit(const sim::ClusterState& state) {
   InFlight* job = fly.get();
   inflight_ = std::move(fly);
   ++async_solves_;
-  pool_->submit([this, job] {
+  job->done = pool_.submit([this, job] {
     if (config_.solve_started_hook) config_.solve_started_hook(job->pending);
-    {
-      std::optional<obs::ScopedTimer> timer;
-      if (obs::enabled()) timer.emplace(&job->pending.record.wall_s);
-      job->result = core::FlowTimeScheduler::solve_replan(
-          inner_.config(), &warm_cache_, job->pending);
-    }
+    job->result = inner_.solve_replan(job->pending);
     if (job->replan_trace != 0 && obs::enabled()) {
       job->done_wall_s = obs::wall_now_s();
       const double solve_ms = (job->done_wall_s - job->submit_wall_s) * 1e3;
@@ -285,22 +262,6 @@ void ConcurrentScheduler::maybe_submit(const sim::ClusterState& state) {
                     .field("lane", obs::thread_lane())
                     .field("wall_s", job->done_wall_s));
     }
-    {
-      // The store pairs with harvest's acquire load; taking the mutex
-      // first makes the condvar wait in wait_for_solve race-free.
-      std::lock_guard<std::mutex> lock(done_mu_);
-      job->done.store(true, std::memory_order_release);
-    }
-    done_cv_.notify_all();
-  });
-}
-
-void ConcurrentScheduler::wait_for_solve() {
-  if (!inflight_) return;
-  InFlight* job = inflight_.get();
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [job] {
-    return job->done.load(std::memory_order_acquire);
   });
 }
 

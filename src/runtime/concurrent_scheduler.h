@@ -8,26 +8,25 @@
 //                                      │ begin_replan (snapshot, epoch E)
 //                                      ▼
 //                               [solver thread: solve_replan]
-//                                      │ done
+//                                      │ future ready
 //                                      ▼
-//                 [serving thread: epoch still E? adopt : discard]
+//                 [serving thread: finish_replan adopts or discards]
 //
 // Three properties, in decreasing order of importance:
-//   * allocate() never blocks on a solve (async mode): the current plan
-//     keeps serving while the next one is computed;
+//   * allocate() never blocks on a solve (unless barrier_mode): the current
+//     plan keeps serving while the next one is computed;
 //   * bursts coalesce: all events drained in one sweep trigger at most one
 //     re-plan, not one each;
 //   * staleness is detected, not ignored: a solve whose planner inputs
-//     changed mid-flight (epoch mismatch) is discarded — and preempted
-//     early via the cancel token so the solver thread stops wasting pivots.
+//     changed mid-flight (epoch mismatch) is discarded by finish_replan —
+//     and preempted early via the cancel token so the solver thread stops
+//     wasting pivots.
 //
-// Determinism: with `async_replan = false` the wrapper is a pure
-// pass-through (byte-identical to the bare FlowTimeScheduler). With
-// `async_replan = true` and `barrier_mode = true` every allocate() waits
-// for the in-flight solve to adopt before serving, which serializes the
-// run plan-for-plan with the synchronous path while still exercising the
+// Determinism: with `barrier_mode = true` every allocate() waits for the
+// in-flight solve to adopt before serving, which serializes the run
+// plan-for-plan with the bare FlowTimeScheduler while still exercising the
 // full queue/snapshot/solver-thread machinery — the property the
-// determinism tests pin.
+// determinism tests pin. Synchronous runs use the bare scheduler itself.
 //
 // Causal tracing (obs enabled, DESIGN.md §8): every queued event carries a
 // trace id stamped at enqueue; the serving thread links events to their
@@ -39,11 +38,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -57,20 +55,10 @@ namespace flowtime::runtime {
 
 struct RuntimeConfig {
   core::FlowTimeConfig flowtime;
-  /// false: pass-through (single-threaded, byte-identical to the bare
-  /// scheduler). true: events are queued and solves run on the pool.
-  bool async_replan = false;
-  /// Only meaningful with async_replan: every allocate() waits for the
-  /// in-flight solve and adopts it before serving. Deterministic (same
-  /// plans as the synchronous path) at the cost of blocking per slot.
+  /// Every allocate() waits for the in-flight solve and adopts it before
+  /// serving. Deterministic (same plans as the synchronous path) at the
+  /// cost of blocking per slot.
   bool barrier_mode = false;
-  /// EventQueue bound; producers on other threads block (back-pressure)
-  /// when it fills. Pushes from the serving thread itself never block —
-  /// they exceed the bound instead (see EventQueue's deadlock guard).
-  std::size_t queue_capacity = 4096;
-  /// Solver pool width. One suffices for a single scheduler — the warm
-  /// cache admits one solve at a time anyway.
-  int solver_threads = 1;
   /// Test hook, solver thread: called right before each solve runs. Tests
   /// block in here to hold a solve in flight deterministically (e.g. to
   /// force staleness). Must not touch the scheduler.
@@ -93,21 +81,23 @@ class ConcurrentScheduler : public sim::Scheduler {
     return inner_.cluster_spec();
   }
 
-  /// Async mode: O(1) — the event is enqueued (value semantics; workflow
-  /// payloads ride as non-owning shared_ptrs) and applied at the next
-  /// allocate(). Sync mode: applied immediately.
+  /// O(1): the event is enqueued (value semantics; workflow payloads ride
+  /// as non-owning shared_ptrs) and applied at the next allocate().
   void on_event(const sim::SchedulerEvent& event) override;
 
   /// Serving entry point; see the class comment for the async pipeline.
   std::vector<sim::Allocation> allocate(
       const sim::ClusterState& state) override;
 
-  /// Applies everything still queued (events arriving after the last
-  /// allocate of a run). No re-plan is started. Serving thread only.
+  /// Applies everything queued to the inner scheduler, counting coalesced
+  /// replan triggers and preempting a solve the batch made stale. No
+  /// re-plan is started. allocate() starts with it; call it after a run's
+  /// last allocate to apply the events that arrived since. Serving thread
+  /// only.
   void drain_events();
 
   /// Blocks until no solve is in flight and the planner is clean: drains
-  /// events, then begin/wait/adopt in a loop. Serving thread only.
+  /// events, then begin/wait/finish in a loop. Serving thread only.
   void quiesce(const sim::ClusterState& state);
 
   // --- Runtime statistics (serving thread, or after the run) -------------
@@ -115,11 +105,11 @@ class ConcurrentScheduler : public sim::Scheduler {
   /// of the same drained batch instead of causing their own.
   std::int64_t coalesced_events() const { return coalesced_events_; }
   /// Solves that completed but were discarded because their inputs went
-  /// stale mid-flight (epoch mismatch at adoption, or preempted).
+  /// stale mid-flight (finish_replan declined them).
   std::int64_t stale_solves() const { return stale_solves_; }
   /// Subset of stale_solves() that the cancel token stopped early.
   std::int64_t preempted_solves() const { return preempted_solves_; }
-  /// Solves submitted to the pool (async mode only).
+  /// Solves submitted to the solver thread.
   std::int64_t async_solves() const { return async_solves_; }
   /// Serving-thread pushes that found the event queue full and grew past
   /// its bound instead of self-deadlocking (EventQueue deadlock guard).
@@ -133,14 +123,14 @@ class ConcurrentScheduler : public sim::Scheduler {
 
  private:
   /// One solve in flight. The serving thread owns the structure; the
-  /// solver thread touches only `pending` (read), `result` (write before
-  /// `done`) and the two atomics. `done` is the publication edge: the
-  /// solver's release-store makes `result` visible to the serving thread's
-  /// acquire-load.
+  /// solver thread touches only `pending` (read), `result` and
+  /// `done_wall_s` (write) and `cancel` (read). `done` is the hand-off:
+  /// once it is ready, everything the solver thread wrote is visible to
+  /// the serving thread.
   struct InFlight {
     core::PendingReplan pending;
     core::PlanSolveResult result;
-    std::atomic<bool> done{false};
+    std::future<void> done;
     std::atomic<bool> cancel{false};
     obs::SpanId span = obs::kNoSpan;
     // --- causal-chain stamps (obs enabled only; 0 otherwise) --------------
@@ -154,8 +144,7 @@ class ConcurrentScheduler : public sim::Scheduler {
     double first_dequeue_wall_s = 0.0;
     /// Serving thread, at pool submission.
     double submit_wall_s = 0.0;
-    /// Solver thread, right after the solve; written before the `done`
-    /// release-store, so the serving thread's acquire-load covers it.
+    /// Solver thread, right after the solve.
     double done_wall_s = 0.0;
   };
 
@@ -168,15 +157,13 @@ class ConcurrentScheduler : public sim::Scheduler {
     double dequeue_wall_s = 0.0;
   };
 
-  /// Drains the queue and applies events to the inner scheduler; counts
-  /// coalesced replan triggers and preempts a now-stale in-flight solve.
-  void apply_queued_events();
-  /// Adopts or discards a finished solve, if any.
+  /// Hands a finished solve, if any, to finish_replan.
   void harvest(double now_s);
   /// Starts a solve when the planner is dirty and none is in flight.
   void maybe_submit(const sim::ClusterState& state);
-  /// Blocks until the in-flight solve (if any) reports done.
-  void wait_for_solve();
+  /// Waits for the in-flight solve and harvests it, re-submitting while the
+  /// planner stays dirty, until no solve is in flight.
+  void settle(const sim::ClusterState& state);
   /// Emits the chain terminal (`plan_adopted` / `plan_discarded`) with the
   /// per-stage latency decomposition, and observes the stage histograms.
   void emit_terminal(const InFlight& fin, bool adopted, bool stale,
@@ -185,14 +172,11 @@ class ConcurrentScheduler : public sim::Scheduler {
   RuntimeConfig config_;
   core::FlowTimeScheduler inner_;
   EventQueue queue_;
-  std::unique_ptr<SolverPool> pool_;  // created only in async mode
-  /// Solver-thread-exclusive warm cache: exactly one solve runs at a time
-  /// (inflight_ is singular), so no lock is needed — exactly the contract
-  /// core::FlowTimeScheduler::solve_replan documents.
-  core::PlacementWarmCache warm_cache_;
+  /// One thread: inflight_ is singular, so the planner never has two
+  /// solves in flight — the contract core::FlowTimeScheduler::solve_replan
+  /// documents for its warm cache.
+  SolverPool pool_{1};
   std::unique_ptr<InFlight> inflight_;
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
   std::vector<StampedEvent> batch_;  // drain scratch, reused
   std::vector<PendingBatch> pending_batches_;  // trigger batches awaiting a replan
   std::int64_t coalesced_events_ = 0;

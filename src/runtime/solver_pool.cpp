@@ -15,13 +15,16 @@ SolverPool::SolverPool(int threads) {
 
 SolverPool::~SolverPool() { shutdown(); }
 
-void SolverPool::submit(std::function<void()> task) {
+std::future<void> SolverPool::submit(std::function<void()> task) {
+  std::packaged_task<void()> job(std::move(task));
+  std::future<void> done = job.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    tasks_.push_back(std::move(task));
+    if (stopping_) return done;  // `job` dies unrun: broken promise
+    tasks_.push_back(std::move(job));
   }
   work_ready_.notify_one();
+  return done;
 }
 
 void SolverPool::shutdown() {
@@ -38,7 +41,7 @@ void SolverPool::shutdown() {
 
 void SolverPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
@@ -52,25 +55,6 @@ void SolverPool::worker_loop() {
     }
     task();
   }
-}
-
-void WaitGroup::add(int n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_ += n;
-}
-
-void WaitGroup::done() {
-  // Notify while still holding the mutex: the WaitGroup is typically
-  // stack-allocated and destroyed as soon as wait() returns, so an
-  // unlocked notify could touch the condvar after its destructor ran.
-  std::lock_guard<std::mutex> lock(mu_);
-  --pending_;
-  if (pending_ <= 0) all_done_.notify_all();
-}
-
-void WaitGroup::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return pending_ <= 0; });
 }
 
 }  // namespace flowtime::runtime

@@ -1,16 +1,16 @@
-// Background solver threads for the concurrent runtime (DESIGN.md §11).
+// Background solver threads for the replan drivers (DESIGN.md §11, §13).
 //
 // A deliberately small worker pool: tasks are whole LP solves (tens of
 // milliseconds to seconds), so there is nothing to gain from lock-free
-// cleverness — one mutex, one condvar, FIFO order. The runtime submits at
-// most one solve per scheduler at a time (the warm cache is solver-
-// exclusive), so extra threads only matter when several schedulers share
-// one pool.
+// cleverness — one mutex, one condvar, FIFO order. Each submission returns
+// a future: it is the hand-off of the finished solve from the solver thread
+// to the serving thread, which waits on (or polls) it before adopting.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -27,11 +27,15 @@ class SolverPool {
   SolverPool(const SolverPool&) = delete;
   SolverPool& operator=(const SolverPool&) = delete;
 
-  /// Enqueues a task; FIFO per pool. Must not be called after shutdown().
-  void submit(std::function<void()> task);
+  /// Enqueues a task; FIFO per pool. The future becomes ready when the
+  /// task has run: everything the task wrote is then visible to whoever
+  /// waited on it, and an exception the task threw is rethrown by get().
+  /// After shutdown() the task is dropped and get() reports a broken
+  /// promise.
+  std::future<void> submit(std::function<void()> task);
 
   /// Runs every queued task to completion, then joins all workers.
-  /// Idempotent. Submitting after shutdown is a no-op (task dropped).
+  /// Idempotent.
   void shutdown();
 
   int threads() const { return static_cast<int>(workers_.size()); }
@@ -41,29 +45,9 @@ class SolverPool {
 
   std::mutex mu_;
   std::condition_variable work_ready_;
-  std::deque<std::function<void()>> tasks_;
+  std::deque<std::packaged_task<void()>> tasks_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-};
-
-/// Go-style barrier for fan-out/fan-in over a SolverPool: the submitter
-/// calls add() per task, each task calls done() when it finishes, and the
-/// submitter blocks in wait() until the count returns to zero. Unlike
-/// shutdown(), the pool stays usable afterwards, so a federated scheduler
-/// can run one barrier per replan round.
-class WaitGroup {
- public:
-  /// Registers `n` pending completions. Call before submitting the tasks.
-  void add(int n = 1);
-  /// Marks one task complete; wakes wait() when the count reaches zero.
-  void done();
-  /// Blocks until every add() has been matched by a done().
-  void wait();
-
- private:
-  std::mutex mu_;
-  std::condition_variable all_done_;
-  int pending_ = 0;
 };
 
 }  // namespace flowtime::runtime

@@ -1,6 +1,7 @@
 #include "sched/baselines.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "sched/allocation_util.h"
 #include "util/logging.h"
@@ -50,10 +51,11 @@ EdfScheduler::EdfScheduler(core::DecompositionConfig decomposition,
     : decomposer_(decomposition),
       strict_adhoc_blocking_(strict_adhoc_blocking) {}
 
-void EdfScheduler::on_workflow_arrival(
-    const workload::Workflow& workflow,
-    const std::vector<sim::JobUid>& node_uids, double now_s) {
-  (void)now_s;
+void EdfScheduler::on_event(const sim::SchedulerEvent& event) {
+  const auto* arrival = std::get_if<sim::WorkflowArrivalEvent>(&event);
+  if (arrival == nullptr) return;
+  const workload::Workflow& workflow = *arrival->workflow;
+  const std::vector<sim::JobUid>& node_uids = arrival->node_uids;
   const auto decomposition = decomposer_.decompose(workflow);
   for (dag::NodeId v = 0; v < workflow.dag.num_nodes(); ++v) {
     deadline_by_uid_[node_uids[static_cast<std::size_t>(v)]] =

@@ -50,9 +50,8 @@ class EdfScheduler : public sim::Scheduler {
                         bool strict_adhoc_blocking = true);
 
   std::string name() const override { return "EDF"; }
-  void on_workflow_arrival(const workload::Workflow& workflow,
-                           const std::vector<sim::JobUid>& node_uids,
-                           double now_s) override;
+  /// Workflow arrivals only: the rest of the state comes from allocate().
+  void on_event(const sim::SchedulerEvent& event) override;
   std::vector<sim::Allocation> allocate(
       const sim::ClusterState& state) override;
 

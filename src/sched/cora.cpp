@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "sched/allocation_util.h"
 
@@ -13,12 +14,11 @@ constexpr double kTol = 1e-9;
 
 CoraScheduler::CoraScheduler(CoraConfig config) : config_(config) {}
 
-void CoraScheduler::on_workflow_arrival(
-    const workload::Workflow& workflow,
-    const std::vector<sim::JobUid>& node_uids, double now_s) {
-  (void)now_s;
-  for (sim::JobUid uid : node_uids) {
-    workflow_deadline_by_uid_[uid] = workflow.deadline_s;
+void CoraScheduler::on_event(const sim::SchedulerEvent& event) {
+  const auto* arrival = std::get_if<sim::WorkflowArrivalEvent>(&event);
+  if (arrival == nullptr) return;
+  for (sim::JobUid uid : arrival->node_uids) {
+    workflow_deadline_by_uid_[uid] = arrival->workflow->deadline_s;
   }
 }
 

@@ -39,9 +39,8 @@ class CoraScheduler : public sim::Scheduler {
   explicit CoraScheduler(CoraConfig config = {});
 
   std::string name() const override { return "CORA"; }
-  void on_workflow_arrival(const workload::Workflow& workflow,
-                           const std::vector<sim::JobUid>& node_uids,
-                           double now_s) override;
+  /// Workflow arrivals only: the rest of the state comes from allocate().
+  void on_event(const sim::SchedulerEvent& event) override;
   std::vector<sim::Allocation> allocate(
       const sim::ClusterState& state) override;
 

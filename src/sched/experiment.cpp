@@ -37,9 +37,7 @@ std::unique_ptr<sim::Scheduler> make_flowtime(
   }
   runtime::RuntimeConfig rt;
   rt.flowtime = std::move(flowtime);
-  rt.async_replan = true;
   rt.barrier_mode = config.async_barrier;
-  rt.solver_threads = config.runtime_threads;
   return std::make_unique<runtime::ConcurrentScheduler>(std::move(rt));
 }
 

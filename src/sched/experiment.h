@@ -52,13 +52,15 @@ struct ExperimentConfig {
   /// With async_replan: wait for every solve before serving its slot, so
   /// the run is deterministic (plan-for-plan equal to the sync path).
   bool async_barrier = false;
-  /// Solver threads for the concurrent runtime.
+  /// Solver threads of a federated run's SolverPool (cells > 1 with
+  /// async_replan; 0 = one per cell). A single-cell run has one planner,
+  /// which never has two solves in flight, so it always uses one thread.
   int runtime_threads = 1;
   /// Shard the cluster into this many cells and run the FlowTime variants
   /// federated (cluster::FederatedScheduler): per-cell lexmin plans, greedy
   /// cross-cell routing/migration. 1 = plain single-cell FlowTime. With
-  /// async_replan the per-cell solves run concurrently on a SolverPool
-  /// (runtime_threads workers; 0 = one per cell).
+  /// async_replan the per-cell solves run concurrently on a SolverPool of
+  /// runtime_threads workers.
   int cells = 1;
   /// Partition policy for cells > 1: "balanced" or "round_robin".
   std::string cell_policy = "balanced";

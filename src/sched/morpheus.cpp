@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "dag/critical_path.h"
 #include "sched/allocation_util.h"
@@ -15,10 +16,11 @@ constexpr double kTol = 1e-9;
 MorpheusScheduler::MorpheusScheduler(MorpheusConfig config)
     : config_(std::move(config)) {}
 
-void MorpheusScheduler::on_workflow_arrival(
-    const workload::Workflow& workflow,
-    const std::vector<sim::JobUid>& node_uids, double now_s) {
-  (void)now_s;
+void MorpheusScheduler::on_event(const sim::SchedulerEvent& event) {
+  const auto* arrival = std::get_if<sim::WorkflowArrivalEvent>(&event);
+  if (arrival == nullptr) return;
+  const workload::Workflow& workflow = *arrival->workflow;
+  const std::vector<sim::JobUid>& node_uids = arrival->node_uids;
   // Reconstruct the history: earliest finish per node on an uncontended
   // cluster = critical-path earliest start + own minimum runtime.
   std::vector<double> weight;

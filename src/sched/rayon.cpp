@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "sched/allocation_util.h"
 #include "util/logging.h"
@@ -54,12 +55,19 @@ void RayonScheduler::book(sim::JobUid uid, int release_slot,
   reservations_[uid] = std::move(reservation);
 }
 
-void RayonScheduler::on_workflow_arrival(
-    const workload::Workflow& workflow,
-    const std::vector<sim::JobUid>& node_uids, double now_s) {
+void RayonScheduler::on_event(const sim::SchedulerEvent& event) {
+  if (const auto* complete = std::get_if<sim::JobCompleteEvent>(&event)) {
+    // Early completion: hand the unused tail of the booking back.
+    release_booking(complete->uid);
+    return;
+  }
+  const auto* arrival = std::get_if<sim::WorkflowArrivalEvent>(&event);
+  if (arrival == nullptr) return;
+  const workload::Workflow& workflow = *arrival->workflow;
+  const std::vector<sim::JobUid>& node_uids = arrival->node_uids;
   const auto decomposition = decomposer_.decompose(workflow);
   const int now_slot =
-      static_cast<int>(std::floor(now_s / slot_seconds_ + kTol));
+      static_cast<int>(std::floor(arrival->now_s / slot_seconds_ + kTol));
   for (dag::NodeId v = 0; v < workflow.dag.num_nodes(); ++v) {
     const workload::JobSpec& spec = workflow.jobs[static_cast<std::size_t>(v)];
     double release_s = workflow.start_s;
@@ -90,12 +98,6 @@ void RayonScheduler::release_booking(sim::JobUid uid) {
         workload::sub(agenda_[slot], reservation.amounts[i]));
   }
   reservations_.erase(it);
-}
-
-void RayonScheduler::on_job_complete(sim::JobUid uid, double now_s) {
-  (void)now_s;
-  // Early completion: hand the unused tail of the booking back.
-  release_booking(uid);
 }
 
 std::vector<sim::Allocation> RayonScheduler::allocate(

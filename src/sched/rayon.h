@@ -32,10 +32,9 @@ class RayonScheduler : public sim::Scheduler {
   explicit RayonScheduler(core::DecompositionConfig decomposition = {});
 
   std::string name() const override { return "Rayon"; }
-  void on_workflow_arrival(const workload::Workflow& workflow,
-                           const std::vector<sim::JobUid>& node_uids,
-                           double now_s) override;
-  void on_job_complete(sim::JobUid uid, double now_s) override;
+  /// Workflow arrivals book reservations; completions release the unused
+  /// tail of a booking.
+  void on_event(const sim::SchedulerEvent& event) override;
   std::vector<sim::Allocation> allocate(
       const sim::ClusterState& state) override;
 

@@ -9,7 +9,6 @@
 //   * Ground truth (actual runtimes) lives only inside the simulator.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,11 +70,6 @@ struct Allocation {
 /// vector per slot. Implementations must stay within capacity and per-job
 /// widths; the simulator clamps violations and reports them so tests can
 /// assert they never happen.
-///
-/// Event delivery is unified: every producer calls `on_event`. The default
-/// `on_event` unpacks the variant into the legacy per-event virtuals below
-/// so existing policies keep working unchanged; new policies override
-/// `on_event` directly and ignore the deprecated hooks.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -90,85 +84,11 @@ class Scheduler {
     return nullptr;
   }
 
-  /// Unified event entry point. The default implementation dispatches to
-  /// the legacy per-event virtuals, so policies migrate incrementally.
-  /// Events arrive in simulation-time order; a policy must tolerate any
-  /// interleaving of event kinds.
-  virtual void on_event(const SchedulerEvent& event);
-
-  // --- Legacy per-event hooks -------------------------------------------
-  // Deprecated: override (or call) `on_event` instead. These remain only
-  // as the default dispatch targets so policies in src/sched migrate
-  // incrementally; they will be removed once every policy consumes the
-  // typed events.
-
-  /// A workflow was released. `node_uids[v]` is the JobUid of DAG node v.
-  [[deprecated("override on_event(WorkflowArrivalEvent) instead")]]
-  virtual void on_workflow_arrival(const workload::Workflow& workflow,
-                                   const std::vector<JobUid>& node_uids,
-                                   double now_s) {
-    (void)workflow;
-    (void)node_uids;
-    (void)now_s;
-  }
-
-  /// An ad-hoc job arrived; only identity, time and width are disclosed.
-  [[deprecated("override on_event(AdhocArrivalEvent) instead")]]
-  virtual void on_adhoc_arrival(JobUid uid, double now_s,
-                                const ResourceVec& width) {
-    (void)uid;
-    (void)now_s;
-    (void)width;
-  }
-
-  /// A job finished (its completion slot just ended).
-  [[deprecated("override on_event(JobCompleteEvent) instead")]]
-  virtual void on_job_complete(JobUid uid, double now_s) {
-    (void)uid;
-    (void)now_s;
-  }
-
-  /// The cluster's effective capacity changed mid-run (machine failure or
-  /// recovery injected by a FaultPlan). `capacity` is the new per-slot
-  /// budget in resource-seconds — the same units ClusterState::capacity
-  /// uses. Self-healing schedulers re-plan; the default ignores it and the
-  /// simulator's capacity clamp keeps the policy honest either way.
-  [[deprecated("override on_event(CapacityChangeEvent) instead")]]
-  virtual void on_capacity_change(double now_s, const ResourceVec& capacity) {
-    (void)now_s;
-    (void)capacity;
-  }
-
-  /// A job lost in-flight work to an injected fault and will retry.
-  /// `lost_estimate` is the estimated demand added back to the job's
-  /// remaining work (resource-seconds); the job is barred from running
-  /// until `retry_at_s`. `retry` counts this job's failures so far.
-  [[deprecated("override on_event(TaskFailureEvent) instead")]]
-  virtual void on_task_failure(JobUid uid, double now_s,
-                               const ResourceVec& lost_estimate, int retry,
-                               double retry_at_s) {
-    (void)uid;
-    (void)now_s;
-    (void)lost_estimate;
-    (void)retry;
-    (void)retry_at_s;
-  }
-
-  /// Chaos injection squeezed (or, on lift, released) the scheduler's
-  /// solver resources: the planner should cap its per-decision solve work
-  /// at `budget_ms` wall-clock (< 0 = unlimited) and `pivot_cap` pivots
-  /// (<= 0 = unlimited); `force_numerical_failure` asks it to treat its
-  /// primary solve path as numerically broken. A lift is signalled as
-  /// (-1.0, 0, false). Schedulers without an internal solver ignore this.
-  [[deprecated("override on_event(SolverSabotageEvent) instead")]]
-  virtual void on_solver_sabotage(double now_s, double budget_ms,
-                                  std::int64_t pivot_cap,
-                                  bool force_numerical_failure) {
-    (void)now_s;
-    (void)budget_ms;
-    (void)pivot_cap;
-    (void)force_numerical_failure;
-  }
+  /// The one event entry point. Events arrive in simulation-time order; a
+  /// policy must tolerate any interleaving of event kinds and picks out the
+  /// kinds it needs (std::get_if / std::visit). The default ignores every
+  /// event — enough for policies that decide from ClusterState alone.
+  virtual void on_event(const SchedulerEvent& event) { (void)event; }
 
   virtual std::vector<Allocation> allocate(const ClusterState& state) = 0;
 };

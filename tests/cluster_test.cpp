@@ -1,8 +1,9 @@
 // Federated scheduling tests (DESIGN.md §13): partitioner determinism
 // under a seed, the 1-cell pass-through identity against a plain
-// FlowTimeScheduler (serial solves and pooled barrier solves), hotspot
-// migration preserving re-credited work without stranding tasks, and
-// per-tenant quota enforcement with deferred re-routing.
+// FlowTimeScheduler on the Fig. 4 workload, hotspot migration preserving
+// re-credited work without stranding tasks, and per-tenant quota
+// enforcement with deferred re-routing. The 1-cell serial/pooled and 2-cell
+// pooled identities live in identity_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +14,9 @@
 #include "cluster/federated_scheduler.h"
 #include "cluster/partition.h"
 #include "core/flowtime_scheduler.h"
-#include "dag/generators.h"
 #include "sched/experiment.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "workload/scenario_io.h"
 
 namespace flowtime {
@@ -104,129 +105,14 @@ TEST(CellPartitioner, ParsePolicyNames) {
 // ---------------------------------------------------------------------------
 // Scenario helpers
 
-sim::SimConfig small_cluster() {
-  sim::SimConfig config;
-  config.cluster.capacity = ResourceVec{100.0, 200.0};
-  config.max_horizon_s = 6000.0;
-  return config;
-}
-
-core::FlowTimeConfig flowtime_config(const sim::SimConfig& sim_config) {
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  return config;
-}
-
-workload::JobSpec simple_job(int tasks, double runtime) {
-  workload::JobSpec job;
-  job.name = "j";
-  job.num_tasks = tasks;
-  job.task.runtime_s = runtime;
-  job.task.demand = ResourceVec{1.0, 2.0};
-  return job;
-}
-
-workload::Workflow chain_workflow(int id, double start_s, double deadline_s) {
-  workload::Workflow w;
-  w.id = id;
-  w.name = "w" + std::to_string(id);
-  w.start_s = start_s;
-  w.deadline_s = deadline_s;
-  w.dag = dag::make_chain(2);
-  w.jobs = {simple_job(10, 40.0), simple_job(8, 30.0)};
-  return w;
-}
-
-workload::Scenario mixed_scenario() {
-  workload::Scenario scenario;
-  scenario.workflows.push_back(chain_workflow(0, 0.0, 2400.0));
-  scenario.workflows.push_back(chain_workflow(1, 0.0, 3000.0));
-  scenario.workflows.push_back(chain_workflow(2, 300.0, 3600.0));
-  workload::AdhocJob adhoc_job;
-  adhoc_job.id = 0;
-  adhoc_job.arrival_s = 100.0;
-  adhoc_job.spec = simple_job(4, 20.0);
-  adhoc_job.spec.name = "adhoc";
-  scenario.adhoc_jobs.push_back(std::move(adhoc_job));
-  return scenario;
-}
-
-// Completion-for-completion, grant-for-grant, replan-for-replan equality.
-void expect_identical_runs(const sim::SimResult& a, const sim::SimResult& b,
-                           const core::FlowTimeScheduler& sched_a,
-                           const core::FlowTimeScheduler& sched_b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    ASSERT_EQ(a.jobs[i].completion_s.has_value(),
-              b.jobs[i].completion_s.has_value())
-        << "job " << i;
-    if (a.jobs[i].completion_s) {
-      EXPECT_DOUBLE_EQ(*a.jobs[i].completion_s, *b.jobs[i].completion_s)
-          << "job " << i;
-    }
-  }
-  ASSERT_EQ(a.allocated_per_slot.size(), b.allocated_per_slot.size());
-  for (std::size_t t = 0; t < a.allocated_per_slot.size(); ++t) {
-    for (int r = 0; r < workload::kNumResources; ++r) {
-      EXPECT_DOUBLE_EQ(a.allocated_per_slot[t][r],
-                       b.allocated_per_slot[t][r])
-          << "slot " << t;
-    }
-  }
-  EXPECT_EQ(sched_a.replans(), sched_b.replans());
-  EXPECT_EQ(sched_a.total_pivots(), sched_b.total_pivots());
-  const auto& log_a = sched_a.replan_log();
-  const auto& log_b = sched_b.replan_log();
-  ASSERT_EQ(log_a.size(), log_b.size());
-  for (std::size_t i = 0; i < log_a.size(); ++i) {
-    EXPECT_EQ(log_a[i].slot, log_b[i].slot) << "replan " << i;
-    EXPECT_EQ(log_a[i].causes, log_b[i].causes) << "replan " << i;
-    EXPECT_EQ(log_a[i].planned_jobs, log_b[i].planned_jobs) << "replan " << i;
-    EXPECT_EQ(log_a[i].pivots, log_b[i].pivots) << "replan " << i;
-    EXPECT_EQ(log_a[i].degrade_rung, log_b[i].degrade_rung) << "replan " << i;
-  }
-}
+using test::chain_workflow;
+using test::flowtime_config;
+using test::mixed_scenario;
+using test::simple_job;
+using test::small_cluster;
 
 // ---------------------------------------------------------------------------
 // 1-cell pass-through identity
-
-void run_one_cell_identity(bool parallel_solve) {
-  const sim::SimConfig sim_config = small_cluster();
-  const workload::Scenario scenario = mixed_scenario();
-
-  core::FlowTimeScheduler bare(flowtime_config(sim_config));
-  const sim::SimResult bare_result =
-      sim::Simulator(sim_config).run(scenario, bare);
-
-  cluster::FederatedConfig federated;
-  federated.flowtime = flowtime_config(sim_config);
-  federated.partition.cells = 1;
-  federated.parallel_solve = parallel_solve;
-  cluster::FederatedScheduler fed(federated);
-  const sim::SimResult fed_result =
-      sim::Simulator(sim_config).run(scenario, fed);
-
-  ASSERT_TRUE(bare_result.all_completed);
-  ASSERT_TRUE(fed_result.all_completed);
-  ASSERT_EQ(fed.num_cells(), 1);
-  expect_identical_runs(bare_result, fed_result, bare,
-                        fed.cell(0).scheduler());
-  EXPECT_EQ(fed.migrations(), 0);
-  EXPECT_EQ(fed.overload_events(), 0);
-  EXPECT_EQ(fed.quota_deferrals(), 0);
-}
-
-TEST(FederatedScheduler, OneCellMatchesPlainFlowTime) {
-  run_one_cell_identity(/*parallel_solve=*/false);
-}
-
-TEST(FederatedScheduler, OneCellPooledBarrierMatchesPlainFlowTime) {
-  // Same identity when the (single) cell solve runs on the SolverPool and
-  // allocate() waits at the barrier before adopting — the pooled path must
-  // not perturb the plan.
-  run_one_cell_identity(/*parallel_solve=*/true);
-}
 
 TEST(FederatedScheduler, OneCellMatchesPlainOnFig4Workload) {
   // The paper's §VII-B.1 testbed workload (5 workflows x 18 jobs + an
@@ -248,8 +134,8 @@ TEST(FederatedScheduler, OneCellMatchesPlainOnFig4Workload) {
   const sim::SimResult fed_result =
       sim::Simulator(sim_config).run(scenario, fed);
 
-  expect_identical_runs(bare_result, fed_result, bare,
-                        fed.cell(0).scheduler());
+  test::expect_identical_runs(bare_result, fed_result, bare,
+                              fed.cell(0).scheduler());
 }
 
 // ---------------------------------------------------------------------------
@@ -275,34 +161,6 @@ TEST(FederatedScheduler, TwoCellsPartitionWorkAndComplete) {
   EXPECT_GT(fed.cell(1).scheduler().replans(), 0);
   EXPECT_EQ(fed.replans(), fed.cell(0).scheduler().replans() +
                                fed.cell(1).scheduler().replans());
-}
-
-TEST(FederatedScheduler, ParallelSolveMatchesSerialPlanForPlan) {
-  // Per-cell solves read only their own cell's inputs, so running them on
-  // the pool must yield the same plans as solving cells one after another.
-  const sim::SimConfig sim_config = small_cluster();
-  const workload::Scenario scenario = mixed_scenario();
-
-  cluster::FederatedConfig federated;
-  federated.flowtime = flowtime_config(sim_config);
-  federated.partition.cells = 2;
-  cluster::FederatedScheduler serial(federated);
-  const sim::SimResult serial_result =
-      sim::Simulator(sim_config).run(scenario, serial);
-
-  federated.parallel_solve = true;
-  federated.solver_threads = 2;
-  cluster::FederatedScheduler pooled(federated);
-  const sim::SimResult pooled_result =
-      sim::Simulator(sim_config).run(scenario, pooled);
-
-  ASSERT_EQ(pooled.num_cells(), serial.num_cells());
-  for (int c = 0; c < serial.num_cells(); ++c) {
-    expect_identical_runs(serial_result, pooled_result,
-                          serial.cell(c).scheduler(),
-                          pooled.cell(c).scheduler());
-  }
-  EXPECT_EQ(pooled.migrations(), serial.migrations());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@
 
 #include "cluster/federated_scheduler.h"
 #include "core/flowtime_scheduler.h"
-#include "dag/generators.h"
 #include "fault/plan.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "workload/scenario_io.h"
 
 namespace flowtime {
@@ -22,41 +22,12 @@ namespace {
 using workload::ResourceVec;
 
 // ---------------------------------------------------------------------------
-// Scenario helpers (same shapes as cluster_test.cpp)
+// Scenario helpers
 
-sim::SimConfig small_cluster() {
-  sim::SimConfig config;
-  config.cluster.capacity = ResourceVec{100.0, 200.0};
-  config.max_horizon_s = 6000.0;
-  return config;
-}
-
-core::FlowTimeConfig flowtime_config(const sim::SimConfig& sim_config) {
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  return config;
-}
-
-workload::JobSpec simple_job(int tasks, double runtime) {
-  workload::JobSpec job;
-  job.name = "j";
-  job.num_tasks = tasks;
-  job.task.runtime_s = runtime;
-  job.task.demand = ResourceVec{1.0, 2.0};
-  return job;
-}
-
-workload::Workflow chain_workflow(int id, double start_s, double deadline_s) {
-  workload::Workflow w;
-  w.id = id;
-  w.name = "w" + std::to_string(id);
-  w.start_s = start_s;
-  w.deadline_s = deadline_s;
-  w.dag = dag::make_chain(2);
-  w.jobs = {simple_job(10, 40.0), simple_job(8, 30.0)};
-  return w;
-}
+using test::chain_workflow;
+using test::flowtime_config;
+using test::simple_job;
+using test::small_cluster;
 
 // Enough simultaneous arrivals that least-load routing puts work on every
 // cell of a 4-cell federation, so killing any one cell hits live workflows.

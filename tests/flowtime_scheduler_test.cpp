@@ -1,10 +1,14 @@
 // Tests for the FlowTime scheduler: deadline adherence, ad-hoc leftover
-// allocation, dynamic re-planning and estimation-error robustness.
+// allocation, dynamic re-planning, estimation-error robustness and the
+// adopt-or-discard rule of the replan cycle.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/flowtime_scheduler.h"
 #include "dag/generators.h"
@@ -338,6 +342,91 @@ TEST(FlowTimeScheduler, EmitsReplanTraceEventsWithSolverStats) {
   }
   EXPECT_EQ(replan_events, scheduler.replans());
   EXPECT_TRUE(saw_arrival_cause);
+}
+
+// --- finish_replan's adoption rule -----------------------------------------
+
+std::shared_ptr<const workload::Workflow> one_job_workflow(int id) {
+  auto w = std::make_shared<workload::Workflow>();
+  w->id = id;
+  w->name = "w" + std::to_string(id);
+  w->deadline_s = 2000.0;
+  w->dag = dag::make_chain(1);
+  w->jobs = {simple_job(10, 40.0, 1.0, 2.0)};
+  return w;
+}
+
+// Adopts a first plan, then runs a second cycle by hand with `interfere`
+// acting between solve_replan and finish_replan. The interference must make
+// finish_replan discard the solve: the attempt is counted and logged, the
+// first plan keeps serving, and the planner is dirty again with the
+// discarded solve's causes.
+void expect_discarded(
+    const std::function<void(FlowTimeScheduler&, PlanSolveResult&)>&
+        interfere) {
+  const sim::SimConfig sim_config = small_cluster();
+  const double slot_s = sim_config.cluster.slot_seconds;
+  FlowTimeScheduler scheduler(flowtime_config(sim_config));
+  const auto workflow = one_job_workflow(0);
+  scheduler.on_event(sim::WorkflowArrivalEvent{workflow, {0}, 0.0});
+  sim::ClusterState state;
+  state.slot_seconds = slot_s;
+  state.capacity = workload::scale(sim_config.cluster.capacity, slot_s);
+  sim::JobView view;
+  view.uid = 0;
+  view.kind = sim::JobKind::kDeadline;
+  view.workflow_id = workflow->id;
+  view.node = 0;
+  view.remaining_estimate = workflow->jobs[0].total_demand();
+  view.width =
+      workload::scale(workflow->jobs[0].max_parallel_demand(), slot_s);
+  view.container = workload::scale(workflow->jobs[0].task.demand, slot_s);
+  state.active = {view};
+  scheduler.allocate(state);
+  ASSERT_EQ(scheduler.replans(), 1);
+
+  state.slot = 1;
+  state.now_s = slot_s;
+  scheduler.on_event(sim::CapacityChangeEvent{state.now_s, state.capacity});
+  scheduler.sync_views(state);
+  const std::vector<sim::Allocation> served = scheduler.serve(state);
+  ASSERT_FALSE(served.empty());
+  PendingReplan pending = scheduler.begin_replan(state);
+  ASSERT_FALSE(scheduler.dirty());
+  PlanSolveResult solved = scheduler.solve_replan(pending);
+  interfere(scheduler, solved);
+
+  EXPECT_FALSE(
+      scheduler.finish_replan(pending, std::move(solved), state.now_s));
+  EXPECT_EQ(scheduler.replans(), 1);
+  EXPECT_EQ(scheduler.replans_discarded(), 1);
+  ASSERT_EQ(scheduler.replan_log().size(), 2u);
+  EXPECT_TRUE(scheduler.replan_log().back().discarded);
+  EXPECT_TRUE(scheduler.dirty());
+  EXPECT_TRUE(has_cause(scheduler.pending_causes(),
+                        ReplanCause::kCapacityChange));
+  const std::vector<sim::Allocation> still_served = scheduler.serve(state);
+  ASSERT_EQ(still_served.size(), served.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(still_served[i].uid, served[i].uid);
+    for (int r = 0; r < workload::kNumResources; ++r) {
+      EXPECT_DOUBLE_EQ(still_served[i].amount[r], served[i].amount[r]);
+    }
+  }
+}
+
+TEST(FlowTimeScheduler, FinishReplanDiscardsSolveStaledByArrival) {
+  const auto late = one_job_workflow(1);
+  expect_discarded([&late](FlowTimeScheduler& scheduler, PlanSolveResult&) {
+    // A new workflow bumps the epoch: the solve lacks its job.
+    scheduler.on_event(sim::WorkflowArrivalEvent{late, {1}, 10.0});
+  });
+}
+
+TEST(FlowTimeScheduler, FinishReplanDiscardsPreemptedSolve) {
+  expect_discarded([](FlowTimeScheduler&, PlanSolveResult& solved) {
+    solved.preempted = true;  // what a fired cancel token reports
+  });
 }
 
 }  // namespace

@@ -145,8 +145,8 @@ TEST(ObsConcurrency, SnapshotWhileWriting) {
 
 // Causal-chain pairing across real threads: N producer threads enqueue
 // replan-trigger events (workflow arrivals) and non-trigger events (ad-hoc
-// arrivals) into a ConcurrentScheduler whose solves run on a 2-thread
-// solver pool, while the serving thread drains and plans concurrently.
+// arrivals) into a ConcurrentScheduler whose solves run on its solver
+// thread, while the serving thread drains and plans concurrently.
 // After quiesce, the JSONL stream — parsed BY ID, since line order races
 // between threads by design — must balance: every trigger event_enqueued
 // resolves through its batch to exactly one plan_adopted/plan_discarded
@@ -183,8 +183,6 @@ TEST(ObsConcurrency, CausalChainsPairAcrossThreads) {
   runtime::RuntimeConfig rt;
   rt.flowtime.cluster.capacity = ResourceVec{100.0, 200.0};
   rt.flowtime.cluster.slot_seconds = slot_s;
-  rt.async_replan = true;
-  rt.solver_threads = 2;
   {
     runtime::ConcurrentScheduler sched(rt);
     std::atomic<int> live_producers{kProducers};

@@ -1,13 +1,16 @@
 // Concurrent runtime tests (DESIGN.md §11): event-queue ordering and
-// back-pressure, burst coalescing, sync pass-through identity, async+barrier
-// determinism against the synchronous path, stale-solve discard with
-// cancel-token preemption, and chaos sabotage under the async runtime.
+// back-pressure, solver-pool futures, burst coalescing, stale-solve discard
+// with cancel-token preemption, and chaos sabotage under the async runtime.
+// The async+barrier identity against the synchronous path lives with the
+// other replan-driver identities in identity_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "runtime/solver_pool.h"
 #include "sched/experiment.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "workload/scenario_io.h"
 #include "workload/trace_gen.h"
 
@@ -133,42 +137,26 @@ TEST(SolverPool, ShutdownRunsQueuedTasks) {
   EXPECT_EQ(ran.load(), 16);
 }
 
+TEST(SolverPool, FutureHandsOverResultsAndExceptions) {
+  runtime::SolverPool pool(1);
+  int result = 0;
+  pool.submit([&result] { result = 42; }).get();
+  EXPECT_EQ(result, 42) << "the task's writes are visible after get()";
+  std::future<void> failed =
+      pool.submit([] { throw std::runtime_error("solve failed"); });
+  EXPECT_THROW(failed.get(), std::runtime_error);
+  pool.shutdown();
+  std::future<void> dropped = pool.submit([] {});
+  EXPECT_THROW(dropped.get(), std::future_error) << "dropped after shutdown";
+}
+
 // ---------------------------------------------------------------------------
 // Scenario helpers
 
-sim::SimConfig small_cluster() {
-  sim::SimConfig config;
-  config.cluster.capacity = ResourceVec{100.0, 200.0};
-  config.max_horizon_s = 6000.0;
-  return config;
-}
-
-core::FlowTimeConfig flowtime_config(const sim::SimConfig& sim_config) {
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  return config;
-}
-
-workload::JobSpec simple_job(int tasks, double runtime) {
-  workload::JobSpec job;
-  job.name = "j";
-  job.num_tasks = tasks;
-  job.task.runtime_s = runtime;
-  job.task.demand = ResourceVec{1.0, 2.0};
-  return job;
-}
-
-workload::Workflow chain_workflow(int id, double start_s, double deadline_s) {
-  workload::Workflow w;
-  w.id = id;
-  w.name = "w" + std::to_string(id);
-  w.start_s = start_s;
-  w.deadline_s = deadline_s;
-  w.dag = dag::make_chain(2);
-  w.jobs = {simple_job(10, 40.0), simple_job(8, 30.0)};
-  return w;
-}
+using test::chain_workflow;
+using test::flowtime_config;
+using test::simple_job;
+using test::small_cluster;
 
 workload::Scenario burst_scenario() {
   // Three workflows released at the same instant: their arrival events
@@ -187,93 +175,8 @@ workload::Scenario burst_scenario() {
   return scenario;
 }
 
-// Everything that must agree between two runs for them to count as "the
-// same schedule": completions, per-slot grants, and the re-plan history.
-void expect_identical_runs(const sim::SimResult& a, const sim::SimResult& b,
-                           const core::FlowTimeScheduler& sched_a,
-                           const core::FlowTimeScheduler& sched_b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    ASSERT_EQ(a.jobs[i].completion_s.has_value(),
-              b.jobs[i].completion_s.has_value())
-        << "job " << i;
-    if (a.jobs[i].completion_s) {
-      EXPECT_DOUBLE_EQ(*a.jobs[i].completion_s, *b.jobs[i].completion_s)
-          << "job " << i;
-    }
-  }
-  ASSERT_EQ(a.allocated_per_slot.size(), b.allocated_per_slot.size());
-  for (std::size_t t = 0; t < a.allocated_per_slot.size(); ++t) {
-    for (int r = 0; r < workload::kNumResources; ++r) {
-      EXPECT_DOUBLE_EQ(a.allocated_per_slot[t][r],
-                       b.allocated_per_slot[t][r])
-          << "slot " << t;
-    }
-  }
-  EXPECT_EQ(sched_a.replans(), sched_b.replans());
-  EXPECT_EQ(sched_a.replans_discarded(), sched_b.replans_discarded());
-  EXPECT_EQ(sched_a.total_pivots(), sched_b.total_pivots());
-  const auto& log_a = sched_a.replan_log();
-  const auto& log_b = sched_b.replan_log();
-  ASSERT_EQ(log_a.size(), log_b.size());
-  for (std::size_t i = 0; i < log_a.size(); ++i) {
-    EXPECT_EQ(log_a[i].slot, log_b[i].slot) << "replan " << i;
-    EXPECT_EQ(log_a[i].causes, log_b[i].causes) << "replan " << i;
-    EXPECT_EQ(log_a[i].planned_jobs, log_b[i].planned_jobs) << "replan " << i;
-    EXPECT_EQ(log_a[i].pivots, log_b[i].pivots) << "replan " << i;
-    EXPECT_EQ(log_a[i].degrade_rung, log_b[i].degrade_rung) << "replan " << i;
-    EXPECT_FALSE(log_b[i].discarded) << "replan " << i;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// ConcurrentScheduler: pass-through and determinism
-
-TEST(ConcurrentScheduler, SyncModeIsPassThrough) {
-  const sim::SimConfig sim_config = small_cluster();
-  const workload::Scenario scenario = burst_scenario();
-
-  core::FlowTimeScheduler bare(flowtime_config(sim_config));
-  const sim::SimResult bare_result =
-      sim::Simulator(sim_config).run(scenario, bare);
-
-  runtime::RuntimeConfig rt;
-  rt.flowtime = flowtime_config(sim_config);
-  rt.async_replan = false;
-  runtime::ConcurrentScheduler wrapped(rt);
-  const sim::SimResult wrapped_result =
-      sim::Simulator(sim_config).run(scenario, wrapped);
-
-  EXPECT_EQ(wrapped.name(), bare.name());
-  expect_identical_runs(bare_result, wrapped_result, bare, wrapped.inner());
-  EXPECT_EQ(wrapped.async_solves(), 0);
-  EXPECT_EQ(wrapped.coalesced_events(), 0);
-}
-
-TEST(ConcurrentScheduler, AsyncBarrierMatchesSyncPlanForPlan) {
-  const sim::SimConfig sim_config = small_cluster();
-  const workload::Scenario scenario = burst_scenario();
-
-  core::FlowTimeScheduler bare(flowtime_config(sim_config));
-  const sim::SimResult bare_result =
-      sim::Simulator(sim_config).run(scenario, bare);
-
-  runtime::RuntimeConfig rt;
-  rt.flowtime = flowtime_config(sim_config);
-  rt.async_replan = true;
-  rt.barrier_mode = true;
-  runtime::ConcurrentScheduler wrapped(rt);
-  sim::SimResult wrapped_result =
-      sim::Simulator(sim_config).run(scenario, wrapped);
-  wrapped.drain_events();  // apply post-run completion events
-
-  ASSERT_TRUE(bare_result.all_completed);
-  ASSERT_TRUE(wrapped_result.all_completed);
-  expect_identical_runs(bare_result, wrapped_result, bare, wrapped.inner());
-  EXPECT_GT(wrapped.async_solves(), 0);
-  EXPECT_EQ(wrapped.stale_solves(), 0)
-      << "barrier mode never lets a solve go stale";
-}
+// ConcurrentScheduler: free-running and coalescing
 
 TEST(ConcurrentScheduler, FreeRunningAsyncHonoursTheSimulatorContract) {
   // Without the barrier the simulator fast-forwards slots in microseconds
@@ -286,7 +189,6 @@ TEST(ConcurrentScheduler, FreeRunningAsyncHonoursTheSimulatorContract) {
 
   runtime::RuntimeConfig rt;
   rt.flowtime = flowtime_config(sim_config);
-  rt.async_replan = true;
   runtime::ConcurrentScheduler wrapped(rt);
   const sim::SimResult result =
       sim::Simulator(sim_config).run(scenario, wrapped);
@@ -304,7 +206,6 @@ TEST(ConcurrentScheduler, CoalescesArrivalBursts) {
 
   runtime::RuntimeConfig rt;
   rt.flowtime = flowtime_config(sim_config);
-  rt.async_replan = true;
   rt.barrier_mode = true;
   runtime::ConcurrentScheduler wrapped(rt);
   sim::Simulator(sim_config).run(scenario, wrapped);
@@ -406,7 +307,6 @@ TEST(ConcurrentScheduler, StaleSolveIsPreemptedDiscardedAndRebased) {
   runtime::RuntimeConfig rt;
   rt.flowtime.cluster.capacity = ResourceVec{100.0, 200.0};
   rt.flowtime.cluster.slot_seconds = slot_s;
-  rt.async_replan = true;
   rt.solve_started_hook = [&gate](const core::PendingReplan&) {
     gate.acquire();
   };
@@ -477,7 +377,6 @@ TEST(ConcurrentScheduler, DiscardedSolveReassertsItsTrigger) {
   rt.flowtime.cluster.slot_seconds = slot_s;
   // Every completion counts as on-time, so none marks kDeviation.
   rt.flowtime.replan_deviation_slots = 1000;
-  rt.async_replan = true;
   rt.solve_started_hook = [&gate](const core::PendingReplan&) {
     gate.acquire();
   };
@@ -578,7 +477,6 @@ TEST(ConcurrentRuntimeChaos, SabotageCancellationAndLadderUnderAsync) {
   runtime::RuntimeConfig rt;
   rt.flowtime = flowtime_config(sim_config);
   rt.flowtime.degrade_recovery_replans = 1;
-  rt.async_replan = true;
   rt.barrier_mode = true;
   runtime::ConcurrentScheduler sched(rt);
   const sim::SimResult result =

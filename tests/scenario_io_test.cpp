@@ -63,6 +63,10 @@ struct ErrorCase {
   const char* expected_fragment;
 };
 
+// Names each case by its label; gtest would otherwise print the struct's
+// raw bytes — pointers that change with every run.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class ScenarioIoErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ScenarioIoErrors, ReportsLineAndMessage) {

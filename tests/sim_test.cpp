@@ -85,19 +85,16 @@ class IdleScheduler : public Scheduler {
 // Records the event stream for assertions.
 class RecordingScheduler : public FullWidthScheduler {
  public:
-  void on_workflow_arrival(const workload::Workflow& workflow,
-                           const std::vector<JobUid>& node_uids,
-                           double now_s) override {
-    workflow_arrivals.emplace_back(workflow.id, now_s);
-    uids_per_workflow.push_back(node_uids);
-  }
-  void on_adhoc_arrival(JobUid uid, double now_s,
-                        const ResourceVec& width) override {
-    adhoc_arrivals.emplace_back(uid, now_s);
-    widths.push_back(width);
-  }
-  void on_job_complete(JobUid uid, double now_s) override {
-    completions.emplace_back(uid, now_s);
+  void on_event(const SchedulerEvent& event) override {
+    if (const auto* e = std::get_if<WorkflowArrivalEvent>(&event)) {
+      workflow_arrivals.emplace_back(e->workflow->id, e->now_s);
+      uids_per_workflow.push_back(e->node_uids);
+    } else if (const auto* e = std::get_if<AdhocArrivalEvent>(&event)) {
+      adhoc_arrivals.emplace_back(e->uid, e->now_s);
+      widths.push_back(e->width);
+    } else if (const auto* e = std::get_if<JobCompleteEvent>(&event)) {
+      completions.emplace_back(e->uid, e->now_s);
+    }
   }
 
   std::vector<std::pair<int, double>> workflow_arrivals;
