@@ -9,9 +9,10 @@
 // We print the Fig. 3 windows and then measure end-to-end misses under
 // FlowTime configured with each decomposition mode.
 //
-// Part 2: lexicographic refinement depth. The first lexmin round already
-// fixes the peak; further rounds flatten the rest of the profile. We report
-// peak and mean normalized load and solve cost per round budget.
+// Part 2: lexicographic refinement depth of the simplex lexmin (the flow
+// lexmin always refines every level). The first round already fixes the
+// peak; further rounds flatten the rest of the profile. We report peak and
+// mean normalized load and solve cost per round budget.
 #include <cstdio>
 
 #include "bench_trace.h"
@@ -146,6 +147,7 @@ void part2_lexmin_depth() {
                      "load_stddev", "pivots"});
   for (const int rounds : {1, 2, 4, 8, 1024}) {
     core::LpScheduleOptions options;
+    options.flow_fast_path = false;  // the simplex round cap is under test
     options.lexmin.max_rounds = rounds;
     const core::LpSchedule schedule =
         core::solve_placement(jobs, caps, 0, options);
@@ -201,6 +203,7 @@ void part3_resource_coupling() {
   util::Table table({"formulation", "peak_load", "load_stddev", "pivots"});
   for (const bool coupled : {false, true}) {
     core::LpScheduleOptions options;
+    options.flow_fast_path = false;  // both rows in simplex pivots
     options.coupled_resources = coupled;
     const core::LpSchedule s = core::solve_placement(jobs, caps, 0, options);
     if (!s.ok()) continue;

@@ -2,12 +2,14 @@
 //
 // Runs the scheduler's steady-state workload — a warm-started re-plan
 // sequence over one Fig.7-style job set whose demands shrink step to step —
-// once per basis representation (SimplexEngine::kSparseLu vs
-// kDenseInverse), plus one row for the TU/max-flow fast path answering the
-// first lexmin level without simplex. Per row it reports the pivot count
-// and the phase-level wall clock from lp/solve_profile (pricing, ratio
-// test, basis update, refactorization), whose sum is the pivot-loop wall
-// time the sparse rewrite targets.
+// once per simplex basis representation (SimplexEngine::kSparseLu vs
+// kDenseInverse, lexmin capped at --rounds), plus one row for the exact
+// flow lexmin (core/flow_placement.h), the scheduler's default engine,
+// which refines every level. Per row it reports the solver work (simplex
+// pivots, or augmenting paths for the flow row), the deepest lexmin it
+// refined (levels_refined), and the phase-level wall clock from
+// lp/solve_profile (pricing, ratio test, basis update, refactorization),
+// whose sum is the pivot-loop wall time the sparse rewrite targets.
 //
 // Output is one JSON document (default BENCH_lp_sparse.json, committed to
 // the repo so the numbers travel with the code). Regenerate with:
@@ -47,6 +49,7 @@ struct EngineRow {
   double pivot_wall_s = 0.0;  // sum of the four phases
   double total_wall_s = 0.0;  // whole sequence, build + extract included
   double max_normalized_load = 0.0;
+  int levels_refined = 0;  // most lexmin rounds (flow: levels) of any step
   bool flow_fast_path = false;
 };
 
@@ -106,6 +109,8 @@ EngineRow run_sequence(const std::string& label,
       row.pivots += schedule.pivots;
       row.max_normalized_load =
           std::max(row.max_normalized_load, schedule.max_normalized_load);
+      row.levels_refined =
+          std::max(row.levels_refined, schedule.lexmin_rounds);
       row.flow_fast_path = row.flow_fast_path || schedule.flow_fast_path;
     }
   }
@@ -148,12 +153,13 @@ std::string render_json(const std::vector<EngineRow>& rows, int jobs,
         "      \"pivot_wall_s\": %.6f,\n"
         "      \"total_wall_s\": %.6f,\n"
         "      \"max_normalized_load\": %.6f,\n"
+        "      \"levels_refined\": %d,\n"
         "      \"flow_fast_path\": %s\n"
         "    }%s\n",
         r.engine.c_str(), static_cast<long long>(r.pivots),
         static_cast<long long>(r.refactorizations), r.pricing_s,
         r.ratio_test_s, r.basis_update_s, r.refactor_s, r.pivot_wall_s,
-        r.total_wall_s, r.max_normalized_load,
+        r.total_wall_s, r.max_normalized_load, r.levels_refined,
         r.flow_fast_path ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
     out += buf;
@@ -164,7 +170,7 @@ std::string render_json(const std::vector<EngineRow>& rows, int jobs,
 
 // Schema check over a committed JSON file: every required key must appear
 // (value syntax is snprintf-controlled, so key presence is the contract),
-// and both engine rows plus the fast-path row must be present.
+// and both engine rows plus the flow row must be present.
 int check_schema(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
@@ -182,7 +188,7 @@ int check_schema(const std::string& path) {
       "\"refactorizations\":",        "\"pricing_s\":",      "\"ratio_test_s\":",
       "\"basis_update_s\":",          "\"refactor_s\":",     "\"pivot_wall_s\":",
       "\"total_wall_s\":",            "\"max_normalized_load\":",
-      "\"flow_fast_path\": true"};
+      "\"levels_refined\":",          "\"flow_fast_path\": true"};
   int missing = 0;
   for (const char* key : required) {
     if (text.find(key) == std::string::npos) {
@@ -221,9 +227,9 @@ int main(int argc, char** argv) {
                               lp::SimplexEngine::kSparseLu, false));
   rows.push_back(run_sequence("dense_inverse", jobs, caps, steps, rounds,
                               lp::SimplexEngine::kDenseInverse, false));
-  // The fast-path row answers only the first lexmin level (max_rounds = 1):
-  // zero pivots where the gate passes, at the cost of profile depth.
-  rows.push_back(run_sequence("flow_fast_path", jobs, caps, steps, 1,
+  // The flow row is the exact lexmin: every level, whatever --rounds says;
+  // its pivots are augmenting paths.
+  rows.push_back(run_sequence("flow_fast_path", jobs, caps, steps, rounds,
                               lp::SimplexEngine::kSparseLu, true));
 
   const std::string json = render_json(rows, jobs_n, slots, steps, rounds);

@@ -5,8 +5,9 @@
 // and once behind the concurrent runtime in barrier mode (every solve runs
 // on the solver thread; the barrier keeps the run plan-for-plan identical,
 // so the two rows are directly comparable) — and reports, per mode, the
-// re-plan count, simplex pivots, and the wall-clock distribution of the
-// solve (p50/p99), plus the runtime's coalescing and staleness counters.
+// re-plan count, solver work (pivots + augmenting paths), and the
+// wall-clock distribution of the solve (p50/p99), plus the runtime's
+// coalescing and staleness counters.
 //
 // Output is one JSON document (default BENCH_replan.json, committed to the
 // repo so the numbers travel with the code). Regenerate with:

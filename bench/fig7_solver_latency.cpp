@@ -3,10 +3,12 @@
 // The paper measures the LP solve time as the number of deadline-aware jobs
 // grows, on a 500-core / 1 TB cluster with 100 time slots (10 s each,
 // i.e. a 1000 s planning horizon), solved with CPLEX on a MacBook. This
-// harness sweeps the job count over the same horizon with our simplex-based
-// lexmin solver. Absolute times differ (CPLEX vs from-scratch simplex); the
-// reproduction target is sub-second-to-seconds latency growing polynomially
-// with the job count — fast enough to re-plan on job completion events.
+// harness sweeps the job count over the same horizon with the scheduler's
+// own solver: the exact flow lexmin (core/flow_placement.h); the
+// BM_LpReplanSequence* series pin the simplex lexmin to measure its warm
+// starts and basis engines. Absolute times differ from CPLEX; the
+// reproduction target is latency growing polynomially with the job count —
+// fast enough to re-plan on job completion events.
 #include <benchmark/benchmark.h>
 
 #include "bench_trace.h"
@@ -50,6 +52,7 @@ void BM_LpSchedulerLatency(benchmark::State& state) {
   const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
   core::LpScheduleOptions options;
   options.lexmin.max_rounds = 6;  // the scheduler's runtime configuration
+                                  // (the flow lexmin ignores the cap)
   std::int64_t pivots = 0;
   for (auto _ : state) {
     const core::LpSchedule schedule =
@@ -94,6 +97,7 @@ void run_replan_sequence(benchmark::State& state, bool warm,
   const std::vector<core::LpJob> jobs = make_jobs(n);
   const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
   core::LpScheduleOptions options;
+  options.flow_fast_path = false;  // this series measures simplex warm starts
   options.lexmin.max_rounds = 6;
   options.lexmin.warm_start = warm;
   options.lexmin.lp_options.engine = engine;
@@ -157,8 +161,9 @@ BENCHMARK(BM_LpReplanSequenceColdDense)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
 
-// Companion series: full lexicographic refinement (every level fixed), the
-// quality-over-speed configuration used by the ablation bench.
+// Companion series: max_rounds = 1024. The flow lexmin refines every level
+// regardless, so this now matches BM_LpSchedulerLatency; it stays as the
+// anchor for the simplex full-refinement numbers in EXPERIMENTS.md.
 void BM_LpSchedulerLatencyFullLex(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<core::LpJob> jobs = make_jobs(n);
@@ -179,10 +184,9 @@ BENCHMARK(BM_LpSchedulerLatencyFullLex)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
 
-// Companion series: the max-flow fast path for the FIRST lexmin level only
-// (feasibility + peak load). Orders of magnitude faster than the LP and
-// the natural admission-control primitive; it does not refine the full
-// lexicographic profile.
+// Companion series: the flow lexmin's FIRST level only (feasibility + peak
+// load), the admission-control primitive: one Newton search per resource,
+// no refinement of the rest of the profile.
 void BM_FlowPlacementLatency(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<core::LpJob> jobs = make_jobs(n);

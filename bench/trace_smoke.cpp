@@ -108,9 +108,8 @@ const std::map<std::string, std::vector<std::string>>& event_schema() {
        {"rows", "cols", "status", "pivots", "phase1_iters", "phase2_iters",
         "objective", "warm_start", "warm_start_fallback", "wall_s"}},
       {"lexmin_solve",
-       {"rows", "cols", "loads", "status", "rounds", "pivots", "levels",
-        "max_level", "truncated", "budget_exhausted", "probe_failures",
-        "wall_s"}},
+       {"engine", "rows", "cols", "loads", "status", "rounds", "pivots",
+        "levels", "max_level", "truncated", "budget_exhausted", "wall_s"}},
       {"lexmin_round",
        {"round", "level", "pivots", "fixed", "total_fixed", "wall_s"}},
       {"solve_profile",

@@ -225,7 +225,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!replan_wall_s.empty()) {
-    std::printf("\nRe-plans: %zu (%lld simplex pivots total)\n",
+    std::printf("\nRe-plans: %zu (%lld solver work (pivots + augmenting "
+                "paths) total)\n",
                 replan_wall_s.size(),
                 static_cast<long long>(total_pivots));
     for (const auto& [cause, count] : causes) {

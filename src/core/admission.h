@@ -4,10 +4,10 @@
 // workflow's deadline be met next to everything already promised?" is
 // answerable *before* accepting it: decompose the candidate, add its jobs
 // to the currently admitted ones, and check that the flattest placement
-// stays within capacity. The check runs on the max-flow fast path
-// (core/flow_placement.h), making it cheap enough for an RPC admission
-// gate. Rayon's admission story [4] is the same idea with a greedy agenda;
-// here the answer is exact for the first level.
+// stays within capacity. The check runs the first Newton level of the flow
+// lexmin (core/flow_placement.h), making it cheap enough for an RPC
+// admission gate. Rayon's admission story [4] is the same idea with a
+// greedy agenda; here the peak-load answer is exact.
 #pragma once
 
 #include <map>

@@ -1,133 +1,253 @@
 #include "core/flow_placement.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
+#include "lp/lexmin.h"
 #include "lp/maxflow.h"
-#include "util/logging.h"
+#include "obs/metrics.h"
 
 namespace flowtime::core {
 
 namespace {
 
-constexpr double kTol = 1e-9;
+// Slot normalizer floor, as in solve_placement's load rows.
+constexpr double kTinyCapacity = 1e-9;
+// A max flow routes "all" demand when it falls short by at most this
+// fraction of it. The network works in units of the largest slot capacity,
+// so this sits far above rounding noise and far below any level gap.
+constexpr double kRouteTol = 1e-9;
 
-// Per-resource transportation network:
-//   source(0) --demand--> job nodes --width--> slot nodes --u*cap--> sink.
-struct ResourceNetwork {
-  lp::FlowNetwork network;
-  int source = 0;
-  int sink = 0;
-  double total_demand = 0.0;
-  std::vector<int> slot_edges;                    // per slot, edge id
-  std::vector<std::vector<std::pair<int, int>>> job_slot_edges;
-  // job_slot_edges[j] = list of (slot_index, edge_id)
-
-  explicit ResourceNetwork(int nodes) : network(nodes) {}
-};
-
-}  // namespace
-
-ResourceFlowLevel solve_resource_flow_level(
+ResourceFlowLexmin solve_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int resource, const FlowPlacementOptions& options) {
-  const int r = resource;
+    int first_slot, int r, lp::SolveBudget* budget, bool all_levels) {
   const int num_slots = static_cast<int>(capacity_per_slot.size());
   const int last_slot = first_slot + num_slots - 1;
-  ResourceFlowLevel result;
+  ResourceFlowLexmin result;
+  result.load.assign(static_cast<std::size_t>(num_slots), 0.0);
   result.allocation.assign(
       jobs.size(), std::vector<double>(static_cast<std::size_t>(num_slots)));
 
-  // Node layout: 0 = source, 1..J = jobs, J+1..J+T = slots, J+T+1 = sink.
-  const int job_base = 1;
-  const int slot_base = job_base + static_cast<int>(jobs.size());
-  const int sink = slot_base + num_slots;
-  ResourceNetwork net(sink + 1);
-  net.sink = sink;
-  net.job_slot_edges.resize(jobs.size());
+  // C_t, and the same in units of the largest one (the network's units).
+  std::vector<double> cap(static_cast<std::size_t>(num_slots));
+  double scale = kTinyCapacity;
+  for (int t = 0; t < num_slots; ++t) {
+    cap[static_cast<std::size_t>(t)] = std::max(
+        capacity_per_slot[static_cast<std::size_t>(t)][r], kTinyCapacity);
+    scale = std::max(scale, cap[static_cast<std::size_t>(t)]);
+  }
+  std::vector<double> unit_cap(cap);
+  for (double& c : unit_cap) c /= scale;
 
+  // Node layout: 0 = source, 1..J = jobs, J+1..J+T = slots, J+T+1 = sink.
+  const int source = 0;
+  const int slot_base = 1 + static_cast<int>(jobs.size());
+  const int sink = slot_base + num_slots;
+  lp::FlowNetwork network(sink + 1);
+  struct Arc {
+    std::size_t job;
+    std::size_t slot;
+    int edge;
+  };
+  std::vector<Arc> arcs;
+  std::vector<bool> covered(static_cast<std::size_t>(num_slots), false);
+  double demand = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const LpJob& job = jobs[j];
-    if (job.demand[r] <= kTol) continue;
-    const int begin = std::max(job.release_slot, first_slot);
-    const int end = std::min(job.deadline_slot, last_slot);
-    if (begin > end) {
-      result.any_demand = true;
-      result.level = std::numeric_limits<double>::infinity();
-      return result;  // empty window: unplaceable
-    }
+    if (job.demand[r] <= 0.0) continue;
     result.any_demand = true;
-    net.total_demand += job.demand[r];
-    net.network.add_edge(net.source, job_base + static_cast<int>(j),
-                         job.demand[r]);
-    for (int t = begin; t <= end; ++t) {
-      const int edge = net.network.add_edge(
-          job_base + static_cast<int>(j), slot_base + (t - first_slot),
-          job.width[r]);
-      net.job_slot_edges[j].emplace_back(t - first_slot, edge);
-    }
-  }
-  if (!result.any_demand) {
-    result.placeable = true;
-    return result;
-  }
-  for (int t = 0; t < num_slots; ++t) {
-    net.slot_edges.push_back(net.network.add_edge(
-        slot_base + t, sink,
-        capacity_per_slot[static_cast<std::size_t>(t)][r]));
-  }
-
-  // Upper bound for u: level at which each slot could hold the entire
-  // demand (always enough if widths permit any placement at all).
-  double lo = 0.0;
-  double hi = 1.0;
-  auto feasible_at = [&](double u) {
-    for (int t = 0; t < num_slots; ++t) {
-      net.network.set_capacity(
-          net.slot_edges[static_cast<std::size_t>(t)],
-          u * capacity_per_slot[static_cast<std::size_t>(t)][r]);
-    }
-    const double flow = net.network.max_flow(net.source, net.sink);
-    return flow >= net.total_demand - 1e-6;
-  };
-  // Grow hi until feasible (or give up: width-limited infeasibility).
-  int growth = 0;
-  while (!feasible_at(hi)) {
-    hi *= 2.0;
-    if (++growth > 24) {
-      result.level = std::numeric_limits<double>::infinity();
+    const int begin = std::max(job.release_slot, first_slot) - first_slot;
+    const int end = std::min(job.deadline_slot, last_slot) - first_slot;
+    if (begin > end) {
+      result.status = lp::SolveStatus::kInfeasible;  // empty window
       return result;
     }
-  }
-  for (int i = 0; i < options.max_iterations &&
-                  hi - lo > options.level_tolerance;
-       ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (feasible_at(mid)) {
-      hi = mid;
-    } else {
-      lo = mid;
+    ++result.jobs;
+    demand += job.demand[r] / scale;
+    const int node = 1 + static_cast<int>(j);
+    network.add_edge(source, node, job.demand[r] / scale);
+    for (int t = begin; t <= end; ++t) {
+      arcs.push_back(Arc{j, static_cast<std::size_t>(t),
+                         network.add_edge(node, slot_base + t,
+                                          job.width[r] / scale)});
+      if (job.width[r] > 0.0) covered[static_cast<std::size_t>(t)] = true;
     }
   }
-  // Final solve at the found level to read the allocation off the edges.
-  feasible_at(hi);
-  result.placeable = true;
-  result.level = hi;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (const auto& [slot_index, edge] : net.job_slot_edges[j]) {
-      result.allocation[j][static_cast<std::size_t>(slot_index)] =
-          net.network.flow(edge);
+  result.edges = static_cast<int>(arcs.size());
+  if (!result.any_demand) return result;
+
+  // frozen[t]: the level slot t is fixed at; < 0 while free. Uncovered
+  // slots get no sink edge and stay at load 0.
+  std::vector<int> slot_edge(static_cast<std::size_t>(num_slots), -1);
+  std::vector<double> frozen(static_cast<std::size_t>(num_slots), -1.0);
+  int free_slots = 0;
+  for (int t = 0; t < num_slots; ++t) {
+    if (!covered[static_cast<std::size_t>(t)]) continue;
+    slot_edge[static_cast<std::size_t>(t)] =
+        network.add_edge(slot_base + t, sink, 0.0);
+    ++free_slots;
+  }
+  if (free_slots == 0) {
+    result.status = lp::SolveStatus::kInfeasible;  // every width is zero
+    return result;
+  }
+  const auto is_free = [&](int t) {
+    return slot_edge[static_cast<std::size_t>(t)] >= 0 &&
+           frozen[static_cast<std::size_t>(t)] < 0.0;
+  };
+
+  const double tolerance = kRouteTol * std::max(1.0, demand);
+  std::vector<double> flows;  // arc flows of the last completed level
+  while (free_slots > 0) {
+    // Fixed slots keep the capacity they were frozen at.
+    double fixed_capacity = 0.0;
+    double free_capacity = 0.0;
+    for (int t = 0; t < num_slots; ++t) {
+      if (slot_edge[static_cast<std::size_t>(t)] < 0) continue;
+      if (is_free(t)) {
+        free_capacity += unit_cap[static_cast<std::size_t>(t)];
+      } else {
+        fixed_capacity += frozen[static_cast<std::size_t>(t)] *
+                          unit_cap[static_cast<std::size_t>(t)];
+      }
     }
+    double u = std::max(0.0, (demand - fixed_capacity) / free_capacity);
+
+    // Newton steps: each lands on the breakpoint of the last max flow's
+    // min cut. Successive cuts hold ever fewer free slots, so at most
+    // free_slots + 1 steps (plus one for rounding) reach the level. u only
+    // grows, so each step keeps the previous step's flow and augments it.
+    bool routed = false;
+    double flow = 0.0;
+    for (int step = 0; step <= free_slots + 1; ++step) {
+      for (int t = 0; t < num_slots; ++t) {
+        if (!is_free(t)) continue;
+        network.set_capacity(slot_edge[static_cast<std::size_t>(t)],
+                             u * unit_cap[static_cast<std::size_t>(t)]);
+      }
+      flow = step == 0 ? network.max_flow(source, sink, budget)
+                       : flow + network.augment(source, sink, budget);
+      result.augmentations += network.augmentations();
+      if (network.budget_cut()) break;
+      if (flow >= demand - tolerance) {
+        routed = true;
+        break;
+      }
+      const std::vector<bool> source_side = network.reachable_from(source);
+      double slope = 0.0;
+      for (int t = 0; t < num_slots; ++t) {
+        if (is_free(t) &&
+            source_side[static_cast<std::size_t>(slot_base + t)]) {
+          slope += unit_cap[static_cast<std::size_t>(t)];
+        }
+      }
+      if (slope <= 0.0) {
+        // The cut's capacity does not grow with u: no level routes D.
+        result.status = lp::SolveStatus::kInfeasible;
+        return result;
+      }
+      u += (demand - flow) / slope;
+    }
+    if (network.budget_cut()) {
+      result.budget_exhausted = true;
+      if (result.levels.empty()) {
+        result.status = budget->exhausted_status();
+        return result;
+      }
+      result.truncated = true;
+      break;
+    }
+    if (!routed) {
+      result.status = lp::SolveStatus::kNumericalFailure;
+      return result;
+    }
+
+    // Freeze the maximal tight set. It is never empty in exact arithmetic;
+    // should rounding hide it, the guard freezes every free slot at u.
+    const std::vector<bool> reaches_sink = network.reaching(sink);
+    std::vector<int> tight;
+    for (int t = 0; t < num_slots; ++t) {
+      if (is_free(t) &&
+          !reaches_sink[static_cast<std::size_t>(slot_base + t)]) {
+        tight.push_back(t);
+      }
+    }
+    if (tight.empty()) {
+      for (int t = 0; t < num_slots; ++t) {
+        if (is_free(t)) tight.push_back(t);
+      }
+    }
+    for (int t : tight) frozen[static_cast<std::size_t>(t)] = u;
+    free_slots -= static_cast<int>(tight.size());
+    result.levels.push_back(u);
+    flows.resize(arcs.size());
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      flows[i] = network.flow(arcs[i].edge);
+    }
+    if (!all_levels) break;
+  }
+
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const double x = flows[i] * scale;
+    result.allocation[arcs[i].job][arcs[i].slot] = x;
+    result.load[arcs[i].slot] += x;
+  }
+  for (int t = 0; t < num_slots; ++t) {
+    result.load[static_cast<std::size_t>(t)] /=
+        cap[static_cast<std::size_t>(t)];
   }
   return result;
+}
+
+}  // namespace
+
+ResourceFlowLexmin solve_resource_flow_lexmin(
+    const std::vector<LpJob>& jobs,
+    const std::vector<workload::ResourceVec>& capacity_per_slot,
+    int first_slot, int resource, lp::SolveBudget* budget) {
+  if (!obs::enabled()) {
+    return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
+                             budget, /*all_levels=*/true);
+  }
+  double wall_s = 0.0;
+  ResourceFlowLexmin result;
+  {
+    obs::ScopedTimer timer(
+        &wall_s, &obs::registry().histogram("lp.lexmin.solve_seconds"));
+    result = solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
+                               budget, /*all_levels=*/true);
+  }
+  obs::registry().counter("lp.flow.augmentations").add(result.augmentations);
+  lp::LexminTrace trace;
+  trace.engine = "flow";
+  trace.rows = result.jobs;
+  trace.cols = result.edges;
+  trace.loads = result.load.size();
+  trace.status = result.status;
+  trace.rounds = static_cast<int>(result.levels.size());
+  trace.pivots = result.augmentations;
+  trace.levels = result.levels.size();
+  trace.max_level = result.max_level();
+  trace.truncated = result.truncated;
+  trace.budget_exhausted = result.budget_exhausted;
+  trace.wall_s = wall_s;
+  lp::record_lexmin_solve(trace);
+  return result;
+}
+
+ResourceFlowLexmin solve_resource_flow_level(
+    const std::vector<LpJob>& jobs,
+    const std::vector<workload::ResourceVec>& capacity_per_slot,
+    int first_slot, int resource) {
+  return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
+                           /*budget=*/nullptr, /*all_levels=*/false);
 }
 
 FlowPlacementResult solve_flow_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, const FlowPlacementOptions& options) {
+    int first_slot) {
   FlowPlacementResult result;
   const int num_slots = static_cast<int>(capacity_per_slot.size());
   result.allocation.assign(
@@ -136,16 +256,16 @@ FlowPlacementResult solve_flow_placement(
   result.feasible = true;
 
   for (int r = 0; r < workload::kNumResources; ++r) {
-    const ResourceFlowLevel level = solve_resource_flow_level(
-        jobs, capacity_per_slot, first_slot, r, options);
+    const ResourceFlowLexmin level =
+        solve_resource_flow_level(jobs, capacity_per_slot, first_slot, r);
     if (!level.any_demand) continue;
-    if (!level.placeable) {
+    if (!level.ok()) {
       result.feasible = false;
       result.min_max_level = std::numeric_limits<double>::infinity();
       return result;
     }
-    result.min_max_level = std::max(result.min_max_level, level.level);
-    if (level.level > 1.0 + options.level_tolerance) result.feasible = false;
+    result.min_max_level = std::max(result.min_max_level, level.max_level());
+    if (level.max_level() > 1.0 + 1e-6) result.feasible = false;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       for (int t = 0; t < num_slots; ++t) {
         result.allocation[j][static_cast<std::size_t>(t)][r] =

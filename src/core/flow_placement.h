@@ -1,26 +1,96 @@
-// Flow-based placement: the structured fast path for the scheduling LP's
-// first level.
+// Exact lexmin placement by parametric max flow (DESIGN.md §5 item 9).
 //
 // Each resource's placement problem is a bipartite transportation problem
 // (DESIGN.md §5.2): jobs supply demand, slots consume it under capacity,
-// widths cap the job->slot edges. Two consequences:
+// widths cap the job->slot edges. Its achievable slot-load vectors are the
+// bases of a polymatroid, so the lexmin-max of z_t / C_t is the
+// lexicographically optimal base for the weights C (Fujishige 1980), and
+// repeated parametric max flow computes it exactly (Gallo, Grigoriadis and
+// Tarjan 1989):
 //
-//   * feasibility of a window set is a single max-flow computation, and
-//   * the first lexmin level (min over u of "all slot loads <= u") is a
-//     parametric max-flow, solved here by binary search on u.
+//   1. Level. The least u at which a max flow routes all demand D when
+//      every free slot is capped at u * C_t (and every fixed slot at its
+//      frozen level). Newton steps on the min cut find it: start at the
+//      lower bound u = (D - fixed capacity) / C(free slots); while the max
+//      flow falls short, the source side of its min cut gives
+//      u <- u + (D - flow) / C(free slots on the source side). A cut with
+//      no free slot capacity routes no more at any level: infeasible.
+//   2. Freeze. The free slots that cannot reach the sink in the residual
+//      graph (the source side of the maximal min cut) are the maximal
+//      tight set: every lexmin optimum holds them at exactly u.
+//   3. Repeat until every covered slot (one some job can use) is fixed.
 //
-// This module does NOT refine further levels — for the full lexicographic
-// profile use solve_placement (the LP path). It exists as the cheap
-// feasibility/admission-control primitive (capacity_planning-style what-if
-// queries, admission checks on workflow arrival) and as a cross-check of
-// the LP solver in tests and benches.
+// Every level is exact, so the result is the whole lexicographic optimum,
+// not just its peak; the simplex lexmin (lp/lexmin.h) stays for the
+// coupled formulation, integral extraction and as a test reference.
+//
+// Work is counted in augmenting paths. A SolveBudget charges one unit per
+// path and is polled between paths (lp::FlowNetwork::max_flow), so pivot
+// caps, wall budgets and cancel tokens cut a flow solve like a simplex one:
+// before the first level is found the budget's status (kTimeout or
+// kIterationLimit) comes back; after it, the last completed level's flow
+// comes back as a truncated plan.
+//
+// The first level alone is the cheap feasibility primitive: admission
+// checks and capacity what-if queries (solve_flow_placement) stop there.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/lp_formulation.h"
+#include "lp/solve_budget.h"
 
 namespace flowtime::core {
+
+/// One resource's flow lexmin.
+struct ResourceFlowLexmin {
+  /// kOptimal; kInfeasible when some demand cannot be routed at any level
+  /// (an empty window, or widths too narrow); the budget's kTimeout /
+  /// kIterationLimit when it ran out before the first level was found; or
+  /// kNumericalFailure should rounding keep the Newton steps from
+  /// converging.
+  lp::SolveStatus status = lp::SolveStatus::kOptimal;
+  /// True when at least one job demands this resource; when false, the
+  /// levels are empty and the allocation is zero.
+  bool any_demand = false;
+  /// Distinct levels fixed, in decreasing order (levels.front() is the
+  /// min-max load).
+  std::vector<double> levels;
+  /// Normalized load z_t / C_t per slot, t relative to first_slot.
+  std::vector<double> load;
+  /// allocation[j][t] in resource-seconds, t relative to first_slot; rows
+  /// are sized num_slots for every job (zero where nothing was placed).
+  std::vector<std::vector<double>> allocation;
+  std::int64_t augmentations = 0;  // augmenting paths over every max flow
+  /// The budget ran out after the first level: the allocation is the last
+  /// completed level's flow (feasible, peak exact, tail unrefined).
+  bool truncated = false;
+  bool budget_exhausted = false;
+  /// Problem size, for traces: jobs with demand and job->slot edges.
+  int jobs = 0;
+  int edges = 0;
+
+  bool ok() const { return status == lp::SolveStatus::kOptimal; }
+  double max_level() const { return levels.empty() ? 0.0 : levels.front(); }
+};
+
+/// The exact lexmin of one resource's placement: every level, so the load
+/// vector is the lexicographic optimum. Windows are clipped to
+/// [first_slot, first_slot + capacity_per_slot.size()). Emits the
+/// `lexmin_solve` trace event and the lp.lexmin.* / lp.flow.augmentations
+/// counters when observability is on. `budget` may be null (unlimited).
+ResourceFlowLexmin solve_resource_flow_lexmin(
+    const std::vector<LpJob>& jobs,
+    const std::vector<workload::ResourceVec>& capacity_per_slot,
+    int first_slot, int resource, lp::SolveBudget* budget = nullptr);
+
+/// The first level only: the min-max load and a flow achieving it. One
+/// Newton search, no refinement and no trace events.
+ResourceFlowLexmin solve_resource_flow_level(
+    const std::vector<LpJob>& jobs,
+    const std::vector<workload::ResourceVec>& capacity_per_slot,
+    int first_slot, int resource);
 
 struct FlowPlacementResult {
   bool feasible = false;        // all demands placeable within windows/caps
@@ -31,41 +101,12 @@ struct FlowPlacementResult {
   std::vector<std::vector<workload::ResourceVec>> allocation;
 };
 
-struct FlowPlacementOptions {
-  double level_tolerance = 1e-6;  // binary-search precision on u
-  int max_iterations = 60;
-};
-
-/// One resource's first-level solve, shared by solve_flow_placement and
-/// solve_placement's TU fast path (lp/unimodular.h flow_representable gates
-/// the latter).
-struct ResourceFlowLevel {
-  /// False when some demand cannot be routed at any finite level (empty
-  /// window, or width-limited). Callers fall back to the LP path for the
-  /// authoritative infeasibility diagnosis.
-  bool placeable = false;
-  /// True when at least one job demands this resource; when false, `level`
-  /// and `allocation` are trivially zero.
-  bool any_demand = false;
-  double level = 0.0;  // min uniform normalized load u for this resource
-  /// allocation[j][t] in resource-seconds, t relative to first_slot; rows
-  /// are sized num_slots for every job (zero where nothing was placed).
-  std::vector<std::vector<double>> allocation;
-};
-
-/// Minimizes the uniform load bound u for a single resource by binary
-/// search over parametric max-flows and returns the achieving allocation.
-ResourceFlowLevel solve_resource_flow_level(
-    const std::vector<LpJob>& jobs,
-    const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int resource, const FlowPlacementOptions& options = {});
-
-/// Solves the first-level placement by parametric max-flow. Inputs match
-/// solve_placement: windows are clipped to
-/// [first_slot, first_slot + capacity_per_slot.size()).
+/// First-level placement of every resource (solve_resource_flow_level):
+/// the admission / what-if check "does this fit, and at what peak load?".
+/// Inputs match solve_placement.
 FlowPlacementResult solve_flow_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, const FlowPlacementOptions& options = {});
+    int first_slot);
 
 }  // namespace flowtime::core

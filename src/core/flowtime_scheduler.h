@@ -2,8 +2,9 @@
 //
 // Pipeline per workflow arrival:
 //   decompose the workflow deadline into per-job windows (§IV), then place
-//   all known deadline jobs with the lexmin-max LP (§V) so the per-slot
-//   load profile is as flat as possible; everything the plan leaves free
+//   all known deadline jobs with the lexmin-max LP (§V), solved exactly by
+//   parametric max flow (core/flow_placement.h), so the per-slot load
+//   profile is as flat as possible; everything the plan leaves free
 //   goes to ad-hoc jobs immediately (the "minimally impacting" principle of
 //   §II-B). Ad-hoc jobs never enter the LP — their size is unknown.
 //
@@ -65,12 +66,15 @@ struct FlowTimeConfig {
   int max_planning_slots = 360;
   /// Wall-clock allowance for ALL LP solving of one re-plan (warm and cold
   /// rungs share it); <= 0 = unlimited. Enforced by a monotonic-clock
-  /// watchdog at pivot granularity, so placements under a wall budget are
-  /// machine-dependent — use solver_pivot_budget for reproducible runs.
+  /// watchdog between pivots and augmenting paths, so placements under a
+  /// wall budget are machine-dependent — use solver_pivot_budget for
+  /// reproducible runs.
   double solver_budget_ms = 0.0;
-  /// Total simplex pivots one re-plan may spend across every solve; <= 0 =
-  /// unlimited. Deterministic, unlike the wall clock: the same scenario and
-  /// cap degrade at the same pivot and produce byte-identical placements.
+  /// Total solver work one re-plan may spend across every solve, counted
+  /// in flow augmenting paths plus simplex pivots; <= 0 = unlimited.
+  /// Deterministic, unlike the wall clock: the same scenario and cap
+  /// degrade at the same path or pivot and produce byte-identical
+  /// placements.
   std::int64_t solver_pivot_budget = 0;
   /// Consecutive clean full-LP re-plans required before degraded mode ends
   /// (hysteresis; see DESIGN.md §10). Every re-plan re-attempts the full
@@ -85,8 +89,9 @@ struct FlowTimeConfig {
   int cell_id = -1;
 
   FlowTimeConfig() {
-    // Scheduling needs the peak flattened and a couple of refinement
-    // levels; full lexicographic refinement is reserved for benches.
+    // Bounds simplex lexmin solves only (the coupled formulation, integral
+    // extraction, or lp.flow_fast_path = false): the default per-resource
+    // path is the flow lexmin, which always refines every level.
     lp.lexmin.max_rounds = 6;
   }
 };
@@ -139,14 +144,16 @@ struct ReplanRecord {
   int slot = 0;
   ReplanCause causes = ReplanCause::kNone;
   int planned_jobs = 0;       // incomplete deadline jobs fed to the LP
-  std::int64_t pivots = 0;    // simplex pivots this re-plan
+  std::int64_t pivots = 0;    // augmenting paths + simplex pivots
   double wall_s = 0.0;        // re-plan wall time (0 when obs disabled)
   int late_extensions = 0;    // jobs whose window had to be extended
   bool capacity_exceeded = false;
   bool lp_failed = false;     // greedy fallback used (degrade_rung == 2)
-  /// The lexmin round budget ran out before the load profile was fully
-  /// refined: the plan is feasible and its peak exact, but its tail is not
-  /// the lexicographic optimum (plan-quality warning, not a failure).
+  /// A lexmin solve stopped before the load profile was fully refined (the
+  /// simplex round budget, or a solver budget cut after a flow solve's
+  /// first level): the plan is feasible and its peak exact, but its tail
+  /// is not the lexicographic optimum (plan-quality warning, not a
+  /// failure).
   bool lexmin_truncated = false;
   double max_normalized_load = 0.0;
   /// Escalation-ladder rung that produced this plan: 0 = warm LP,
@@ -157,9 +164,8 @@ struct ReplanRecord {
   DegradeReason degrade_reason = DegradeReason::kNone;
   /// The re-plan's shared SolveBudget ran out at some point of the ladder.
   bool budget_exhausted = false;
-  /// At least one resource of the placement was answered by the TU/max-flow
-  /// fast path instead of simplex (first-level-only solves that pass the
-  /// lp/unimodular flow_representable gate; see LpScheduleOptions).
+  /// At least one resource of the placement was solved by the flow lexmin
+  /// instead of simplex (see LpScheduleOptions::flow_fast_path).
   bool flow_fast_path = false;
   /// The solve finished (or was preempted) but was never adopted: its
   /// inputs went stale while it ran, or its cancel token fired, so

@@ -5,7 +5,6 @@
 
 #include "core/flow_placement.h"
 #include "lp/simplex.h"
-#include "lp/unimodular.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -73,6 +72,20 @@ lp::LexMinMaxResult solve_lexmin_cached(const lp::LexMinMaxSolver& lexmin,
   return lex;
 }
 
+// The per-resource system solve_placement builds is lp::flow_representable
+// exactly when every placed job's demand and width are finite and the
+// width nonnegative: the rows are equalities over +1 columns, each column
+// sits in one demand row and one load row, and the normalizers are
+// positive by construction. Checked on the jobs, so the flow path never
+// builds the LP.
+bool flow_representable(const std::vector<LpJob>& jobs, int r) {
+  return std::all_of(jobs.begin(), jobs.end(), [r](const LpJob& job) {
+    return job.demand[r] <= 0.0 ||
+           (std::isfinite(job.demand[r]) && std::isfinite(job.width[r]) &&
+            job.width[r] >= 0.0);
+  });
+}
+
 // Column bookkeeping for one resource's LP.
 struct ColumnMap {
   // per job: first column index and [begin, end] slot range (relative),
@@ -109,6 +122,44 @@ LpSchedule solve_placement(
   const int last_slot = first_slot + schedule.num_slots - 1;
 
   for (int r = 0; r < workload::kNumResources; ++r) {
+    // --- Flow lexmin: the exact solver for the transportation system, in
+    //     augmenting paths instead of pivots (core/flow_placement.h). ---
+    if (options.flow_fast_path && !options.integral_extraction &&
+        flow_representable(jobs, r)) {
+      const ResourceFlowLexmin flow = solve_resource_flow_lexmin(
+          jobs, capacity_per_slot, first_slot, r,
+          options.lexmin.lp_options.budget);
+      if (!flow.any_demand) continue;
+      schedule.flow_fast_path = true;
+      schedule.pivots += flow.augmentations;
+      schedule.lexmin_rounds = std::max(
+          schedule.lexmin_rounds, static_cast<int>(flow.levels.size()));
+      schedule.lexmin_truncated = schedule.lexmin_truncated || flow.truncated;
+      schedule.budget_exhausted =
+          schedule.budget_exhausted || flow.budget_exhausted;
+      if (!flow.ok()) {
+        schedule.status = flow.status;
+        return schedule;
+      }
+      schedule.max_normalized_load =
+          std::max(schedule.max_normalized_load, flow.max_level());
+      if (flow.max_level() > 1.0 + 1e-6) schedule.capacity_exceeded = true;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        for (int t = 0; t < schedule.num_slots; ++t) {
+          schedule.allocation[j][static_cast<std::size_t>(t)][r] =
+              flow.allocation[j][static_cast<std::size_t>(t)];
+        }
+      }
+      for (int t = 0; t < schedule.num_slots; ++t) {
+        schedule.normalized_load[static_cast<std::size_t>(t)][r] =
+            flow.load[static_cast<std::size_t>(t)];
+      }
+      if (obs::enabled()) {
+        obs::registry().counter("lp.flow_fast_path.solves").add();
+      }
+      continue;
+    }
+
     // --- Build the per-resource base problem (demand rows + widths). ---
     lp::LpProblem base;
     ColumnMap map;
@@ -156,47 +207,6 @@ LpSchedule solve_placement(
         loads[static_cast<std::size_t>(t)].entries.push_back(
             lp::RowEntry{cols.first_column + (t - cols.begin), 1.0});
       }
-    }
-
-    // --- TU/max-flow fast path: a first-level-only solve of a
-    //     flow-representable system is a parametric max flow, not an LP.
-    //     The gate is structural (O(nnz)) and conservative: any deviation
-    //     from the transportation shape falls through to simplex. ---
-    if (options.flow_fast_path && options.lexmin.max_rounds == 1 &&
-        !options.integral_extraction && lp::flow_representable(base, loads)) {
-      FlowPlacementOptions flow_options;
-      flow_options.level_tolerance = options.lexmin.level_tol;
-      const ResourceFlowLevel flow = solve_resource_flow_level(
-          jobs, capacity_per_slot, first_slot, r, flow_options);
-      if (flow.placeable) {
-        schedule.flow_fast_path = true;
-        schedule.lexmin_rounds = std::max(schedule.lexmin_rounds, 1);
-        schedule.max_normalized_load =
-            std::max(schedule.max_normalized_load, flow.level);
-        if (flow.level > 1.0 + 1e-6) schedule.capacity_exceeded = true;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-          const auto& cols = map.jobs[j];
-          if (cols.first_column < 0) continue;
-          for (int t = cols.begin; t <= cols.end; ++t) {
-            schedule.allocation[j][static_cast<std::size_t>(t)][r] =
-                flow.allocation[j][static_cast<std::size_t>(t)];
-          }
-        }
-        for (int t = 0; t < schedule.num_slots; ++t) {
-          double used = 0.0;
-          for (std::size_t j = 0; j < jobs.size(); ++j) {
-            used += flow.allocation[j][static_cast<std::size_t>(t)];
-          }
-          schedule.normalized_load[static_cast<std::size_t>(t)][r] =
-              used / loads[static_cast<std::size_t>(t)].normalizer;
-        }
-        if (obs::enabled()) {
-          obs::registry().counter("lp.flow_fast_path.solves").add();
-        }
-        continue;
-      }
-      // Not placeable at any finite level: let simplex diagnose it
-      // authoritatively (infeasible vs. capacity_exceeded).
     }
 
     lp::LexMinMaxSolver lexmin(options.lexmin);

@@ -86,14 +86,13 @@ struct LpScheduleOptions {
   /// integral demands/widths to be meaningful; off by default because the
   /// simulator's demands are fractional resource-seconds.
   bool integral_extraction = false;
-  /// TU/max-flow fast path: when a solve only needs the first lexmin level
-  /// (lexmin.max_rounds == 1) and the per-resource system passes the
-  /// lp/unimodular flow_representable gate, answer it by parametric max
-  /// flow (Dinic + binary search on the uniform level) instead of simplex.
-  /// Asymptotically faster and allocation-equivalent at the first level;
-  /// solves that refine deeper levels, the coupled formulation, and
-  /// integral extraction always take the simplex path. On by default — the
-  /// gate makes it a no-op wherever its answer could differ.
+  /// Flow lexmin: every per-resource system that is lp::flow_representable
+  /// (finite demands and widths) is solved exactly, every level, by
+  /// parametric max flow (core/flow_placement.h) instead of the simplex
+  /// lexmin; lexmin.max_rounds bounds only simplex solves. The coupled
+  /// formulation and integral extraction always take the simplex path.
+  /// On by default; false sends every resource through simplex, the
+  /// reference the tests and benches of the simplex engine use.
   bool flow_fast_path = true;
 };
 
@@ -112,21 +111,26 @@ struct LpSchedule {
   /// Normalized load per slot and resource after placement.
   std::vector<workload::ResourceVec> normalized_load;
   double max_normalized_load = 0.0;
+  /// Solver work: simplex pivots plus flow augmenting paths, the unit a
+  /// SolveBudget's pivot cap charges.
   std::int64_t pivots = 0;
+  /// Most lexmin rounds of any resource (a flow solve's rounds are its
+  /// levels).
   int lexmin_rounds = 0;
-  /// True when any lexmin solve exhausted its round budget with load rows
-  /// unfixed: the plan is feasible and its peak level exact, but the load
-  /// profile tail is not the lexicographic optimum (a plan-quality
-  /// warning, not a failure).
+  /// True when any lexmin solve stopped with load rows unfixed — the
+  /// simplex round budget ran out, or a SolveBudget cut a flow solve after
+  /// its first level: the plan is feasible and its peak level exact, but
+  /// the load profile tail is not the lexicographic optimum (a
+  /// plan-quality warning, not a failure).
   bool lexmin_truncated = false;
   /// True when a shared SolveBudget (options.lexmin.lp_options.budget) ran
   /// out during the solve. The schedule may still be ok() — a truncated
   /// feasible point — but the caller's escalation ladder should know the
   /// budget, not the model, bounded its quality.
   bool budget_exhausted = false;
-  /// True when at least one resource was answered by the TU/max-flow fast
-  /// path instead of simplex (see LpScheduleOptions::flow_fast_path);
-  /// `pivots` then excludes those resources by construction.
+  /// True when at least one resource was solved by the flow lexmin instead
+  /// of simplex (see LpScheduleOptions::flow_fast_path); `pivots` then
+  /// counts its augmenting paths.
   bool flow_fast_path = false;
 
   bool ok() const { return status == lp::SolveStatus::kOptimal; }

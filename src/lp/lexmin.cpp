@@ -27,26 +27,44 @@ LexMinMaxResult LexMinMaxSolver::solve(
         &wall_s, &obs::registry().histogram("lp.lexmin.solve_seconds"));
     result = solve_impl(base, loads, warm);
   }
+  LexminTrace trace;
+  trace.rows = base.num_rows();
+  trace.cols = base.num_columns();
+  trace.loads = loads.size();
+  trace.status = result.status;
+  trace.rounds = result.rounds;
+  trace.pivots = result.pivots;
+  trace.levels = result.levels.size();
+  trace.max_level = result.max_level();
+  trace.truncated = result.truncated;
+  trace.budget_exhausted = result.budget_exhausted;
+  trace.wall_s = wall_s;
+  record_lexmin_solve(trace);
+  return result;
+}
+
+void record_lexmin_solve(const LexminTrace& trace) {
   obs::Registry& reg = obs::registry();
   reg.counter("lp.lexmin.solves").add();
-  reg.counter("lp.lexmin.rounds").add(result.rounds);
-  reg.counter("lp.lexmin.pivots").add(result.pivots);
-  if (!result.optimal()) reg.counter("lp.lexmin.failures").add();
-  if (result.truncated) reg.counter("lp.lexmin.truncations").add();
+  reg.counter("lp.lexmin.rounds").add(trace.rounds);
+  reg.counter("lp.lexmin.pivots").add(trace.pivots);
+  if (trace.status != SolveStatus::kOptimal) {
+    reg.counter("lp.lexmin.failures").add();
+  }
+  if (trace.truncated) reg.counter("lp.lexmin.truncations").add();
   obs::emit(obs::TraceEvent("lexmin_solve")
-                .field("rows", base.num_rows())
-                .field("cols", base.num_columns())
-                .field("loads", loads.size())
-                .field("status", to_string(result.status))
-                .field("rounds", result.rounds)
-                .field("pivots", result.pivots)
-                .field("levels", result.levels.size())
-                .field("max_level", result.max_level())
-                .field("truncated", result.truncated)
-                .field("budget_exhausted", result.budget_exhausted)
-                .field("probe_failures", result.probe_failures)
-                .field("wall_s", wall_s));
-  return result;
+                .field("engine", trace.engine)
+                .field("rows", trace.rows)
+                .field("cols", trace.cols)
+                .field("loads", trace.loads)
+                .field("status", to_string(trace.status))
+                .field("rounds", trace.rounds)
+                .field("pivots", trace.pivots)
+                .field("levels", trace.levels)
+                .field("max_level", trace.max_level)
+                .field("truncated", trace.truncated)
+                .field("budget_exhausted", trace.budget_exhausted)
+                .field("wall_s", trace.wall_s));
 }
 
 LexMinMaxResult LexMinMaxSolver::solve_impl(
@@ -74,12 +92,12 @@ LexMinMaxResult LexMinMaxSolver::solve_impl(
     return result;
   }
 
-  // One working problem for every round and probe: base columns/rows with a
-  // zeroed objective, the scalar u (minimized), and one row per load:
+  // One working problem for every round: base columns/rows with a zeroed
+  // objective, the scalar u (minimized), and one row per load:
   //   free k:   load_k - n_k * u <= 0
   //   fixed k:  load_k           <= level_k * n_k   (u coefficient removed)
-  // Rounds and probes mutate coefficients/bounds/rhs in place — the shape
-  // never changes, so every solve can warm-start from the previous basis.
+  // Rounds mutate coefficients and rhs in place — the shape never changes,
+  // so every solve can warm-start from the previous basis.
   LpProblem p = base;
   for (int j = 0; j < p.num_columns(); ++j) p.set_objective_coeff(j, 0.0);
   const int u_column = p.add_column(1.0, 0.0, kInfinity, "u");
@@ -97,9 +115,8 @@ LexMinMaxResult LexMinMaxSolver::solve_impl(
   while (num_fixed < k_total && result.rounds < options_.max_rounds) {
     ++result.rounds;
     // Per-round breakdown for the solver-phase profile: each round is one
-    // LP solve plus (under exact fixing) a probe per candidate, and the
-    // rounds-vs-pivots shape is what distinguishes "many cheap levels"
-    // from "one giant degenerate solve" in trace_report.
+    // LP solve, and the rounds-vs-pivots shape is what distinguishes "many
+    // cheap levels" from "one giant degenerate solve" in trace_report.
     if (SolveProfile* profile = current_profile()) ++profile->lexmin_rounds;
     const bool traced = obs::enabled();
     const double round_wall0 = traced ? obs::wall_now_s() : 0.0;
@@ -171,52 +188,10 @@ LexMinMaxResult LexMinMaxSolver::solve_impl(
     }
 
     std::vector<std::size_t> to_fix;
-    if (options_.exact_fixing) {
-      // Probe: can candidate k drop strictly below `level` while all free
-      // rows stay <= level? If not, it is genuinely stuck at this level.
-      // Each probe reuses the working problem (u capped at the level, the
-      // candidate's load as the objective) and warm-starts from the
-      // round's basis; the mutations are undone before the next probe.
-      for (std::size_t k : candidates) {
-        p.set_bounds(u_column, 0.0, level + options_.level_tol);
-        p.set_objective_coeff(u_column, 0.0);
-        for (const RowEntry& e : loads[k].entries) {
-          p.set_objective_coeff(e.column,
-                                p.objective_coeff(e.column) + e.coeff);
-        }
-        const Solution ps = solver.solve(
-            p, options_.warm_start && !basis.empty() ? &basis : nullptr);
-        result.pivots += ps.iterations;
-        // Undo: every structural objective coefficient is zero outside a
-        // probe, so resetting (not subtracting) is exact even when a load
-        // touches the same column twice.
-        for (const RowEntry& e : loads[k].entries) {
-          p.set_objective_coeff(e.column, 0.0);
-        }
-        p.set_objective_coeff(u_column, 1.0);
-        p.set_bounds(u_column, 0.0, kInfinity);
-        if (ps.optimal()) {
-          // A proved bound: the candidate cannot leave this level.
-          if (ps.objective / loads[k].normalizer >=
-              level - options_.level_tol) {
-            to_fix.push_back(k);
-          }
-        } else {
-          // Solver failure (iteration limit, numerics) proves nothing
-          // about the bound; fall back to the round's dual test for this
-          // candidate instead of freezing it on a failed solve.
-          ++result.probe_failures;
-          const double dual = s.duals[static_cast<std::size_t>(
-              first_load_row + static_cast<int>(k))];
-          if (std::abs(dual) > options_.dual_tol) to_fix.push_back(k);
-        }
-      }
-    } else {
-      for (std::size_t k : candidates) {
-        const double dual = s.duals[static_cast<std::size_t>(
-            first_load_row + static_cast<int>(k))];
-        if (std::abs(dual) > options_.dual_tol) to_fix.push_back(k);
-      }
+    for (std::size_t k : candidates) {
+      const double dual = s.duals[static_cast<std::size_t>(
+          first_load_row + static_cast<int>(k))];
+      if (std::abs(dual) > options_.dual_tol) to_fix.push_back(k);
     }
     if (to_fix.empty()) to_fix = candidates;  // stall guard
     if (to_fix.empty()) {                     // numerically nothing binds

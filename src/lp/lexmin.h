@@ -16,19 +16,18 @@
 //   level u1, constrain all others by u1, and repeat on the rest.
 //
 // Row fixing uses the dual test (a binding row with a strictly positive dual
-// must stay binding) with two fallbacks: if no candidate has a positive dual
-// the round would stall, so all binding rows are fixed; and `exact_fixing`
-// replaces the dual test with one probing LP per candidate.
+// must stay binding), with one fallback: if no candidate has a positive
+// dual the round would stall, so all binding rows are fixed.
 //
-// Exactness caveat: the FIRST coordinate (the overall min-max) is exact in
-// every mode. Deeper coordinates are exact only when the binding set at
-// each level is unique; when every binding row is *individually* reducible
-// (the argmax shifts between optima), both fixing rules fall back to fixing
-// all candidates, which can over-constrain later levels. True lexicographic
-// refinement in that regime needs the counting LP of Ogryczak & Sliwinski;
-// the scheduler does not need it (profile flatness beyond the first few
-// levels has no measurable effect — see bench/ablation_decomposition part
-// 2), so we document the limit instead of paying for it.
+// Exactness caveat (this simplex driver only): the FIRST coordinate (the
+// overall min-max) is exact. Deeper coordinates are exact only when the
+// binding set at each level is unique; when every binding row is
+// *individually* reducible (the argmax shifts between optima), the stall
+// fallback fixes all candidates, which can over-constrain later levels.
+// The caveat does not reach the scheduler's default path: every
+// per-resource placement whose system is flow-representable runs the exact
+// flow lexmin of core/flow_placement.h instead, and this driver remains for
+// the coupled formulation, integral extraction and reference tests.
 #pragma once
 
 #include <string>
@@ -51,8 +50,7 @@ struct LexMinMaxOptions {
   int max_rounds = 64;        // safety valve; each round fixes >= 1 row
   double level_tol = 1e-6;    // load within this of u* counts as binding
   double dual_tol = 1e-7;     // dual magnitude that forces fixing
-  bool exact_fixing = false;  // probe each candidate with its own LP
-  /// Thread each round's (and probe's) final basis into the next solve and
+  /// Thread each round's final basis into the next solve and
   /// accept a caller-provided basis for round 1. On by default — warm
   /// starting never changes the result, only the pivot count; the switch
   /// exists for cold-baseline benchmarking and bisection.
@@ -74,9 +72,6 @@ struct LexMinMaxResult {
   /// care about plan quality should treat a truncated result as a
   /// warning, not as the lexicographic optimum.
   bool truncated = false;
-  /// Exact-fixing probes that did not solve to optimality and fell back to
-  /// the dual test for that candidate (solver failure, not a bound proof).
-  int probe_failures = 0;
   /// True when the shared SolveBudget (lp_options.budget) ran out during
   /// this solve. When a feasible point from an earlier (or cut-short) round
   /// was available the result reports kOptimal with `truncated` set — the
@@ -96,8 +91,8 @@ struct LexMinMaxResult {
 /// The base problem's own objective coefficients are ignored.
 ///
 /// Incremental hot path: one working problem (base + u column + one row per
-/// load) is built once and mutated in place across rounds and exact-fixing
-/// probes; each solve warm-starts from the previous basis, so successive
+/// load) is built once and mutated in place across rounds; each solve
+/// warm-starts from the previous basis, so successive
 /// rounds cost a handful of repair pivots instead of a full two-phase
 /// solve. `warm` optionally seeds round 1 from a previous lexmin solve of a
 /// same-shaped instance (e.g. the last re-plan); a stale or mismatched hint
@@ -117,5 +112,27 @@ class LexMinMaxSolver {
 
   LexMinMaxOptions options_;
 };
+
+/// What one lexmin solve reports to observability, whichever engine ran
+/// it: this simplex driver or the flow lexmin (core/flow_placement.h).
+struct LexminTrace {
+  const char* engine = "simplex";  // "simplex" or "flow"
+  int rows = 0;            // base rows (flow: jobs with demand)
+  int cols = 0;            // base columns (flow: job->slot edges)
+  std::size_t loads = 0;   // load rows (slots)
+  SolveStatus status = SolveStatus::kOptimal;
+  int rounds = 0;          // lexmin rounds (flow: levels)
+  std::int64_t pivots = 0; // simplex pivots (flow: augmenting paths)
+  std::size_t levels = 0;
+  double max_level = 0.0;
+  bool truncated = false;
+  bool budget_exhausted = false;
+  double wall_s = 0.0;
+};
+
+/// Adds one solve to the lp.lexmin.{solves,rounds,pivots,failures,
+/// truncations} counters and emits its `lexmin_solve` trace event. Callers
+/// check obs::enabled() first.
+void record_lexmin_solve(const LexminTrace& trace);
 
 }  // namespace flowtime::lp

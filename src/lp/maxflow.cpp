@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 
 namespace flowtime::lp {
 
@@ -36,7 +35,10 @@ bool FlowNetwork::set_capacity(int edge_id, double capacity) {
       edge_id % 2 != 0 || !(capacity >= 0.0)) {
     return false;
   }
-  edges_[static_cast<std::size_t>(edge_id)].capacity = capacity;
+  // Keep the edge's current flow, so augment() can continue from it.
+  Edge& e = edges_[static_cast<std::size_t>(edge_id)];
+  e.residual += capacity - e.capacity;
+  e.capacity = capacity;
   return true;
 }
 
@@ -47,18 +49,16 @@ double FlowNetwork::flow(int edge_id) const {
 
 bool FlowNetwork::build_levels(int source, int sink) {
   level_.assign(head_.size(), -1);
-  std::queue<int> queue;
-  queue.push(source);
+  queue_.assign(1, source);
   level_[static_cast<std::size_t>(source)] = 0;
-  while (!queue.empty()) {
-    const int node = queue.front();
-    queue.pop();
+  for (std::size_t next = 0; next < queue_.size(); ++next) {
+    const int node = queue_[next];
     for (int id : head_[static_cast<std::size_t>(node)]) {
       const Edge& e = edges_[static_cast<std::size_t>(id)];
       if (e.residual > kEps && level_[static_cast<std::size_t>(e.to)] < 0) {
         level_[static_cast<std::size_t>(e.to)] =
             level_[static_cast<std::size_t>(node)] + 1;
-        queue.push(e.to);
+        queue_.push_back(e.to);
       }
     }
   }
@@ -87,23 +87,67 @@ double FlowNetwork::push(int node, int sink, double limit) {
   return 0.0;
 }
 
-double FlowNetwork::max_flow(int source, int sink) {
+double FlowNetwork::max_flow(int source, int sink, SolveBudget* budget) {
   // Reset residuals to capacities.
   for (std::size_t id = 0; id < edges_.size(); id += 2) {
     edges_[id].residual = edges_[id].capacity;
     edges_[id + 1].residual = 0.0;
   }
+  return augment(source, sink, budget);
+}
+
+double FlowNetwork::augment(int source, int sink, SolveBudget* budget) {
+  augmentations_ = 0;
+  budget_cut_ = false;
   double total = 0.0;
   while (build_levels(source, sink)) {
     iter_.assign(head_.size(), 0);
     while (true) {
+      if (budget != nullptr && budget->exhausted()) {
+        budget_cut_ = true;
+        return total;
+      }
       const double pushed =
           push(source, sink, std::numeric_limits<double>::infinity());
       if (pushed <= kEps) break;
       total += pushed;
+      ++augmentations_;
+      if (budget != nullptr) budget->charge_pivot();
     }
   }
   return total;
+}
+
+std::vector<bool> FlowNetwork::reachable_from(int node) const {
+  return residual_search(node, /*forward=*/true);
+}
+
+std::vector<bool> FlowNetwork::reaching(int node) const {
+  return residual_search(node, /*forward=*/false);
+}
+
+std::vector<bool> FlowNetwork::residual_search(int node, bool forward) const {
+  // Forward: follow edges with residual capacity out of each node.
+  // Backward: edge id's companion (id ^ 1) runs from e.to into the node,
+  // so e.to reaches the node when the companion has residual left.
+  std::vector<bool> seen(head_.size(), false);
+  std::vector<int> stack = {node};
+  seen[static_cast<std::size_t>(node)] = true;
+  while (!stack.empty()) {
+    const int at = stack.back();
+    stack.pop_back();
+    for (int id : head_[static_cast<std::size_t>(at)]) {
+      const Edge& e = edges_[static_cast<std::size_t>(id)];
+      const double residual =
+          forward ? e.residual
+                  : edges_[static_cast<std::size_t>(id ^ 1)].residual;
+      if (residual > kEps && !seen[static_cast<std::size_t>(e.to)]) {
+        seen[static_cast<std::size_t>(e.to)] = true;
+        stack.push_back(e.to);
+      }
+    }
+  }
+  return seen;
 }
 
 }  // namespace flowtime::lp

@@ -1,13 +1,17 @@
 // Max-flow solver (Dinic's algorithm).
 //
 // The scheduling LP's constraint matrix is the incidence structure of a
-// bipartite job/slot graph, so placement feasibility and the first lexmin
-// level can be answered by maximum flow instead of simplex — asymptotically
-// much faster for the first round. core/flow_placement.h builds on this;
-// here is just a clean, reusable max-flow engine on double capacities.
+// bipartite job/slot graph, so every lexmin level of a per-resource
+// placement is a parametric max flow instead of a simplex solve.
+// core/flow_placement.h builds the exact lexmin on this; here is just a
+// clean, reusable max-flow engine on double capacities, with the residual
+// reachability queries that read minimum cuts off a finished flow.
 #pragma once
 
+#include <cstdint>
 #include <vector>
+
+#include "lp/solve_budget.h"
 
 namespace flowtime::lp {
 
@@ -24,13 +28,43 @@ class FlowNetwork {
 
   /// Computes the maximum flow from source to sink (Dinic). Can be called
   /// repeatedly after add_edge/set_capacity; flow state resets each call.
-  double max_flow(int source, int sink);
+  ///
+  /// With a `budget`, each augmenting path charges one unit to it
+  /// (SolveBudget::charge_pivot) and exhausted() is polled before every
+  /// path search, so a pivot cap, wall clock or cancel token stops the
+  /// solve between paths; budget_cut() then reports true and the returned
+  /// value is the flow routed so far.
+  double max_flow(int source, int sink, SolveBudget* budget = nullptr);
+
+  /// Continues from the last max_flow's flow instead of resetting it and
+  /// returns the flow added (same budget contract). Valid after
+  /// set_capacity calls that only raised capacities, which keeps that
+  /// flow feasible — the parametric searches that raise a level.
+  double augment(int source, int sink, SolveBudget* budget = nullptr);
+
+  /// Augmenting paths found by the last max_flow / augment call.
+  std::int64_t augmentations() const { return augmentations_; }
+
+  /// True when the last max_flow / augment stopped because its budget ran
+  /// out.
+  bool budget_cut() const { return budget_cut_; }
 
   /// Flow routed on edge `edge_id` by the last max_flow call.
   double flow(int edge_id) const;
 
-  /// Rewrites one FORWARD edge's capacity (used by parametric searches).
-  /// `edge_id` must be an id returned by add_edge — ids are even; the odd
+  /// Nodes reachable from `node` along edges with residual capacity left
+  /// by the last max_flow. For the source after a complete max flow this
+  /// is the source side of the minimal minimum cut.
+  std::vector<bool> reachable_from(int node) const;
+
+  /// Nodes that can reach `node` along residual edges. For the sink after
+  /// a complete max flow, the complement is the source side of the
+  /// maximal minimum cut.
+  std::vector<bool> reaching(int node) const;
+
+  /// Rewrites one FORWARD edge's capacity (used by parametric searches),
+  /// keeping the flow the edge carries. `edge_id` must be an id returned
+  /// by add_edge — ids are even; the odd
   /// companion ids address the internal reverse edges, whose residuals
   /// max_flow resets unconditionally, so a capacity written there would be
   /// silently discarded. Returns false and leaves the network unchanged for
@@ -47,11 +81,15 @@ class FlowNetwork {
 
   bool build_levels(int source, int sink);
   double push(int node, int sink, double limit);
+  std::vector<bool> residual_search(int node, bool forward) const;
 
   std::vector<std::vector<int>> head_;  // node -> edge ids (incl. reverse)
   std::vector<Edge> edges_;             // edge 2k = forward, 2k+1 = reverse
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
+  std::vector<int> queue_;
+  std::int64_t augmentations_ = 0;
+  bool budget_cut_ = false;
 };
 
 }  // namespace flowtime::lp

@@ -3,11 +3,14 @@
 // A SolveBudget caps how much work a chain of LP solves may spend before
 // the caller's slot deadline: a wall-clock limit (monotonic clock, checked
 // at pivot granularity), a shared pivot cap across every solve that carries
-// the same budget, and an optional cooperative cancellation token. The
-// budget is *shared*, not per-solve: FlowTimeScheduler creates one per
-// re-plan and threads it through every simplex/lexmin/branch-and-bound call
-// of that re-plan, so a pathological first solve cannot leave later solves
-// with a fresh allowance.
+// the same budget, and an optional cooperative cancellation token. One
+// "pivot" is one unit of solver work: a simplex pivot, a branch-and-bound
+// node, or a max-flow augmenting path (lp::FlowNetwork, which the flow
+// lexmin of core/flow_placement.h runs on). The budget is *shared*, not
+// per-solve: FlowTimeScheduler creates one per re-plan and threads it
+// through every flow/simplex/lexmin/branch-and-bound call of that re-plan,
+// so a pathological first solve cannot leave later solves with a fresh
+// allowance.
 //
 // Determinism: the pivot cap and the cancel token are deterministic given a
 // deterministic pivot sequence; the wall-clock limit is not (it depends on
@@ -57,8 +60,8 @@ class SolveBudget {
     return has_deadline_ || pivot_cap_ > 0 || cancel_ != nullptr;
   }
 
-  /// Called by the simplex engine once per pivot (and by branch-and-bound
-  /// per node); feeds the shared pivot cap.
+  /// Called by the simplex engine once per pivot (by branch-and-bound per
+  /// node, by lp::FlowNetwork per augmenting path); feeds the shared cap.
   void charge_pivot() { ++pivots_used_; }
   std::int64_t pivots_used() const { return pivots_used_; }
 

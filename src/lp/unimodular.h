@@ -68,16 +68,17 @@ bool is_network_matrix(const IntMatrix& m);
 /// with the trivial colouring {demand rows | load rows}).
 bool is_bipartite_incidence_like(const IntMatrix& m);
 
-/// Structural gate for the max-flow fast path: true when the lexmin system
+/// Structural gate for the flow lexmin: true when the lexmin system
 /// (base rows + load rows) is exactly the bipartite transportation
 /// structure a parametric max flow solves — every base row an equality with
 /// nonnegative rhs and all-(+1) coefficients, every column in [0, finite
 /// ub] appearing in exactly one base row and exactly one load row with
 /// coefficient +1, and every load normalizer positive. Such a system is TU
-/// (each column is a bipartite incidence column), and its first lexmin
-/// level equals the minimal uniform capacity scaling of the corresponding
-/// flow network. O(nnz) — evaluated per replan round, unlike the
-/// exponential certificates above, which exist for tests.
+/// (each column is a bipartite incidence column), and its lexmin is the
+/// lexicographically optimal base the flow lexmin (core/flow_placement.h)
+/// computes. O(nnz). core::solve_placement checks the same condition on
+/// its jobs without building the LP; this form serves callers and tests
+/// that hold an LpProblem.
 bool flow_representable(const LpProblem& base,
                         const std::vector<LoadRow>& loads);
 

@@ -5,13 +5,7 @@
 
 namespace flowtime::runtime {
 
-SolverPool::SolverPool(int threads) {
-  const int n = std::max(threads, 1);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+SolverPool::SolverPool(int threads) : threads_(std::max(threads, 1)) {}
 
 SolverPool::~SolverPool() { shutdown(); }
 
@@ -22,6 +16,14 @@ std::future<void> SolverPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return done;  // `job` dies unrun: broken promise
     tasks_.push_back(std::move(job));
+    if (workers_.empty()) {
+      // First task: start the workers. They block on mu_ until this
+      // submit releases it.
+      workers_.reserve(static_cast<std::size_t>(threads_));
+      for (int i = 0; i < threads_; ++i) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+    }
   }
   work_ready_.notify_one();
   return done;

@@ -19,7 +19,9 @@ namespace flowtime::runtime {
 
 class SolverPool {
  public:
-  /// Starts `threads` workers (clamped to >= 1).
+  /// Sizes the pool for `threads` workers (clamped to >= 1). They start
+  /// with the first submit, so constructing a pool that never receives
+  /// work (a federation built but not yet replanned) spawns no thread.
   explicit SolverPool(int threads = 1);
   /// Drains queued tasks and joins the workers.
   ~SolverPool();
@@ -38,11 +40,12 @@ class SolverPool {
   /// Idempotent.
   void shutdown();
 
-  int threads() const { return static_cast<int>(workers_.size()); }
+  int threads() const { return threads_; }
 
  private:
   void worker_loop();
 
+  const int threads_;
   std::mutex mu_;
   std::condition_variable work_ready_;
   std::deque<std::packaged_task<void()>> tasks_;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "dag/generators.h"
 #include "workload/profiles.h"
@@ -11,40 +14,61 @@ namespace flowtime::workload {
 
 namespace {
 
+// "adhoc-<id>", built in place (fits the small-string buffer).
+std::string adhoc_name(int id) {
+  char digits[16];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+  std::string name = "adhoc-";
+  name.append(digits, end);
+  return name;
+}
+
+// Room for a Poisson stream's arrivals at the base rate, with margin.
+std::size_t expected_arrivals(const AdhocGenConfig& config) {
+  return static_cast<std::size_t>(
+      std::max(0.0, 1.1 * config.rate_per_s * config.horizon_s) + 16.0);
+}
+
 // Picks a DAG shape with exactly `n` nodes from the scientific families the
 // generators provide; falls back to a random layered DAG when a family
-// cannot hit `n` exactly.
+// cannot hit `n` exactly. Only the drawn shape is built: the deterministic
+// families consume no randomness, so the candidate list holds builders.
 dag::Dag sample_shape(util::Rng& rng, int n) {
   assert(n >= 3);
-  std::vector<dag::Dag> options;
-  options.push_back(dag::make_fork_join(n - 2));
+  std::vector<std::function<dag::Dag()>> options;
+  options.reserve(5);
+  options.emplace_back([n] { return dag::make_fork_join(n - 2); });
   // epigenomics: lanes x depth + 2 == n
   for (int lanes = 2; lanes <= 6; ++lanes) {
     if ((n - 2) % lanes == 0) {
-      options.push_back(dag::make_epigenomics_like(lanes, (n - 2) / lanes));
+      options.emplace_back([n, lanes] {
+        return dag::make_epigenomics_like(lanes, (n - 2) / lanes);
+      });
       break;
     }
   }
   if (n >= 5) {
     const int left = std::max(1, (n - 2) / 2);
-    options.push_back(dag::make_diamond(left, n - 2 - left));
+    options.emplace_back(
+        [n, left] { return dag::make_diamond(left, n - 2 - left); });
   }
   if (n % 2 == 1 && (n - 3) / 2 >= 2) {
-    options.push_back(dag::make_montage_like((n - 3) / 2));
+    options.emplace_back([n] { return dag::make_montage_like((n - 3) / 2); });
   }
   if (n % 2 == 1 && (n - 5) / 2 >= 1) {
-    options.push_back(dag::make_cybershake_like((n - 5) / 2));
+    options.emplace_back(
+        [n] { return dag::make_cybershake_like((n - 5) / 2); });
   }
   // Note: the LIGO- and SIPHT-like generators exist (dag/generators.h) but
   // are deliberately NOT in this default pool — the benches' calibrated
   // seeds depend on the pool's draw sequence. Use them via custom
   // scenarios or your own sampler.
-  {
-    const int layers = static_cast<int>(rng.uniform_int(3, 6));
-    options.push_back(dag::make_random_layered(rng, n, layers, 2 * n));
-  }
-  return options[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<int>(options.size()) - 1))];
+  // The random layered DAG is the pool's last entry (pick == size).
+  const int layers = static_cast<int>(rng.uniform_int(3, 6));
+  dag::Dag layered = dag::make_random_layered(rng, n, layers, 2 * n);
+  const auto pick = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(options.size())));
+  return pick < options.size() ? options[pick]() : std::move(layered);
 }
 
 }  // namespace
@@ -73,6 +97,7 @@ Workflow make_workflow(util::Rng& rng, int id, double start_s,
 std::vector<AdhocJob> make_adhoc_stream(util::Rng& rng,
                                         const AdhocGenConfig& config) {
   std::vector<AdhocJob> jobs;
+  jobs.reserve(expected_arrivals(config));
   double now = 0.0;
   int id = 0;
   while (true) {
@@ -81,7 +106,7 @@ std::vector<AdhocJob> make_adhoc_stream(util::Rng& rng,
     AdhocJob job;
     job.id = id++;
     job.arrival_s = now;
-    job.spec.name = "adhoc-" + std::to_string(job.id);
+    job.spec.name = adhoc_name(job.id);
     job.spec.num_tasks =
         static_cast<int>(rng.uniform_int(config.min_tasks, config.max_tasks));
     job.spec.task.runtime_s = rng.uniform_real(config.min_task_runtime_s,
@@ -209,18 +234,29 @@ std::vector<AdhocJob> make_production_adhoc_stream(
   if (!flashes.empty()) peak *= std::max(config.flash_multiplier, 1.0);
   if (peak <= 0.0) return {};
 
-  // Lewis–Shedler thinning against the constant peak rate.
+  // Lewis–Shedler thinning against the constant peak rate. Outside flash
+  // windows the rate never exceeds base * (1 + amplitude), so a draw above
+  // that is rejected without evaluating the sinusoid.
+  const double calm_peak =
+      base.rate_per_s * (1.0 + std::max(config.diurnal_amplitude, 0.0));
+  const auto in_flash = [&](double t) {
+    return std::any_of(flashes.begin(), flashes.end(), [t](const auto& f) {
+      return t >= f.first && t < f.second;
+    });
+  };
   std::vector<AdhocJob> jobs;
   double now = 0.0;
   int id = 0;
   while (true) {
     now += rng.exponential(peak);
     if (now >= base.horizon_s) break;
-    if (rng.uniform_real(0.0, 1.0) * peak > rate_at(now)) continue;
+    const double draw = rng.uniform_real(0.0, 1.0) * peak;
+    if (draw > calm_peak && !in_flash(now)) continue;
+    if (draw > rate_at(now)) continue;
     AdhocJob job;
     job.id = id++;
     job.arrival_s = now;
-    job.spec.name = "adhoc-" + std::to_string(job.id);
+    job.spec.name = adhoc_name(job.id);
     job.spec.num_tasks =
         static_cast<int>(rng.uniform_int(base.min_tasks, base.max_tasks));
     job.spec.task.runtime_s = sample_task_runtime(rng, config);

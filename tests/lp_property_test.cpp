@@ -3,9 +3,11 @@
 // on random boxed ILPs, and lexmin invariants under permutation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "core/flow_placement.h"
 #include "lp/branch_and_bound.h"
 #include "lp/lexmin.h"
 #include "lp/simplex.h"
@@ -284,10 +286,13 @@ TEST_P(WarmStartProperty, MismatchedBasisFallsBackToColdSolve) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartProperty, ::testing::Range(1, 13));
 
 // A random placement-shaped lexmin instance: jobs spread demand over slot
-// windows, one load row per slot.
+// windows, one load row per slot. `jobs` is the same instance as resource 0
+// of a placement over `caps`, the input of the flow lexmin.
 struct LexMinInstance {
   LpProblem base;
   std::vector<LoadRow> loads;
+  std::vector<core::LpJob> jobs;
+  std::vector<workload::ResourceVec> caps;
 };
 
 LexMinInstance random_lexmin_instance(util::Rng& rng, int jobs, int slots) {
@@ -309,12 +314,25 @@ LexMinInstance random_lexmin_instance(util::Rng& rng, int jobs, int slots) {
           RowEntry{col, 1.0});
     }
     inst.base.add_row(RowSense::kEqual, demand, std::move(demand_row));
+    core::LpJob job;
+    job.release_slot = release;
+    job.deadline_slot = deadline;
+    job.demand[0] = demand;
+    job.width[0] = width;
+    inst.jobs.push_back(job);
   }
   for (int t = 0; t < slots; ++t) {
     inst.loads.push_back(
         LoadRow{slot_entries[static_cast<std::size_t>(t)], 20.0, ""});
   }
+  inst.caps.assign(static_cast<std::size_t>(slots),
+                   workload::ResourceVec{20.0});
   return inst;
+}
+
+std::vector<double> sorted_descending(std::vector<double> values) {
+  std::sort(values.rbegin(), values.rend());
+  return values;
 }
 
 class LexMinWarmStartProperty : public ::testing::TestWithParam<int> {};
@@ -343,19 +361,24 @@ TEST_P(LexMinWarmStartProperty, WarmStartedSolveReproducesTheColdProfile) {
 }
 
 TEST_P(LexMinWarmStartProperty, ExactFixingAgreesUnderWarmStart) {
+  // The flow lexmin's exact fixing (maximal tight sets, core/
+  // flow_placement.h) and the warm-started dual-test lexmin must agree on
+  // the whole sorted level vector, not just the peak.
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 7000);
   const LexMinInstance inst = random_lexmin_instance(rng, 4, 5);
-  LexMinMaxOptions exact_opts;
-  exact_opts.exact_fixing = true;
-  LexMinMaxSolver solver(exact_opts);
+  LexMinMaxSolver solver;
   const auto cold = solver.solve(inst.base, inst.loads);
   ASSERT_TRUE(cold.optimal());
   const auto warm = solver.solve(inst.base, inst.loads, &cold.final_basis);
   ASSERT_TRUE(warm.optimal());
-  EXPECT_NEAR(warm.max_level(), cold.max_level(), 1e-6);
-  ASSERT_EQ(warm.load.size(), cold.load.size());
-  for (std::size_t k = 0; k < cold.load.size(); ++k) {
-    EXPECT_NEAR(warm.load[k], cold.load[k], 1e-5) << "load " << k;
+  const auto flow = core::solve_resource_flow_lexmin(inst.jobs, inst.caps,
+                                                     0, 0);
+  ASSERT_TRUE(flow.ok());
+  const std::vector<double> expected = sorted_descending(warm.load);
+  const std::vector<double> got = sorted_descending(flow.load);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_NEAR(got[k], expected[k], 1e-6) << "coordinate " << k;
   }
 }
 

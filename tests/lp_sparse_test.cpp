@@ -9,6 +9,7 @@
 // are each feasible, demand-complete, and width/window-respecting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -189,9 +190,9 @@ TEST(SparseDifferential, BudgetExhaustionAgrees) {
 }
 
 TEST(FlowFastPath, MatchesSimplexFirstLevel) {
-  // First-round-only solves are exactly where the fast path may answer:
-  // its level and per-slot loads must match the simplex answer within the
-  // binary-search tolerance, and the flag must report which path ran.
+  // At max_rounds = 1 the simplex lexmin stops after the first level
+  // (truncated); the flow lexmin ignores the cap and refines every level.
+  // Both share the first level, and the flags report which engine ran.
   const auto jobs = random_jobs(12, 10, 29);
   const auto caps = uniform_caps(10, 150.0, 300.0);
   LpScheduleOptions flow_options;
@@ -205,30 +206,51 @@ TEST(FlowFastPath, MatchesSimplexFirstLevel) {
   ASSERT_TRUE(simplex.ok());
   EXPECT_TRUE(flow.flow_fast_path);
   EXPECT_FALSE(simplex.flow_fast_path);
-  EXPECT_EQ(flow.pivots, 0);
-  EXPECT_GT(simplex.pivots, 0);
-  EXPECT_NEAR(flow.max_normalized_load, simplex.max_normalized_load, 1e-4);
-  // Both allocations place the full demand inside each job's window.
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (int r = 0; r < workload::kNumResources; ++r) {
-      double placed = 0.0;
-      for (int t = 0; t < 10; ++t) {
-        placed += flow.allocation[j][static_cast<std::size_t>(t)][r];
-      }
-      EXPECT_NEAR(placed, jobs[j].demand[r], 1e-5) << "job " << j;
-    }
-  }
+  EXPECT_FALSE(flow.lexmin_truncated);
+  EXPECT_TRUE(simplex.lexmin_truncated);
+  EXPECT_GT(flow.lexmin_rounds, 1);
+  EXPECT_EQ(simplex.lexmin_rounds, 1);
+  EXPECT_NEAR(flow.max_normalized_load, simplex.max_normalized_load, 1e-6);
+  expect_valid_plan(flow, jobs, caps);
 }
 
-TEST(FlowFastPath, DeepRefinementNeverTakesFlowPath) {
-  const auto jobs = random_jobs(8, 8, 31);
-  const auto caps = uniform_caps(8, 150.0, 300.0);
-  LpScheduleOptions options;  // default max_rounds = 64: refines deeper
-  options.flow_fast_path = true;
-  const LpSchedule s = solve_placement(jobs, caps, 0, options);
-  ASSERT_TRUE(s.ok());
-  EXPECT_FALSE(s.flow_fast_path);
-  EXPECT_GT(s.pivots, 0);
+TEST(FlowFastPath, DeepRefinementTakesFlowPathAndMatchesSimplex) {
+  // Default options refine every level (max_rounds = 64), and the flow
+  // lexmin still answers them: its whole sorted load vector must match the
+  // simplex lexmin's per resource, and the flags and counts must report
+  // which engine ran (a flow solve's pivots are its augmenting paths).
+  const auto jobs = random_jobs(12, 10, 29);
+  const auto caps = uniform_caps(10, 150.0, 300.0);
+  LpScheduleOptions flow_options;
+  ASSERT_TRUE(flow_options.flow_fast_path);
+  LpScheduleOptions simplex_options = flow_options;
+  simplex_options.flow_fast_path = false;
+  const LpSchedule flow = solve_placement(jobs, caps, 0, flow_options);
+  const LpSchedule simplex = solve_placement(jobs, caps, 0, simplex_options);
+  ASSERT_TRUE(flow.ok());
+  ASSERT_TRUE(simplex.ok());
+  EXPECT_TRUE(flow.flow_fast_path);
+  EXPECT_FALSE(simplex.flow_fast_path);
+  EXPECT_GT(flow.pivots, 0);
+  EXPECT_GT(flow.lexmin_rounds, 1);
+  EXPECT_FALSE(flow.lexmin_truncated);
+  EXPECT_FALSE(simplex.lexmin_truncated);
+  EXPECT_NEAR(flow.max_normalized_load, simplex.max_normalized_load, 1e-6);
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    std::vector<double> a;
+    std::vector<double> b;
+    for (int t = 0; t < 10; ++t) {
+      a.push_back(flow.normalized_load[static_cast<std::size_t>(t)][r]);
+      b.push_back(simplex.normalized_load[static_cast<std::size_t>(t)][r]);
+    }
+    std::sort(a.rbegin(), a.rend());
+    std::sort(b.rbegin(), b.rend());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_NEAR(a[k], b[k], 1e-6) << "resource " << r << " coordinate "
+                                    << k;
+    }
+  }
+  expect_valid_plan(flow, jobs, caps);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // and the lexicographic min-max driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "core/flow_placement.h"
 #include "lp/branch_and_bound.h"
 #include "lp/lexmin.h"
 #include "lp/model.h"
@@ -423,31 +425,51 @@ TEST(LexMinMax, SecondLevelIsRefinedAfterFixingFirst) {
 }
 
 TEST(LexMinMax, ExactFixingMatchesHeuristicOnSeparableCase) {
+  // "Exact fixing" is the flow lexmin's (core/flow_placement.h): it freezes
+  // the maximal tight slot set of each level, and replaced the unsound
+  // probing mode LexMinMaxOptions::exact_fixing. The heuristic is this
+  // driver's dual test. One job spreads 10 units (width 5) over four slots
+  // of capacity 5, next to a job pinned to slot 0: both must agree on the
+  // whole sorted load vector.
   LpProblem base;
-  std::vector<int> cols;
+  std::vector<LoadRow> loads(4);
   std::vector<RowEntry> demand;
   for (int t = 0; t < 4; ++t) {
-    cols.push_back(base.add_column(0.0, 0.0, 5.0));
-    demand.push_back(RowEntry{cols.back(), 1.0});
+    const int col = base.add_column(0.0, 0.0, 5.0);
+    demand.push_back(RowEntry{col, 1.0});
+    loads[static_cast<std::size_t>(t)] = LoadRow{{{col, 1.0}}, 5.0, ""};
   }
   base.add_row(RowSense::kEqual, 10.0, std::move(demand));
-  std::vector<LoadRow> loads;
-  for (int t = 0; t < 4; ++t) {
-    loads.push_back(
-        LoadRow{{{cols[static_cast<std::size_t>(t)], 1.0}}, 5.0, ""});
+  const int pinned = base.add_column(0.0, 0.0, 5.0);
+  base.add_row(RowSense::kEqual, 4.0, {{pinned, 1.0}});
+  loads[0].entries.push_back(RowEntry{pinned, 1.0});
+
+  core::LpJob spread;
+  spread.deadline_slot = 3;
+  spread.demand[0] = 10.0;
+  spread.width[0] = 5.0;
+  core::LpJob pin;
+  pin.demand[0] = 4.0;
+  pin.width[0] = 5.0;
+  const std::vector<workload::ResourceVec> caps(4, workload::ResourceVec{5.0});
+
+  const auto dual = LexMinMaxSolver().solve(base, loads);
+  const auto flow =
+      core::solve_resource_flow_lexmin({spread, pin}, caps, 0, 0);
+  ASSERT_TRUE(dual.optimal());
+  ASSERT_TRUE(flow.ok());
+  std::vector<double> a = dual.load;
+  std::vector<double> b = flow.load;
+  std::sort(a.rbegin(), a.rend());
+  std::sort(b.rbegin(), b.rend());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_NEAR(a[k], b[k], 1e-6) << "coordinate " << k;
   }
-  LexMinMaxOptions heuristic;
-  LexMinMaxOptions exact;
-  exact.exact_fixing = true;
-  const auto rh = LexMinMaxSolver(heuristic).solve(base, loads);
-  const auto re = LexMinMaxSolver(exact).solve(base, loads);
-  ASSERT_TRUE(rh.optimal());
-  ASSERT_TRUE(re.optimal());
-  EXPECT_NEAR(rh.max_level(), re.max_level(), 1e-6);
-  for (int t = 0; t < 4; ++t) {
-    EXPECT_NEAR(rh.load[static_cast<std::size_t>(t)],
-                re.load[static_cast<std::size_t>(t)], 1e-5);
-  }
+  // Slot 0 holds the pinned 4 alone; the spread job fills the other three.
+  EXPECT_NEAR(b[0], 0.8, 1e-6);
+  EXPECT_NEAR(b[1], 10.0 / 15.0, 1e-6);
+  EXPECT_EQ(flow.levels.size(), 2u);
 }
 
 TEST(LexMinMax, InfeasibleBaseReportsInfeasible) {

@@ -1,6 +1,7 @@
 // Direct unit tests for lp/maxflow beyond the placement-level coverage in
 // flow_placement_test.cpp: repeated solves on one network, the parametric
-// set_capacity pattern the fast path's binary search relies on, and the
+// set_capacity pattern the flow lexmin relies on, residual reachability
+// (both min-cut sides), budget cuts between augmenting paths, and the
 // invalid-argument rejection contract.
 #include <gtest/gtest.h>
 
@@ -60,6 +61,39 @@ TEST(MaxFlowRepeat, CapacityZeroClosesAnEdge) {
   ASSERT_TRUE(net.set_capacity(e01, 0.0));
   EXPECT_DOUBLE_EQ(net.max_flow(0, 2), 0.0);
   EXPECT_DOUBLE_EQ(net.flow(e01), 0.0);
+}
+
+TEST(MaxFlowResidual, ReachabilityGivesBothMinCutSides) {
+  // A chain of equal capacities: every edge is a minimum cut, so the
+  // minimal source side is {source} and the maximal one is all but the
+  // sink.
+  FlowNetwork net(4);
+  net.add_edge(0, 1, 3.0);
+  net.add_edge(1, 2, 3.0);
+  net.add_edge(2, 3, 3.0);
+  ASSERT_DOUBLE_EQ(net.max_flow(0, 3), 3.0);
+  EXPECT_EQ(net.reachable_from(0), (std::vector<bool>{true, false, false,
+                                                      false}));
+  EXPECT_EQ(net.reaching(3), (std::vector<bool>{false, false, false, true}));
+}
+
+TEST(MaxFlowBudget, CapStopsBetweenAugmentingPaths) {
+  // Three disjoint unit paths: a cap of two routes two of them and reports
+  // the cut; each path charges one unit.
+  FlowNetwork net(5);
+  for (int mid = 1; mid <= 3; ++mid) {
+    net.add_edge(0, mid, 1.0);
+    net.add_edge(mid, 4, 1.0);
+  }
+  SolveBudget budget;
+  budget.set_pivot_cap(2);
+  EXPECT_DOUBLE_EQ(net.max_flow(0, 4, &budget), 2.0);
+  EXPECT_TRUE(net.budget_cut());
+  EXPECT_EQ(net.augmentations(), 2);
+  EXPECT_EQ(budget.pivots_used(), 2);
+  EXPECT_DOUBLE_EQ(net.max_flow(0, 4), 3.0);
+  EXPECT_FALSE(net.budget_cut());
+  EXPECT_EQ(net.augmentations(), 3);
 }
 
 TEST(MaxFlowReject, SetCapacityRejectsBadIdsAndValues) {

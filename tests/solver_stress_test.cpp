@@ -1,11 +1,12 @@
 // Stress and cross-validation tests for the solver stack: pricing-rule
-// independence, lexmin level monotonicity, heuristic-vs-exact fixing, and
+// independence, lexmin level monotonicity, simplex-vs-flow lexmin, and
 // table formatting edge cases that the bench harnesses rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
+#include "core/flow_placement.h"
 #include "core/flowtime_scheduler.h"
 #include "lp/lexmin.h"
 #include "lp/simplex.h"
@@ -106,6 +107,11 @@ TEST_P(LexminStress, LevelsAreNonIncreasingAndLoadsRespectThem) {
 }
 
 TEST_P(LexminStress, HeuristicFixingMatchesExactOnMaxLevel) {
+  // The heuristic (the simplex driver's dual test, refined to the last
+  // level) and the exact fixing of the flow lexmin (core/flow_placement.h)
+  // must agree on the max level and on the whole sorted level vector. The
+  // columns are unbounded, so the flow jobs get a width equal to their
+  // demand (which can never bind).
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 7000);
   const int slots = static_cast<int>(rng.uniform_int(4, 10));
   LpProblem base;
@@ -113,6 +119,7 @@ TEST_P(LexminStress, HeuristicFixingMatchesExactOnMaxLevel) {
   for (int t = 0; t < slots; ++t) {
     loads[static_cast<std::size_t>(t)].normalizer = 100.0;
   }
+  std::vector<core::LpJob> jobs;
   for (int i = 0; i < 6; ++i) {
     const int begin = static_cast<int>(rng.uniform_int(0, slots - 1));
     const int end = static_cast<int>(rng.uniform_int(begin, slots - 1));
@@ -123,23 +130,34 @@ TEST_P(LexminStress, HeuristicFixingMatchesExactOnMaxLevel) {
       loads[static_cast<std::size_t>(t)].entries.push_back(
           RowEntry{col, 1.0});
     }
-    base.add_row(RowSense::kEqual,
-                 rng.uniform_real(10.0, 60.0 * (end - begin + 1)),
-                 std::move(row));
+    const double demand = rng.uniform_real(10.0, 60.0 * (end - begin + 1));
+    base.add_row(RowSense::kEqual, demand, std::move(row));
+    core::LpJob job;
+    job.release_slot = begin;
+    job.deadline_slot = end;
+    job.demand[0] = demand;
+    job.width[0] = demand;
+    jobs.push_back(job);
   }
-  lp::LexMinMaxOptions heuristic;
-  lp::LexMinMaxOptions exact;
-  exact.exact_fixing = true;
-  const auto h = lp::LexMinMaxSolver(heuristic).solve(base, loads);
-  const auto e = lp::LexMinMaxSolver(exact).solve(base, loads);
-  ASSERT_TRUE(h.optimal());
-  ASSERT_TRUE(e.optimal());
-  // The first coordinate (overall min-max) is exact in both modes. Deeper
-  // coordinates may differ either way when the binding set is non-unique
-  // (see the exactness caveat in lexmin.h), so only the peak is asserted.
-  EXPECT_NEAR(h.max_level(), e.max_level(), 1e-5);
-  for (double load : h.load) EXPECT_LE(load, h.max_level() + 1e-6);
-  for (double load : e.load) EXPECT_LE(load, e.max_level() + 1e-6);
+  lp::LexMinMaxOptions options;
+  options.max_rounds = 1000;
+  const auto dual = lp::LexMinMaxSolver(options).solve(base, loads);
+  const auto flow = core::solve_resource_flow_lexmin(
+      jobs,
+      std::vector<workload::ResourceVec>(static_cast<std::size_t>(slots),
+                                         workload::ResourceVec{100.0}),
+      0, 0);
+  ASSERT_TRUE(dual.optimal());
+  ASSERT_TRUE(flow.ok());
+  std::vector<double> expected = dual.load;
+  std::vector<double> got = flow.load;
+  std::sort(expected.rbegin(), expected.rend());
+  std::sort(got.rbegin(), got.rend());
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_NEAR(got[k], expected[k], 1e-6) << "coordinate " << k;
+  }
+  EXPECT_NEAR(flow.max_level(), dual.max_level(), 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LexminStress, ::testing::Range(1, 11));

@@ -63,6 +63,7 @@ std::vector<std::int64_t> run_sequence(const std::vector<LpJob>& jobs,
   const std::vector<ResourceVec> caps(
       kHorizon, ResourceVec{500.0, 1000.0});
   LpScheduleOptions options;
+  options.flow_fast_path = false;  // simplex warm starts are under test
   options.warm_cache = cache;
   options.lexmin.warm_start = warm_start;
   std::vector<std::int64_t> pivots;
@@ -125,6 +126,7 @@ TEST(SolverWarmSmoke, ShapeChangeFallsBackWithoutFailing) {
       kHorizon, ResourceVec{500.0, 1000.0});
   PlacementWarmCache cache;
   LpScheduleOptions options;
+  options.flow_fast_path = false;  // simplex warm starts are under test
   options.warm_cache = &cache;
 
   const LpSchedule first = solve_placement(jobs, caps, 0, options);
