@@ -9,10 +9,14 @@
 // We print the Fig. 3 windows and then measure end-to-end misses under
 // FlowTime configured with each decomposition mode.
 //
-// Part 2: lexicographic refinement depth of the simplex lexmin (the flow
-// lexmin always refines every level). The first round already fixes the
-// peak; further rounds flatten the rest of the profile. We report peak and
-// mean normalized load and solve cost per round budget.
+// Part 2: lexicographic refinement depth of the simplex lexmin, on the
+// coupled formulation it serves (the separable formulation's flow lexmin
+// always refines every level). The first round already fixes the peak;
+// further rounds flatten the rest of the profile. We report peak and mean
+// normalized load and solve cost per round budget.
+//
+// Part 3: the paper's decoupled formulation (flow lexmin) vs the
+// resource-coupled one (simplex lexmin): flatness and solver work.
 #include <cstdio>
 
 #include "bench_trace.h"
@@ -147,7 +151,7 @@ void part2_lexmin_depth() {
                      "load_stddev", "pivots"});
   for (const int rounds : {1, 2, 4, 8, 1024}) {
     core::LpScheduleOptions options;
-    options.flow_fast_path = false;  // the simplex round cap is under test
+    options.coupled_resources = true;  // the simplex round cap is under test
     options.lexmin.max_rounds = rounds;
     const core::LpSchedule schedule =
         core::solve_placement(jobs, caps, 0, options);
@@ -177,7 +181,9 @@ void part3_resource_coupling() {
   std::printf("--- Part 3: decoupled (paper) vs resource-coupled LP ---\n");
   // The paper's x_it^r variables let CPU and memory follow different time
   // profiles; the coupled variant ties them to one task-time variable,
-  // which containers need. Measure the flatness cost and solver effort.
+  // which containers need. Measure the flatness cost and solver effort:
+  // augmenting paths of the flow lexmin for the decoupled row, simplex
+  // pivots for the coupled one.
   util::Rng rng(11);
   std::vector<core::LpJob> jobs;
   const int slots = 80;
@@ -200,10 +206,10 @@ void part3_resource_coupling() {
   }
   const std::vector<ResourceVec> caps(slots, ResourceVec{5000.0, 10240.0});
 
-  util::Table table({"formulation", "peak_load", "load_stddev", "pivots"});
+  util::Table table(
+      {"formulation", "peak_load", "load_stddev", "solver work"});
   for (const bool coupled : {false, true}) {
     core::LpScheduleOptions options;
-    options.flow_fast_path = false;  // both rows in simplex pivots
     options.coupled_resources = coupled;
     const core::LpSchedule s = core::solve_placement(jobs, caps, 0, options);
     if (!s.ok()) continue;
@@ -214,8 +220,8 @@ void part3_resource_coupling() {
       }
     }
     table.begin_row()
-        .add(std::string(coupled ? "coupled (container-ready)"
-                                 : "decoupled (paper)"))
+        .add(std::string(coupled ? "coupled (container-ready, simplex)"
+                                 : "decoupled (paper, flow)"))
         .add(s.max_normalized_load, 4)
         .add(util::stddev(loads), 4)
         .add(s.pivots);

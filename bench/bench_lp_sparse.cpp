@@ -1,15 +1,19 @@
-// Sparse-vs-dense simplex engine benchmark (ROADMAP item 1 / DESIGN.md §5).
+// Simplex-vs-flow lexmin benchmark (DESIGN.md §5 item 9).
 //
-// Runs the scheduler's steady-state workload — a warm-started re-plan
-// sequence over one Fig.7-style job set whose demands shrink step to step —
-// once per simplex basis representation (SimplexEngine::kSparseLu vs
-// kDenseInverse, lexmin capped at --rounds), plus one row for the exact
-// flow lexmin (core/flow_placement.h), the scheduler's default engine,
-// which refines every level. Per row it reports the solver work (simplex
-// pivots, or augmenting paths for the flow row), the deepest lexmin it
-// refined (levels_refined), and the phase-level wall clock from
-// lp/solve_profile (pricing, ratio test, basis update, refactorization),
-// whose sum is the pivot-loop wall time the sparse rewrite targets.
+// Runs the scheduler's steady-state workload — a re-plan sequence over one
+// Fig.7-style job set whose demands shrink step to step — once through the
+// sparse revised simplex and once through the exact flow lexmin
+// (core/flow_placement.h), the solver solve_placement runs on every
+// resource. The simplex row ("sparse_lu", lexmin capped at --rounds) solves
+// the same per-resource systems: each resource's single-resource
+// projection (the job set with the other resource's demand zeroed) through
+// the coupled formulation, which for such jobs is exactly that resource's
+// separable LP, with one warm cache per resource carried across steps. The
+// flow row ("flow_fast_path") refines every level. Per row it reports the
+// solver work (simplex pivots, or augmenting paths for the flow row), the
+// deepest lexmin it refined (levels_refined), and the phase-level wall
+// clock from lp/solve_profile (pricing, ratio test, basis update,
+// refactorization), whose sum is the simplex pivot-loop wall time.
 //
 // Output is one JSON document (default BENCH_lp_sparse.json, committed to
 // the repo so the numbers travel with the code). Regenerate with:
@@ -20,13 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/flow_placement.h"
 #include "core/lp_formulation.h"
-#include "lp/simplex.h"
 #include "lp/solve_profile.h"
 #include "obs/metrics.h"
 #include "sim/report.h"
@@ -81,26 +84,49 @@ std::vector<core::LpJob> jobs_at_step(const std::vector<core::LpJob>& jobs,
   return out;
 }
 
+// The simplex row's solve: each resource's system as the coupled
+// formulation of its single-resource projection, warm-started from that
+// resource's cache. Merged as solve_placement merges resources: summed
+// pivots, the deepest lexmin, the highest peak.
+core::LpSchedule solve_projected(const std::vector<core::LpJob>& jobs,
+                                 const std::vector<ResourceVec>& caps,
+                                 core::LpScheduleOptions options,
+                                 core::PlacementWarmCache* caches) {
+  core::LpSchedule merged;
+  merged.status = lp::SolveStatus::kOptimal;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    std::vector<core::LpJob> projected = jobs;
+    for (core::LpJob& job : projected) {
+      for (int other = 0; other < workload::kNumResources; ++other) {
+        if (other != r) job.demand[other] = 0.0;
+      }
+    }
+    options.warm_cache = &caches[r];
+    const core::LpSchedule s =
+        core::solve_placement_coupled(projected, caps, 0, options);
+    if (!s.ok()) return s;
+    merged.pivots += s.pivots;
+    merged.lexmin_rounds = std::max(merged.lexmin_rounds, s.lexmin_rounds);
+    merged.max_normalized_load =
+        std::max(merged.max_normalized_load, s.max_normalized_load);
+  }
+  return merged;
+}
+
+using Solver =
+    std::function<core::LpSchedule(const std::vector<core::LpJob>&)>;
+
 EngineRow run_sequence(const std::string& label,
-                       const std::vector<core::LpJob>& jobs,
-                       const std::vector<ResourceVec>& caps, int steps,
-                       int rounds, lp::SimplexEngine engine,
-                       bool flow_fast_path) {
+                       const std::vector<core::LpJob>& jobs, int steps,
+                       const Solver& solve) {
   EngineRow row;
   row.engine = label;
-  core::LpScheduleOptions options;
-  options.lexmin.max_rounds = rounds;
-  options.lexmin.lp_options.engine = engine;
-  options.flow_fast_path = flow_fast_path;
-  core::PlacementWarmCache cache;
-  options.warm_cache = &cache;
   lp::ScopedSolveProfile profile("bench_lp_sparse");
   double total_wall = 0.0;
   {
     obs::ScopedTimer timer(&total_wall);
     for (int step = 0; step < steps; ++step) {
-      const core::LpSchedule schedule =
-          core::solve_placement(jobs_at_step(jobs, step), caps, 0, options);
+      const core::LpSchedule schedule = solve(jobs_at_step(jobs, step));
       if (!schedule.ok()) {
         std::fprintf(stderr, "error: %s solve failed at step %d\n",
                      label.c_str(), step);
@@ -170,7 +196,7 @@ std::string render_json(const std::vector<EngineRow>& rows, int jobs,
 
 // Schema check over a committed JSON file: every required key must appear
 // (value syntax is snprintf-controlled, so key presence is the contract),
-// and both engine rows plus the flow row must be present.
+// and both the simplex row and the flow row must be present.
 int check_schema(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
@@ -183,9 +209,9 @@ int check_schema(const std::string& path) {
   const char* required[] = {
       "\"benchmark\": \"lp_sparse\"", "\"jobs\":",           "\"slots\":",
       "\"replan_steps\":",            "\"lexmin_rounds\":",  "\"engines\":",
-      "\"engine\": \"sparse_lu\"",    "\"engine\": \"dense_inverse\"",
-      "\"engine\": \"flow_fast_path\"", "\"pivots\":",
-      "\"refactorizations\":",        "\"pricing_s\":",      "\"ratio_test_s\":",
+      "\"engine\": \"sparse_lu\"",    "\"engine\": \"flow_fast_path\"",
+      "\"pivots\":",                  "\"refactorizations\":",
+      "\"pricing_s\":",               "\"ratio_test_s\":",
       "\"basis_update_s\":",          "\"refactor_s\":",     "\"pivot_wall_s\":",
       "\"total_wall_s\":",            "\"max_normalized_load\":",
       "\"levels_refined\":",          "\"flow_fast_path\": true"};
@@ -223,14 +249,21 @@ int main(int argc, char** argv) {
   const std::vector<core::LpJob> jobs = make_jobs(jobs_n, slots);
 
   std::vector<EngineRow> rows;
-  rows.push_back(run_sequence("sparse_lu", jobs, caps, steps, rounds,
-                              lp::SimplexEngine::kSparseLu, false));
-  rows.push_back(run_sequence("dense_inverse", jobs, caps, steps, rounds,
-                              lp::SimplexEngine::kDenseInverse, false));
+  core::LpScheduleOptions options;
+  options.lexmin.max_rounds = rounds;
+  core::PlacementWarmCache caches[workload::kNumResources];
+  rows.push_back(run_sequence(
+      "sparse_lu", jobs, steps,
+      [&](const std::vector<core::LpJob>& step_jobs) {
+        return solve_projected(step_jobs, caps, options, caches);
+      }));
   // The flow row is the exact lexmin: every level, whatever --rounds says;
   // its pivots are augmenting paths.
-  rows.push_back(run_sequence("flow_fast_path", jobs, caps, steps, rounds,
-                              lp::SimplexEngine::kSparseLu, true));
+  rows.push_back(run_sequence(
+      "flow_fast_path", jobs, steps,
+      [&](const std::vector<core::LpJob>& step_jobs) {
+        return core::solve_placement(step_jobs, caps, 0);
+      }));
 
   const std::string json = render_json(rows, jobs_n, slots, steps, rounds);
   if (!sim::write_file(out_path, json)) {
@@ -238,10 +271,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("%s", json.c_str());
-  if (rows[1].pivot_wall_s > 0.0 && rows[0].pivot_wall_s > 0.0) {
-    std::printf("pivot wall speedup (dense/sparse): %.2fx\n",
-                rows[1].pivot_wall_s / rows[0].pivot_wall_s);
-  }
   std::printf("Written to %s\n", out_path.c_str());
   return 0;
 }

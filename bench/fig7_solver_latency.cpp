@@ -5,8 +5,9 @@
 // i.e. a 1000 s planning horizon), solved with CPLEX on a MacBook. This
 // harness sweeps the job count over the same horizon with the scheduler's
 // own solver: the exact flow lexmin (core/flow_placement.h); the
-// BM_LpReplanSequence* series pin the simplex lexmin to measure its warm
-// starts and basis engines. Absolute times differ from CPLEX; the
+// BM_LpReplanSequence* series run the coupled formulation, the one
+// placement the simplex lexmin solves, to measure its warm starts.
+// Absolute times differ from CPLEX; the
 // reproduction target is latency growing polynomially with the job count —
 // fast enough to re-plan on job completion events.
 #include <benchmark/benchmark.h>
@@ -14,7 +15,6 @@
 #include "bench_trace.h"
 #include "core/flow_placement.h"
 #include "core/lp_formulation.h"
-#include "lp/simplex.h"
 #include "util/rng.h"
 
 namespace {
@@ -73,12 +73,13 @@ BENCHMARK(BM_LpSchedulerLatency)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-// Warm-vs-cold re-plan sequence: the scheduler's steady state is a run of
-// re-plans over the same job set whose remaining demands shrink as work
-// completes — identical LP shape, different data. The warm series threads
-// the previous solve's basis through a PlacementWarmCache (and bases
-// round-to-round inside each lexmin); the cold series disables warm
-// starting entirely, paying a full two-phase solve per round. Each
+// Warm-vs-cold re-plan sequence under the coupled formulation (the
+// scheduler path that warm-starts simplex): the scheduler's steady state
+// is a run of re-plans over the same job set whose remaining demands
+// shrink as work completes — identical LP shape, different data. The warm
+// series threads the previous solve's basis through a PlacementWarmCache
+// (and bases round-to-round inside each lexmin); the cold series disables
+// warm starting entirely, paying a full two-phase solve per round. Each
 // iteration runs the whole kReplanSteps-step sequence; the pivot counters
 // expose the warm/cold ratio directly.
 constexpr int kReplanSteps = 6;
@@ -91,16 +92,14 @@ std::vector<core::LpJob> jobs_at_step(const std::vector<core::LpJob>& jobs,
   return out;
 }
 
-void run_replan_sequence(benchmark::State& state, bool warm,
-                         lp::SimplexEngine engine) {
+void run_replan_sequence(benchmark::State& state, bool warm) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<core::LpJob> jobs = make_jobs(n);
   const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
   core::LpScheduleOptions options;
-  options.flow_fast_path = false;  // this series measures simplex warm starts
+  options.coupled_resources = true;  // the simplex lexmin's formulation
   options.lexmin.max_rounds = 6;
   options.lexmin.warm_start = warm;
-  options.lexmin.lp_options.engine = engine;
   std::int64_t pivots = 0;
   for (auto _ : state) {
     core::PlacementWarmCache cache;
@@ -118,23 +117,11 @@ void run_replan_sequence(benchmark::State& state, bool warm,
 }
 
 void BM_LpReplanSequenceWarm(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/true, lp::SimplexEngine::kSparseLu);
+  run_replan_sequence(state, /*warm=*/true);
 }
 
 void BM_LpReplanSequenceCold(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/false, lp::SimplexEngine::kSparseLu);
-}
-
-// Dense-inverse columns of the same sequences: the retained reference
-// engine, for direct sparse-vs-dense comparison at equal pivot sequences'
-// cost model (see also bench_lp_sparse for the committed JSON numbers).
-void BM_LpReplanSequenceWarmDense(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/true, lp::SimplexEngine::kDenseInverse);
-}
-
-void BM_LpReplanSequenceColdDense(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/false,
-                      lp::SimplexEngine::kDenseInverse);
+  run_replan_sequence(state, /*warm=*/false);
 }
 
 BENCHMARK(BM_LpReplanSequenceWarm)
@@ -144,18 +131,6 @@ BENCHMARK(BM_LpReplanSequenceWarm)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_LpReplanSequenceCold)
-    ->Arg(10)
-    ->Arg(40)
-    ->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_LpReplanSequenceWarmDense)
-    ->Arg(10)
-    ->Arg(40)
-    ->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_LpReplanSequenceColdDense)
     ->Arg(10)
     ->Arg(40)
     ->Arg(80)

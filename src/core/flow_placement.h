@@ -21,8 +21,19 @@
 //   3. Repeat until every covered slot (one some job can use) is fixed.
 //
 // Every level is exact, so the result is the whole lexicographic optimum,
-// not just its peak; the simplex lexmin (lp/lexmin.h) stays for the
-// coupled formulation, integral extraction and as a test reference.
+// not just its peak. This is solve_placement's only per-resource solver;
+// the simplex lexmin (lp/lexmin.h) serves only the coupled formulation,
+// whose single-resource projection is this routine's test reference.
+//
+// Inputs: an infinite width caps a job->slot arc at the job's demand (a
+// job never places more than its demand in one slot); a NaN, infinite or
+// negative demand, a NaN or negative width, or a window clipped to nothing
+// makes the resource kInfeasible with an INFO log line.
+//
+// Integral extraction (DESIGN.md §5 item 4) is one more max flow after the
+// last level, in resource-seconds, with each slot capped at ceil(z_t) of
+// its lexmin load: integer demands and widths give an integral flow (the
+// paper's Lemma 2, from the max-flow integrality theorem).
 //
 // Work is counted in augmenting paths. A SolveBudget charges one unit per
 // path and is polled between paths (lp::FlowNetwork::max_flow), so pivot
@@ -46,13 +57,15 @@ namespace flowtime::core {
 /// One resource's flow lexmin.
 struct ResourceFlowLexmin {
   /// kOptimal; kInfeasible when some demand cannot be routed at any level
-  /// (an empty window, or widths too narrow); the budget's kTimeout /
+  /// (an empty window, widths too narrow, or an invalid demand or width —
+  /// see the header comment); the budget's kTimeout /
   /// kIterationLimit when it ran out before the first level was found; or
   /// kNumericalFailure should rounding keep the Newton steps from
   /// converging.
   lp::SolveStatus status = lp::SolveStatus::kOptimal;
-  /// True when at least one job demands this resource; when false, the
-  /// levels are empty and the allocation is zero.
+  /// True when some job's demand for this resource is not zero (an invalid
+  /// one included); when false, the levels are empty and the allocation is
+  /// zero.
   bool any_demand = false;
   /// Distinct levels fixed, in decreasing order (levels.front() is the
   /// min-max load).
@@ -80,10 +93,15 @@ struct ResourceFlowLexmin {
 /// [first_slot, first_slot + capacity_per_slot.size()). Emits the
 /// `lexmin_solve` trace event and the lp.lexmin.* / lp.flow.augmentations
 /// counters when observability is on. `budget` may be null (unlimited).
+/// With `integral`, the allocation is then rounded by the integral
+/// extraction max flow (its augmenting paths count too); should that flow
+/// fall short — a budget cut, or rounding — the fractional lexmin
+/// allocation stays, with a WARN line.
 ResourceFlowLexmin solve_resource_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int resource, lp::SolveBudget* budget = nullptr);
+    int first_slot, int resource, lp::SolveBudget* budget = nullptr,
+    bool integral = false);
 
 /// The first level only: the min-max load and a flow achieving it. One
 /// Newton search, no refinement and no trace events.

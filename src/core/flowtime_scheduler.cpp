@@ -475,8 +475,11 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
   }
   if (record.lexmin_truncated) {
     ++truncated_replans_;
-    FT_LOG(kWarn) << "FlowTime replan: lexmin round budget exhausted; the "
-                     "plan's load profile tail is unrefined";
+    FT_LOG(kWarn) << "FlowTime replan: "
+                  << (record.budget_exhausted
+                          ? "the solver budget cut the lexmin"
+                          : "the simplex lexmin round cap ran out")
+                  << "; the plan's load profile tail is unrefined";
   }
   if (record.capacity_exceeded) {
     FT_LOG(kInfo) << "FlowTime: deadline windows need "
@@ -672,9 +675,7 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
       static_cast<std::size_t>(coarse_horizon),
       workload::scale(full_cap, cap_fraction));
   LpScheduleOptions lp_options = config.lp;
-  if (lp_options.warm_cache == nullptr) {
-    lp_options.warm_cache = warm_cache;
-  }
+  lp_options.warm_cache = warm_cache;
   const int lp_first_slot = bucket > 1 ? 0 : state.slot;
 
   // --- Escalation ladder (DESIGN.md §10) ---------------------------------

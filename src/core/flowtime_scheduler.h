@@ -89,9 +89,8 @@ struct FlowTimeConfig {
   int cell_id = -1;
 
   FlowTimeConfig() {
-    // Bounds simplex lexmin solves only (the coupled formulation, integral
-    // extraction, or lp.flow_fast_path = false): the default per-resource
-    // path is the flow lexmin, which always refines every level.
+    // Bounds the coupled formulation's simplex lexmin only: the separable
+    // formulation's flow lexmin always refines every level.
     lp.lexmin.max_rounds = 6;
   }
 };
@@ -149,11 +148,11 @@ struct ReplanRecord {
   int late_extensions = 0;    // jobs whose window had to be extended
   bool capacity_exceeded = false;
   bool lp_failed = false;     // greedy fallback used (degrade_rung == 2)
-  /// A lexmin solve stopped before the load profile was fully refined (the
-  /// simplex round budget, or a solver budget cut after a flow solve's
-  /// first level): the plan is feasible and its peak exact, but its tail
-  /// is not the lexicographic optimum (plan-quality warning, not a
-  /// failure).
+  /// A lexmin solve stopped before the load profile was fully refined (a
+  /// solver budget cut after a flow solve's first level, or the coupled
+  /// formulation's simplex round cap): the plan is feasible and its peak
+  /// exact, but its tail is not the lexicographic optimum (plan-quality
+  /// warning, not a failure).
   bool lexmin_truncated = false;
   double max_normalized_load = 0.0;
   /// Escalation-ladder rung that produced this plan: 0 = warm LP,
@@ -164,8 +163,9 @@ struct ReplanRecord {
   DegradeReason degrade_reason = DegradeReason::kNone;
   /// The re-plan's shared SolveBudget ran out at some point of the ladder.
   bool budget_exhausted = false;
-  /// At least one resource of the placement was solved by the flow lexmin
-  /// instead of simplex (see LpScheduleOptions::flow_fast_path).
+  /// The flow lexmin solved the placement (LpSchedule::flow_fast_path):
+  /// every separable replan that plans jobs; false for the coupled
+  /// formulation's simplex and the greedy fallback.
   bool flow_fast_path = false;
   /// The solve finished (or was preempted) but was never adopted: its
   /// inputs went stale while it ran, or its cancel token fired, so
@@ -266,9 +266,10 @@ class FlowTimeScheduler : public sim::Scheduler {
     return solve_replan(config_, &warm_cache_, pending);
   }
   /// The same step as a free function of its arguments: bucketing,
-  /// escalation ladder, LP solves. `warm_cache` must not be shared with a
-  /// concurrent solve. Updates pending.record in place, including its wall
-  /// time (measured only while obs is enabled).
+  /// escalation ladder, LP solves. Every solve warm-starts from
+  /// `warm_cache` (config.lp.warm_cache is ignored), which must not be
+  /// shared with a concurrent solve. Updates pending.record in place,
+  /// including its wall time (measured only while obs is enabled).
   static PlanSolveResult solve_replan(const FlowTimeConfig& config,
                                       PlacementWarmCache* warm_cache,
                                       PendingReplan& pending);
@@ -347,8 +348,9 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// (negative slack) since construction.
   int decomposition_fallbacks() const { return decomposition_fallbacks_; }
 
-  /// Re-plans whose lexmin solve was truncated by the round budget (see
-  /// ReplanRecord::lexmin_truncated) since construction.
+  /// Re-plans whose lexmin solve was truncated — by a solver budget or the
+  /// coupled formulation's round cap (see ReplanRecord::lexmin_truncated)
+  /// — since construction.
   int truncated_replans() const { return truncated_replans_; }
 
   /// Workflows re-decomposed in critical-path mode after a fault left a
@@ -414,13 +416,13 @@ class FlowTimeScheduler : public sim::Scheduler {
   int min_slots_needed(const DeadlineJobState& job) const;
 
   FlowTimeConfig config_;
-  /// Warm-start cache threaded through every solve_placement call: the
-  /// final basis of one re-plan seeds the next when the LP shape (same
-  /// jobs, same windows, same horizon) repeats, which is the common case
-  /// for deviation/overrun re-plans. Keyed by a shape fingerprint inside
-  /// solve_placement; a mismatch falls back to a cold solve. Only
-  /// solve_replan touches it, so under a replan driver the solver thread
-  /// owns it while a solve is in flight.
+  /// Warm-start cache threaded through every solve_placement call: under
+  /// the coupled formulation the final basis of one re-plan seeds the next
+  /// when the LP shape (same jobs, same windows, same horizon) repeats,
+  /// which is the common case for deviation/overrun re-plans. Keyed by a
+  /// shape fingerprint inside solve_placement; a mismatch falls back to a
+  /// cold solve. Only solve_replan touches it, so under a replan driver the
+  /// solver thread owns it while a solve is in flight.
   PlacementWarmCache warm_cache_;
   bool dirty_ = false;
   ReplanCause pending_causes_ = ReplanCause::kNone;

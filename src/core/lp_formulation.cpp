@@ -1,10 +1,8 @@
 #include "core/lp_formulation.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/flow_placement.h"
-#include "lp/simplex.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -49,54 +47,19 @@ std::uint64_t shape_fingerprint(const lp::LpProblem& base,
   return h;
 }
 
-// Runs one lexmin solve through the warm cache: passes the cached basis
-// when the shape fingerprint matches, and stores the final basis back for
-// the next same-shaped solve.
-lp::LexMinMaxResult solve_lexmin_cached(const lp::LexMinMaxSolver& lexmin,
-                                        const lp::LpProblem& base,
-                                        const std::vector<lp::LoadRow>& loads,
-                                        PlacementWarmCache::Entry* cache) {
-  const lp::Basis* warm = nullptr;
-  std::uint64_t fingerprint = 0;
-  if (cache != nullptr) {
-    fingerprint = shape_fingerprint(base, loads);
-    if (cache->fingerprint == fingerprint && !cache->basis.empty()) {
-      warm = &cache->basis;
-    }
-  }
-  lp::LexMinMaxResult lex = lexmin.solve(base, loads, warm);
-  if (cache != nullptr) {
-    cache->fingerprint = fingerprint;
-    cache->basis = lex.final_basis;
-  }
-  return lex;
+// An ok, all-zero schedule over the horizon, ready to be filled in.
+LpSchedule empty_schedule(std::size_t jobs, int num_slots, int first_slot) {
+  LpSchedule schedule;
+  schedule.status = lp::SolveStatus::kOptimal;
+  schedule.first_slot = first_slot;
+  schedule.num_slots = num_slots;
+  schedule.allocation.assign(
+      jobs, std::vector<workload::ResourceVec>(
+                static_cast<std::size_t>(num_slots)));
+  schedule.normalized_load.assign(static_cast<std::size_t>(num_slots),
+                                  workload::ResourceVec{});
+  return schedule;
 }
-
-// The per-resource system solve_placement builds is lp::flow_representable
-// exactly when every placed job's demand and width are finite and the
-// width nonnegative: the rows are equalities over +1 columns, each column
-// sits in one demand row and one load row, and the normalizers are
-// positive by construction. Checked on the jobs, so the flow path never
-// builds the LP.
-bool flow_representable(const std::vector<LpJob>& jobs, int r) {
-  return std::all_of(jobs.begin(), jobs.end(), [r](const LpJob& job) {
-    return job.demand[r] <= 0.0 ||
-           (std::isfinite(job.demand[r]) && std::isfinite(job.width[r]) &&
-            job.width[r] >= 0.0);
-  });
-}
-
-// Column bookkeeping for one resource's LP.
-struct ColumnMap {
-  // per job: first column index and [begin, end] slot range (relative),
-  // or begin > end when the job has no columns for this resource.
-  struct JobColumns {
-    int first_column = -1;
-    int begin = 0;
-    int end = -1;
-  };
-  std::vector<JobColumns> jobs;
-};
 
 }  // namespace
 
@@ -108,170 +71,42 @@ LpSchedule solve_placement(
     return solve_placement_coupled(jobs, capacity_per_slot, first_slot,
                                    options);
   }
-  LpSchedule schedule;
-  schedule.first_slot = first_slot;
-  schedule.num_slots = static_cast<int>(capacity_per_slot.size());
-  schedule.allocation.assign(
-      jobs.size(),
-      std::vector<workload::ResourceVec>(
-          static_cast<std::size_t>(schedule.num_slots)));
-  schedule.normalized_load.assign(
-      static_cast<std::size_t>(schedule.num_slots), workload::ResourceVec{});
-  schedule.status = lp::SolveStatus::kOptimal;
-
-  const int last_slot = first_slot + schedule.num_slots - 1;
-
+  LpSchedule schedule =
+      empty_schedule(jobs.size(), static_cast<int>(capacity_per_slot.size()),
+                     first_slot);
+  // One transportation problem per resource, each solved exactly by the
+  // flow lexmin (core/flow_placement.h) in augmenting paths.
   for (int r = 0; r < workload::kNumResources; ++r) {
-    // --- Flow lexmin: the exact solver for the transportation system, in
-    //     augmenting paths instead of pivots (core/flow_placement.h). ---
-    if (options.flow_fast_path && !options.integral_extraction &&
-        flow_representable(jobs, r)) {
-      const ResourceFlowLexmin flow = solve_resource_flow_lexmin(
-          jobs, capacity_per_slot, first_slot, r,
-          options.lexmin.lp_options.budget);
-      if (!flow.any_demand) continue;
-      schedule.flow_fast_path = true;
-      schedule.pivots += flow.augmentations;
-      schedule.lexmin_rounds = std::max(
-          schedule.lexmin_rounds, static_cast<int>(flow.levels.size()));
-      schedule.lexmin_truncated = schedule.lexmin_truncated || flow.truncated;
-      schedule.budget_exhausted =
-          schedule.budget_exhausted || flow.budget_exhausted;
-      if (!flow.ok()) {
-        schedule.status = flow.status;
-        return schedule;
-      }
-      schedule.max_normalized_load =
-          std::max(schedule.max_normalized_load, flow.max_level());
-      if (flow.max_level() > 1.0 + 1e-6) schedule.capacity_exceeded = true;
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        for (int t = 0; t < schedule.num_slots; ++t) {
-          schedule.allocation[j][static_cast<std::size_t>(t)][r] =
-              flow.allocation[j][static_cast<std::size_t>(t)];
-        }
-      }
-      for (int t = 0; t < schedule.num_slots; ++t) {
-        schedule.normalized_load[static_cast<std::size_t>(t)][r] =
-            flow.load[static_cast<std::size_t>(t)];
-      }
-      if (obs::enabled()) {
-        obs::registry().counter("lp.flow_fast_path.solves").add();
-      }
-      continue;
-    }
-
-    // --- Build the per-resource base problem (demand rows + widths). ---
-    lp::LpProblem base;
-    ColumnMap map;
-    map.jobs.resize(jobs.size());
-    bool any_columns = false;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const LpJob& job = jobs[j];
-      if (job.demand[r] <= 0.0) continue;
-      const int begin = std::max(job.release_slot, first_slot) - first_slot;
-      const int end = std::min(job.deadline_slot, last_slot) - first_slot;
-      if (begin > end) {
-        // Empty window with positive demand: unplaceable.
-        FT_LOG(kInfo) << "lp_formulation: job uid=" << job.uid
-                      << " has an empty window for resource " << r;
-        schedule.status = lp::SolveStatus::kInfeasible;
-        return schedule;
-      }
-      map.jobs[j] = ColumnMap::JobColumns{base.num_columns(), begin, end};
-      std::vector<lp::RowEntry> demand_row;
-      demand_row.reserve(static_cast<std::size_t>(end - begin + 1));
-      for (int t = begin; t <= end; ++t) {
-        const int col = base.add_column(0.0, 0.0, job.width[r]);
-        demand_row.push_back(lp::RowEntry{col, 1.0});
-        any_columns = true;
-      }
-      base.add_row(lp::RowSense::kEqual, job.demand[r],
-                   std::move(demand_row));
-    }
-    if (!any_columns) continue;
-
-    // --- Load rows, one per slot (paper constraints (3)/(4) folded into
-    //     the lexmin objective). ---
-    std::vector<lp::LoadRow> loads(
-        static_cast<std::size_t>(schedule.num_slots));
-    for (int t = 0; t < schedule.num_slots; ++t) {
-      loads[static_cast<std::size_t>(t)].normalizer = std::max(
-          capacity_per_slot[static_cast<std::size_t>(t)][r], kTinyCapacity);
-      loads[static_cast<std::size_t>(t)].name =
-          "slot" + std::to_string(first_slot + t);
-    }
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const auto& cols = map.jobs[j];
-      if (cols.first_column < 0) continue;
-      for (int t = cols.begin; t <= cols.end; ++t) {
-        loads[static_cast<std::size_t>(t)].entries.push_back(
-            lp::RowEntry{cols.first_column + (t - cols.begin), 1.0});
-      }
-    }
-
-    lp::LexMinMaxSolver lexmin(options.lexmin);
-    lp::LexMinMaxResult lex = solve_lexmin_cached(
-        lexmin, base, loads,
-        options.warm_cache != nullptr
-            ? &options.warm_cache->per_resource[static_cast<std::size_t>(r)]
-            : nullptr);
-    schedule.pivots += lex.pivots;
-    schedule.lexmin_rounds = std::max(schedule.lexmin_rounds, lex.rounds);
-    schedule.lexmin_truncated = schedule.lexmin_truncated || lex.truncated;
+    const ResourceFlowLexmin flow = solve_resource_flow_lexmin(
+        jobs, capacity_per_slot, first_slot, r,
+        options.lexmin.lp_options.budget, options.integral_extraction);
+    if (!flow.any_demand) continue;
+    schedule.flow_fast_path = true;
+    schedule.pivots += flow.augmentations;
+    schedule.lexmin_rounds = std::max(schedule.lexmin_rounds,
+                                      static_cast<int>(flow.levels.size()));
+    schedule.lexmin_truncated = schedule.lexmin_truncated || flow.truncated;
     schedule.budget_exhausted =
-        schedule.budget_exhausted || lex.budget_exhausted;
-    if (!lex.optimal()) {
-      schedule.status = lex.status;
+        schedule.budget_exhausted || flow.budget_exhausted;
+    if (!flow.ok()) {
+      schedule.status = flow.status;
       return schedule;
     }
     schedule.max_normalized_load =
-        std::max(schedule.max_normalized_load, lex.max_level());
-    if (lex.max_level() > 1.0 + 1e-6) schedule.capacity_exceeded = true;
-
-    std::vector<double> x = std::move(lex.x);
-
-    // --- Optional integral extraction: re-solve as a pure transportation
-    //     feasibility problem with the lexmin profile as hard caps. Vertex
-    //     solutions of this TU system are integral when the data are. ---
-    if (options.integral_extraction) {
-      lp::LpProblem integral = base;
-      for (int t = 0; t < schedule.num_slots; ++t) {
-        const auto& load = loads[static_cast<std::size_t>(t)];
-        if (load.entries.empty()) continue;
-        const double cap = std::ceil(
-            load.normalizer * lex.load[static_cast<std::size_t>(t)] - 1e-9);
-        integral.add_row(lp::RowSense::kLessEqual, std::max(cap, 0.0),
-                         load.entries);
-      }
-      lp::SimplexSolver simplex(options.lexmin.lp_options);
-      const lp::Solution vertex = simplex.solve(integral);
-      schedule.pivots += vertex.iterations;
-      if (vertex.optimal()) {
-        x = vertex.x;
-      } else {
-        FT_LOG(kWarn) << "integral extraction failed ("
-                      << lp::to_string(vertex.status)
-                      << "); keeping the fractional lexmin placement";
-      }
-    }
-
-    // --- Unpack into the schedule. ---
+        std::max(schedule.max_normalized_load, flow.max_level());
+    if (flow.max_level() > 1.0 + 1e-6) schedule.capacity_exceeded = true;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const auto& cols = map.jobs[j];
-      if (cols.first_column < 0) continue;
-      for (int t = cols.begin; t <= cols.end; ++t) {
+      for (int t = 0; t < schedule.num_slots; ++t) {
         schedule.allocation[j][static_cast<std::size_t>(t)][r] =
-            x[static_cast<std::size_t>(cols.first_column + (t - cols.begin))];
+            flow.allocation[j][static_cast<std::size_t>(t)];
       }
     }
     for (int t = 0; t < schedule.num_slots; ++t) {
-      double used = 0.0;
-      for (const lp::RowEntry& e :
-           loads[static_cast<std::size_t>(t)].entries) {
-        used += x[static_cast<std::size_t>(e.column)];
-      }
       schedule.normalized_load[static_cast<std::size_t>(t)][r] =
-          used / loads[static_cast<std::size_t>(t)].normalizer;
+          flow.load[static_cast<std::size_t>(t)];
+    }
+    if (obs::enabled()) {
+      obs::registry().counter("lp.flow_fast_path.solves").add();
     }
   }
   return schedule;
@@ -281,16 +116,9 @@ LpSchedule solve_placement_coupled(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot, const LpScheduleOptions& options) {
-  LpSchedule schedule;
-  schedule.first_slot = first_slot;
-  schedule.num_slots = static_cast<int>(capacity_per_slot.size());
-  schedule.allocation.assign(
-      jobs.size(),
-      std::vector<workload::ResourceVec>(
-          static_cast<std::size_t>(schedule.num_slots)));
-  schedule.normalized_load.assign(
-      static_cast<std::size_t>(schedule.num_slots), workload::ResourceVec{});
-  schedule.status = lp::SolveStatus::kOptimal;
+  LpSchedule schedule =
+      empty_schedule(jobs.size(), static_cast<int>(capacity_per_slot.size()),
+                     first_slot);
   const int last_slot = first_slot + schedule.num_slots - 1;
 
   // One f column per (job, slot in window), measured in the job's dominant
@@ -375,10 +203,24 @@ LpSchedule solve_placement_coupled(
     FT_LOG(kWarn) << "integral extraction is not supported for the coupled "
                      "formulation (the matrix is not TU); skipping";
   }
-  lp::LexMinMaxSolver lexmin(options.lexmin);
-  const lp::LexMinMaxResult lex = solve_lexmin_cached(
-      lexmin, base, loads,
-      options.warm_cache != nullptr ? &options.warm_cache->coupled : nullptr);
+  // Warm start through the cache: pass the cached basis when the shape
+  // fingerprint matches, and store the final basis back for the next
+  // same-shaped solve.
+  PlacementWarmCache* cache = options.warm_cache;
+  const lp::Basis* warm = nullptr;
+  std::uint64_t fingerprint = 0;
+  if (cache != nullptr) {
+    fingerprint = shape_fingerprint(base, loads);
+    if (cache->fingerprint == fingerprint && !cache->basis.empty()) {
+      warm = &cache->basis;
+    }
+  }
+  const lp::LexMinMaxResult lex =
+      lp::LexMinMaxSolver(options.lexmin).solve(base, loads, warm);
+  if (cache != nullptr) {
+    cache->fingerprint = fingerprint;
+    cache->basis = lex.final_basis;
+  }
   schedule.pivots = lex.pivots;
   schedule.lexmin_rounds = lex.rounds;
   schedule.lexmin_truncated = lex.truncated;

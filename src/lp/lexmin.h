@@ -24,10 +24,10 @@
 // binding set at each level is unique; when every binding row is
 // *individually* reducible (the argmax shifts between optima), the stall
 // fallback fixes all candidates, which can over-constrain later levels.
-// The caveat does not reach the scheduler's default path: every
-// per-resource placement whose system is flow-representable runs the exact
-// flow lexmin of core/flow_placement.h instead, and this driver remains for
-// the coupled formulation, integral extraction and reference tests.
+// The caveat does not reach the paper's separable formulation: every
+// per-resource placement runs the exact flow lexmin of
+// core/flow_placement.h, and this driver serves only the coupled
+// formulation (core/lp_formulation.h), where it applies.
 #pragma once
 
 #include <string>

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -38,177 +37,20 @@ struct ColSpan {
   const ColEntry* end() const { return data + size; }
 };
 
-// Column provider for refactorization: the engine hands the basis
-// representation its columns without exposing the rest of the working state.
-class ColumnSource {
- public:
-  virtual ColSpan col(int j) const = 0;
-
- protected:
-  ~ColumnSource() = default;
-};
-
-// Basis representation behind the revised simplex. Index conventions:
-// "row" means constraint row, "position" means basis slot (both range over
-// [0, m) and coincide in the pivot loop — basic variable of slot i leaves on
-// constraint row i). ftran/solve_dense map row-indexed inputs to
-// position-indexed outputs; btran maps position-indexed costs to row-indexed
-// duals. `update` is called only with |w[leaving_row]| > pivot_tol.
-class BasisRep {
- public:
-  virtual ~BasisRep() = default;
-
-  /// Installs B = diag(signs) (the all-artificial start basis) and clears
-  /// any update history.
-  virtual void install_diagonal(const std::vector<double>& signs) = 0;
-
-  /// Rebuilds the representation from the current basis columns.
-  /// Returns false when the basis is (numerically) singular.
-  virtual bool refactorize(const ColumnSource& cols,
-                           const std::vector<int>& basis) = 0;
-
-  /// out = B^{-1} a for a sparse column a.
-  virtual void ftran(ColSpan a, std::vector<double>& out) const = 0;
-
-  /// out = B^{-1} rhs for a dense row-indexed rhs (basic-value recompute).
-  virtual void solve_dense(const std::vector<double>& rhs,
-                           std::vector<double>& out) const = 0;
-
-  /// y^T = cb^T B^{-1} for the dense basic-cost vector cb (one per slot).
-  virtual void btran(const std::vector<double>& cb,
-                     std::vector<double>& y) const = 0;
-
-  /// Absorbs a pivot: the column in slot `leaving_row` was replaced by the
-  /// entering column whose ftran image is `w`.
-  virtual void update(int leaving_row, const std::vector<double>& w) = 0;
-};
-
-// Reference engine: explicitly maintained dense m x m inverse, dense
-// Gauss-Jordan refactorization. Kept operation-for-operation identical to
-// the solver's historical dense path so differential tests pin the sparse
-// engine against it.
-class DenseBasis final : public BasisRep {
- public:
-  DenseBasis(int m, double pivot_tol) : m_(m), pivot_tol_(pivot_tol) {}
-
-  void install_diagonal(const std::vector<double>& signs) override {
-    binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) at(i, i) = signs[static_cast<std::size_t>(i)];
-  }
-
-  bool refactorize(const ColumnSource& cols,
-                   const std::vector<int>& basis) override {
-    const int m = m_;
-    // Dense B and identity side by side.
-    std::vector<double> mat(static_cast<std::size_t>(m) * 2 * m, 0.0);
-    auto aug = [&](int i, int k) -> double& {
-      return mat[static_cast<std::size_t>(i) * 2 * m + k];
-    };
-    for (int i = 0; i < m; ++i) {
-      for (const ColEntry& e : cols.col(basis[static_cast<std::size_t>(i)])) {
-        aug(e.row, i) = e.coeff;
-      }
-      aug(i, m + i) = 1.0;
-    }
-    for (int col = 0; col < m; ++col) {
-      int pivot = -1;
-      double best = pivot_tol_;
-      for (int i = col; i < m; ++i) {
-        if (std::abs(aug(i, col)) > best) {
-          best = std::abs(aug(i, col));
-          pivot = i;
-        }
-      }
-      if (pivot < 0) return false;
-      if (pivot != col) {
-        // Row swaps are internal to the elimination (they left-multiply by a
-        // permutation, which the resulting inverse absorbs); the basis
-        // bookkeeping must not be permuted.
-        for (int k = 0; k < 2 * m; ++k) std::swap(aug(pivot, k), aug(col, k));
-      }
-      const double inv = 1.0 / aug(col, col);
-      for (int k = 0; k < 2 * m; ++k) aug(col, k) *= inv;
-      for (int i = 0; i < m; ++i) {
-        if (i == col) continue;
-        const double f = aug(i, col);
-        if (f == 0.0) continue;
-        for (int k = 0; k < 2 * m; ++k) aug(i, k) -= f * aug(col, k);
-      }
-    }
-    if (binv_.size() != static_cast<std::size_t>(m) * m) {
-      binv_.resize(static_cast<std::size_t>(m) * m);
-    }
-    for (int i = 0; i < m; ++i) {
-      for (int k = 0; k < m; ++k) at(i, k) = aug(i, m + k);
-    }
-    return true;
-  }
-
-  void ftran(ColSpan a, std::vector<double>& out) const override {
-    out.assign(static_cast<std::size_t>(m_), 0.0);
-    for (const ColEntry& e : a) {
-      const double v = e.coeff;
-      const int k = e.row;
-      for (int i = 0; i < m_; ++i) {
-        out[static_cast<std::size_t>(i)] += at(i, k) * v;
-      }
-    }
-  }
-
-  void solve_dense(const std::vector<double>& rhs,
-                   std::vector<double>& out) const override {
-    out.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) {
-      double v = 0.0;
-      for (int k = 0; k < m_; ++k) {
-        v += at(i, k) * rhs[static_cast<std::size_t>(k)];
-      }
-      out[static_cast<std::size_t>(i)] = v;
-    }
-  }
-
-  void btran(const std::vector<double>& cb,
-             std::vector<double>& y) const override {
-    y.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double c = cb[static_cast<std::size_t>(i)];
-      if (c == 0.0) continue;
-      for (int k = 0; k < m_; ++k) {
-        y[static_cast<std::size_t>(k)] += c * at(i, k);
-      }
-    }
-  }
-
-  void update(int leaving_row, const std::vector<double>& w) override {
-    const double inv_pivot = 1.0 / w[static_cast<std::size_t>(leaving_row)];
-    for (int k = 0; k < m_; ++k) at(leaving_row, k) *= inv_pivot;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leaving_row) continue;
-      const double f = w[static_cast<std::size_t>(i)];
-      if (f == 0.0) continue;
-      for (int k = 0; k < m_; ++k) {
-        at(i, k) -= f * at(leaving_row, k);
-      }
-    }
-  }
-
- private:
-  double& at(int i, int k) { return binv_[static_cast<std::size_t>(i) * m_ + k]; }
-  double at(int i, int k) const {
-    return binv_[static_cast<std::size_t>(i) * m_ + k];
-  }
-
-  int m_ = 0;
-  double pivot_tol_ = 0.0;
-  std::vector<double> binv_;
-};
-
-// Sparse engine: left-looking LU factorization of the basis (threshold-free
-// partial pivoting — on the scheduler's totally unimodular bases every pivot
-// is ±1, so magnitude-greedy selection is already exact) plus a product-form
-// eta file absorbing pivots between refactorizations. The eta file is
-// bounded by SimplexOptions::refactor_interval, after which the engine
-// refactorizes and the file resets.
+// The basis representation behind the revised simplex: left-looking LU
+// factorization of the basis (threshold-free partial pivoting — on totally
+// unimodular bases every pivot is ±1, so magnitude-greedy selection is
+// already exact) plus a product-form eta file absorbing pivots between
+// refactorizations. The eta file is bounded by
+// SimplexOptions::refactor_interval, after which the engine refactorizes
+// and the file resets.
+//
+// Index conventions: "row" means constraint row, "position" means basis
+// slot (both range over [0, m) and coincide in the pivot loop — basic
+// variable of slot i leaves on constraint row i). ftran/solve_dense map
+// row-indexed inputs to position-indexed outputs; btran maps
+// position-indexed costs to row-indexed duals. `update` is called only
+// with |w[leaving_row]| > pivot_tol.
 //
 // Factoring B with columns taken in a fill-reducing order cperm (ascending
 // column nonzero count) and pivot rows rperm gives, with C[:,k] =
@@ -217,11 +59,14 @@ class DenseBasis final : public BasisRep {
 // cperm and replays etas oldest-to-newest; btran applies eta transposes
 // newest-to-oldest, gathers through cperm, solves U^T then L^T, and scatters
 // through rperm back to constraint-row space.
-class SparseLuBasis final : public BasisRep {
+class SparseLuBasis {
  public:
+  SparseLuBasis() = default;
   SparseLuBasis(int m, double pivot_tol) : m_(m), pivot_tol_(pivot_tol) {}
 
-  void install_diagonal(const std::vector<double>& signs) override {
+  /// Installs B = diag(signs) (the all-artificial start basis) and clears
+  /// any update history.
+  void install_diagonal(const std::vector<double>& signs) {
     lcols_.assign(static_cast<std::size_t>(m_), {});
     ucols_.assign(static_cast<std::size_t>(m_), {});
     udiag_ = signs;
@@ -234,16 +79,17 @@ class SparseLuBasis final : public BasisRep {
     etas_.clear();
   }
 
-  bool refactorize(const ColumnSource& cols,
-                   const std::vector<int>& basis) override {
+  /// Rebuilds the factorization from the basis columns, one per position.
+  /// Returns false when the basis is (numerically) singular.
+  bool refactorize(const std::vector<ColSpan>& cols) {
     const int m = m_;
     // Ascending-nonzero column order: singleton columns (slacks, pinned
     // artificials) pivot first and generate no fill.
     cperm_.resize(static_cast<std::size_t>(m));
     std::iota(cperm_.begin(), cperm_.end(), 0);
     std::stable_sort(cperm_.begin(), cperm_.end(), [&](int a, int b) {
-      return cols.col(basis[static_cast<std::size_t>(a)]).size <
-             cols.col(basis[static_cast<std::size_t>(b)]).size;
+      return cols[static_cast<std::size_t>(a)].size <
+             cols[static_cast<std::size_t>(b)].size;
     });
     lcols_.assign(static_cast<std::size_t>(m), {});
     ucols_.assign(static_cast<std::size_t>(m), {});
@@ -255,8 +101,8 @@ class SparseLuBasis final : public BasisRep {
 
     for (int k = 0; k < m; ++k) {
       std::fill(work_.begin(), work_.end(), 0.0);
-      const int j = basis[static_cast<std::size_t>(cperm_[static_cast<std::size_t>(k)])];
-      for (const ColEntry& e : cols.col(j)) {
+      for (const ColEntry& e :
+           cols[static_cast<std::size_t>(cperm_[static_cast<std::size_t>(k)])]) {
         work_[static_cast<std::size_t>(e.row)] = e.coeff;
       }
       // Left-looking elimination: apply every earlier L column; the value
@@ -296,7 +142,8 @@ class SparseLuBasis final : public BasisRep {
     return true;
   }
 
-  void ftran(ColSpan a, std::vector<double>& out) const override {
+  /// out = B^{-1} a for a sparse column a.
+  void ftran(ColSpan a, std::vector<double>& out) const {
     work_.assign(static_cast<std::size_t>(m_), 0.0);
     for (const ColEntry& e : a) {
       work_[static_cast<std::size_t>(e.row)] = e.coeff;
@@ -305,15 +152,16 @@ class SparseLuBasis final : public BasisRep {
     apply_etas_forward(out);
   }
 
+  /// out = B^{-1} rhs for a dense row-indexed rhs (basic-value recompute).
   void solve_dense(const std::vector<double>& rhs,
-                   std::vector<double>& out) const override {
+                   std::vector<double>& out) const {
     work_ = rhs;
     factor_solve(out);
     apply_etas_forward(out);
   }
 
-  void btran(const std::vector<double>& cb,
-             std::vector<double>& y) const override {
+  /// y^T = cb^T B^{-1} for the dense basic-cost vector cb (one per slot).
+  void btran(const std::vector<double>& cb, std::vector<double>& y) const {
     // g = (E_1^T ... E_k^T applied newest-to-oldest) cb, in position space.
     g_ = cb;
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
@@ -345,7 +193,9 @@ class SparseLuBasis final : public BasisRep {
     }
   }
 
-  void update(int leaving_row, const std::vector<double>& w) override {
+  /// Absorbs a pivot: the column in slot `leaving_row` was replaced by the
+  /// entering column whose ftran image is `w`.
+  void update(int leaving_row, const std::vector<double>& w) {
     Eta eta;
     eta.pos = leaving_row;
     eta.wp = w[static_cast<std::size_t>(leaving_row)];
@@ -438,19 +288,15 @@ struct Working {
   std::vector<double> b;
 };
 
-class Engine final : public ColumnSource {
+class Engine {
  public:
   Engine(const LpProblem& problem, const SimplexOptions& options)
       : options_(options) {
     build(problem);
-    if (options_.engine == SimplexEngine::kDenseInverse) {
-      rep_ = std::make_unique<DenseBasis>(w_.m, options_.pivot_tol);
-    } else {
-      rep_ = std::make_unique<SparseLuBasis>(w_.m, options_.pivot_tol);
-    }
+    lu_ = SparseLuBasis(w_.m, options_.pivot_tol);
   }
 
-  ColSpan col(int j) const override {
+  ColSpan col(int j) const {
     if (j < w_.n_struct) {
       const std::vector<ColEntry>& c = problem_->column_entries(j);
       return ColSpan{c.data(), c.size()};
@@ -649,7 +495,7 @@ class Engine final : public ColumnSource {
       signs[static_cast<std::size_t>(i)] = sign;  // B = diag(sign)
       xb_[static_cast<std::size_t>(i)] = std::abs(r);
     }
-    rep_->install_diagonal(signs);
+    lu_.install_diagonal(signs);
   }
 
   // Phase-1 residual above which the problem is declared infeasible,
@@ -901,7 +747,7 @@ class Engine final : public ColumnSource {
       cb_[static_cast<std::size_t>(i)] = cost[static_cast<std::size_t>(
           basis_[static_cast<std::size_t>(i)])];
     }
-    rep_->btran(cb_, y);
+    lu_.btran(cb_, y);
   }
 
   double reduced_cost(int j, const std::vector<double>& cost,
@@ -949,7 +795,11 @@ class Engine final : public ColumnSource {
   }
 
   bool refactorize_impl() {
-    if (!rep_->refactorize(*this, basis_)) return false;
+    basis_cols_.resize(basis_.size());
+    for (std::size_t i = 0; i < basis_.size(); ++i) {
+      basis_cols_[i] = col(basis_[i]);
+    }
+    if (!lu_.refactorize(basis_cols_)) return false;
     recompute_basic_values();
     return true;
   }
@@ -964,7 +814,7 @@ class Engine final : public ColumnSource {
         residual[static_cast<std::size_t>(e.row)] -= e.coeff * v;
       }
     }
-    rep_->solve_dense(residual, xb_);
+    lu_.solve_dense(residual, xb_);
   }
 
   // Core primal iteration loop for a given cost vector; assumes the current
@@ -1064,7 +914,7 @@ class Engine final : public ColumnSource {
       }
       if (entering < 0) return SolveStatus::kOptimal;
 
-      rep_->ftran(col(entering), w);
+      lu_.ftran(col(entering), w);
 
       // Ratio test. The entering variable moves by t >= 0 in `direction`;
       // basic variable i moves at rate -direction * w_i.
@@ -1177,7 +1027,7 @@ class Engine final : public ColumnSource {
         if (!refactorize()) return SolveStatus::kNumericalFailure;
         continue;
       }
-      rep_->update(leaving_row, w);
+      lu_.update(leaving_row, w);
       if (profile_ != nullptr) {
         profile_->basis_update_s +=
             static_cast<double>(prof_now_ns() - prof_t0) * 1e-9;
@@ -1193,7 +1043,7 @@ class Engine final : public ColumnSource {
   SimplexOptions options_;
   const LpProblem* problem_ = nullptr;
   Working w_;
-  std::unique_ptr<BasisRep> rep_;
+  SparseLuBasis lu_;
   /// The thread's active profiling scope, cached once per engine so the
   /// pivot loop pays a plain pointer test, not a thread_local lookup.
   SolveProfile* profile_ = current_profile();
@@ -1204,6 +1054,7 @@ class Engine final : public ColumnSource {
   std::vector<double> xb_;             // values of basic variables
   std::vector<double> cb_;             // btran input scratch
   std::vector<double> y_;              // dual scratch, reused per pivot
+  std::vector<ColSpan> basis_cols_;    // refactorization input scratch
 };
 
 }  // namespace

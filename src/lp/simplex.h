@@ -1,18 +1,21 @@
 // Two-phase bounded-variable primal simplex.
 //
-// Replaces the paper's CPLEX dependency. Design goals, in order:
-//   1. Vertex solutions. FlowTime's integrality argument (paper Lemma 2,
-//      Meyer 1977) holds only for extreme points; simplex delivers them,
-//      interior-point methods would not.
-//   2. Robustness on the scheduler's problem family: totally unimodular
-//      constraint matrices with small integer data, up to a few hundred rows
-//      and tens of thousands of columns.
+// Replaces the paper's CPLEX dependency for the LPs that are not a
+// transportation problem: the coupled placement formulation
+// (core/lp_formulation.h), through the lexmin driver (lp/lexmin.h). The
+// paper's separable formulation is solved by parametric max flow instead
+// (core/flow_placement.h). Design goals, in order:
+//   1. Vertex solutions, the extreme points the paper's integrality
+//      argument (Lemma 2, Meyer 1977) is about; interior-point methods
+//      would not deliver them.
+//   2. Robustness on the scheduler's problem family: sparse matrices with
+//      small data, up to a few hundred rows and tens of thousands of
+//      columns.
 //   3. Exploit sparsity: revised simplex over the model's CSC column view
-//      with a sparse LU basis factorization plus product-form eta updates,
-//      refactorized periodically (SimplexEngine::kSparseLu). Columns of the
-//      scheduling LPs carry 2-3 nonzeros, so pricing, ftran and btran are
-//      all O(nnz)-ish. A dense maintained-inverse engine
-//      (SimplexEngine::kDenseInverse) is retained for differential checks.
+//      with one basis engine, a sparse LU factorization plus product-form
+//      eta updates, refactorized periodically. Columns of the scheduling
+//      LPs carry 2-3 nonzeros, so pricing, ftran and btran are all
+//      O(nnz)-ish.
 //
 // Implementation notes:
 //   * Rows are converted to equalities with bounded slacks
@@ -41,26 +44,13 @@
 
 namespace flowtime::lp {
 
-/// Basis representation used by the revised simplex.
-enum class SimplexEngine {
-  /// Sparse LU factorization of the basis (left-looking, threshold
-  /// pivoting) with product-form eta updates per pivot, refactorized every
-  /// `refactor_interval` pivots. O(nnz)-ish per pivot; the default.
-  kSparseLu,
-  /// Dense maintained basis inverse with dense Gauss-Jordan
-  /// refactorization. O(m^2) per pivot, O(m^3) per refactorization. Kept as
-  /// the reference engine for differential testing and as a fallback while
-  /// the sparse path matures.
-  kDenseInverse,
-};
-
 /// Solver tuning knobs. Defaults are appropriate for the scheduling LPs.
 struct SimplexOptions {
   double feasibility_tol = 1e-7;   // bound/row violation considered zero
   double optimality_tol = 1e-7;    // reduced-cost threshold
   double pivot_tol = 1e-9;         // minimum pivot magnitude
   std::int64_t max_iterations = 0; // 0 = auto: 200 * (rows + cols) + 2000
-  int refactor_interval = 128;     // rebuild basis inverse every N pivots
+  int refactor_interval = 128;     // refactorize the basis every N pivots
   int degenerate_before_bland = 32;
   /// Partial pricing: per pivot, columns are scanned in sections of this
   /// size (rotating through the column space) and the best violated
@@ -73,14 +63,6 @@ struct SimplexOptions {
   /// solve path identical to a build without budgets. See
   /// lp/solve_budget.h for the sharing and determinism contract.
   SolveBudget* budget = nullptr;
-  /// Basis representation. Both engines walk the same pricing / ratio-test /
-  /// bound-flip rules, but they round the solved directions differently in
-  /// the last ULP (dense inverse-multiply vs sparse LU + eta solves), so on
-  /// degenerate problems ties can resolve to different — equally optimal —
-  /// vertices. The guaranteed contract, pinned by the lp_sparse
-  /// differential tests: identical statuses and infeasibility diagnoses,
-  /// the same optimum level to ~1e-9, and feasible equivalent plans.
-  SimplexEngine engine = SimplexEngine::kSparseLu;
 };
 
 /// Solves `problem` (minimization). The returned Solution carries primal

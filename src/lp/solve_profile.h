@@ -40,8 +40,8 @@ struct SolveProfile {
   // --- simplex phase timers ------------------------------------------------
   double pricing_s = 0.0;       ///< compute_duals + reduced-cost scan
   double ratio_test_s = 0.0;    ///< ftran + leaving-row search
-  double basis_update_s = 0.0;  ///< rank-1 inverse update + bookkeeping
-  double refactor_s = 0.0;      ///< dense refactorizations (all call sites)
+  double basis_update_s = 0.0;  ///< eta-file update + bookkeeping
+  double refactor_s = 0.0;      ///< LU refactorizations (all call sites)
 
   // --- simplex counters ----------------------------------------------------
   std::int64_t solves = 0;             ///< SimplexSolver::solve calls seen

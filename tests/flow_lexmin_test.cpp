@@ -1,8 +1,9 @@
-// Exactness tests for the flow lexmin (core/flow_placement.h), the default
+// Exactness tests for the flow lexmin (core/flow_placement.h), the
 // per-resource placement solver: a differential against the simplex
-// dual-test lexmin on the whole sorted level vector, the exchange-condition
-// certificate of lexicographic optimality, feasibility of every plan, and
-// how solver budgets cut a flow solve.
+// dual-test lexmin (the coupled formulation on each resource's
+// single-resource projection) on the whole sorted level vector, the
+// exchange-condition certificate of lexicographic optimality, feasibility
+// of every plan, and how solver budgets cut a flow solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "core/lp_formulation.h"
 #include "lp/solve_budget.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "util/rng.h"
 #include "workload/scenario_io.h"
 
@@ -73,23 +75,17 @@ Instance random_instance(int seed) {
   return inst;
 }
 
+using test::sorted_loads;
+
 LpSchedule solve_flow(const Instance& inst, LpScheduleOptions options = {}) {
-  options.flow_fast_path = true;
   return solve_placement(inst.jobs, inst.caps, inst.first_slot, options);
 }
 
 LpSchedule solve_dual_test(const Instance& inst) {
   LpScheduleOptions options;
-  options.flow_fast_path = false;
   options.lexmin.max_rounds = 1000;
-  return solve_placement(inst.jobs, inst.caps, inst.first_slot, options);
-}
-
-std::vector<double> sorted_loads(const LpSchedule& s, int r) {
-  std::vector<double> loads;
-  for (const ResourceVec& load : s.normalized_load) loads.push_back(load[r]);
-  std::sort(loads.rbegin(), loads.rend());
-  return loads;
+  return test::solve_projected_simplex(inst.jobs, inst.caps, inst.first_slot,
+                                       options);
 }
 
 class FlowLexminProperty : public ::testing::TestWithParam<int> {};

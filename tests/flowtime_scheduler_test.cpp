@@ -356,6 +356,26 @@ std::shared_ptr<const workload::Workflow> one_job_workflow(int id) {
   return w;
 }
 
+// Slot 0 of `sim_config`'s cluster with the one job of `workflow` (node 0,
+// uid 0) active and unstarted.
+sim::ClusterState one_job_state(const sim::SimConfig& sim_config,
+                                const workload::Workflow& workflow) {
+  const double slot_s = sim_config.cluster.slot_seconds;
+  sim::ClusterState state;
+  state.slot_seconds = slot_s;
+  state.capacity = workload::scale(sim_config.cluster.capacity, slot_s);
+  sim::JobView view;
+  view.uid = 0;
+  view.kind = sim::JobKind::kDeadline;
+  view.workflow_id = workflow.id;
+  view.node = 0;
+  view.remaining_estimate = workflow.jobs[0].total_demand();
+  view.width = workload::scale(workflow.jobs[0].max_parallel_demand(), slot_s);
+  view.container = workload::scale(workflow.jobs[0].task.demand, slot_s);
+  state.active = {view};
+  return state;
+}
+
 // Adopts a first plan, then runs a second cycle by hand with `interfere`
 // acting between solve_replan and finish_replan. The interference must make
 // finish_replan discard the solve: the attempt is counted and logged, the
@@ -369,19 +389,7 @@ void expect_discarded(
   FlowTimeScheduler scheduler(flowtime_config(sim_config));
   const auto workflow = one_job_workflow(0);
   scheduler.on_event(sim::WorkflowArrivalEvent{workflow, {0}, 0.0});
-  sim::ClusterState state;
-  state.slot_seconds = slot_s;
-  state.capacity = workload::scale(sim_config.cluster.capacity, slot_s);
-  sim::JobView view;
-  view.uid = 0;
-  view.kind = sim::JobKind::kDeadline;
-  view.workflow_id = workflow->id;
-  view.node = 0;
-  view.remaining_estimate = workflow->jobs[0].total_demand();
-  view.width =
-      workload::scale(workflow->jobs[0].max_parallel_demand(), slot_s);
-  view.container = workload::scale(workflow->jobs[0].task.demand, slot_s);
-  state.active = {view};
+  sim::ClusterState state = one_job_state(sim_config, *workflow);
   scheduler.allocate(state);
   ASSERT_EQ(scheduler.replans(), 1);
 
@@ -427,6 +435,50 @@ TEST(FlowTimeScheduler, FinishReplanDiscardsPreemptedSolve) {
   expect_discarded([](FlowTimeScheduler&, PlanSolveResult& solved) {
     solved.preempted = true;  // what a fired cancel token reports
   });
+}
+
+TEST(FlowTimeScheduler, SolvesAgainstItsOwnWarmCacheNotTheConfigs) {
+  // A warm cache named in config.lp is not the planner's: every solve uses
+  // solve_replan's warm_cache argument (the member overload passes the
+  // planner's own), so the escalation ladder's clear() hits the cache
+  // rung 0 used, and federation cells, which copy one config, never share
+  // a cache across solver threads. The outside cache stays untouched, and
+  // the coupled formulation's replans still warm-start.
+  const sim::SimConfig sim_config = small_cluster();
+  PlacementWarmCache outside;
+  FlowTimeConfig config = flowtime_config(sim_config);
+  config.lp.coupled_resources = true;
+  config.lp.warm_cache = &outside;
+  FlowTimeScheduler scheduler(config);
+  const auto workflow = one_job_workflow(0);
+  scheduler.on_event(sim::WorkflowArrivalEvent{workflow, {0}, 0.0});
+  const sim::ClusterState state = one_job_state(sim_config, *workflow);
+
+  // The planner's own cycle: a second replan of the same shape is warm.
+  scheduler.allocate(state);
+  scheduler.request_replan(ReplanCause::kDeviation);
+  scheduler.allocate(state);
+  ASSERT_EQ(scheduler.replan_log().size(), 2u);
+  EXPECT_GT(scheduler.replan_log()[0].pivots, 0);
+  EXPECT_LT(scheduler.replan_log()[1].pivots,
+            scheduler.replan_log()[0].pivots);
+
+  // The static step: the same LP twice against one cache, cold then warm.
+  scheduler.request_replan(ReplanCause::kDeviation);
+  scheduler.sync_views(state);
+  const PendingReplan pending = scheduler.begin_replan(state);
+  PlacementWarmCache own;
+  PendingReplan first = pending;
+  const PlanSolveResult cold =
+      FlowTimeScheduler::solve_replan(scheduler.config(), &own, first);
+  EXPECT_NE(own.fingerprint, 0u);
+  PendingReplan second = pending;
+  const PlanSolveResult warm =
+      FlowTimeScheduler::solve_replan(scheduler.config(), &own, second);
+  EXPECT_LT(warm.pivots, cold.pivots);
+
+  EXPECT_EQ(outside.fingerprint, 0u);
+  EXPECT_TRUE(outside.basis.empty());
 }
 
 }  // namespace

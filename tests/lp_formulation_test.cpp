@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/lp_formulation.h"
 #include "util/rng.h"
@@ -187,6 +190,126 @@ TEST(LpFormulation, IntegralExtractionYieldsIntegersOnIntegerData) {
   }
   EXPECT_NEAR(total, 10.0, 1e-6);
 }
+
+TEST(LpFormulation, InfiniteWidthBindsAtTheDemand) {
+  // Job 0 pins 50 to slot 0; job 1 has no width bound, and the flattest
+  // profile puts its 90 on slots 1 and 2. An infinite width must place
+  // exactly like a width equal to the demand, which never binds.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<LpJob> jobs = {make_job(0, 0, 0, 50.0, 0.0, 100.0, 0.0),
+                             make_job(1, 0, 2, 90.0, 0.0, kInf, kInf)};
+  const auto caps = uniform_caps(3, 100.0, 100.0);
+  const LpSchedule s = solve_placement(jobs, caps, 0);
+  ASSERT_TRUE(s.ok());
+  EXPECT_NEAR(s.normalized_load[0][kCpu], 0.5, 1e-9);
+  EXPECT_NEAR(s.allocation[1][1][kCpu], 45.0, 1e-9);
+  EXPECT_NEAR(s.allocation[1][2][kCpu], 45.0, 1e-9);
+  jobs[1].width = jobs[1].demand;
+  const LpSchedule finite = solve_placement(jobs, caps, 0);
+  ASSERT_TRUE(finite.ok());
+  EXPECT_EQ(s.allocation, finite.allocation);
+  EXPECT_EQ(s.normalized_load, finite.normalized_load);
+}
+
+TEST(LpFormulation, InvalidDemandIsInfeasible) {
+  for (const double demand : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -5.0}) {
+    const std::vector<LpJob> jobs = {
+        make_job(0, 0, 2, 30.0, 40.0, 20.0, 20.0),
+        make_job(1, 0, 2, 30.0, demand, 20.0, 20.0)};
+    const LpSchedule s =
+        solve_placement(jobs, uniform_caps(3, 100.0, 100.0), 0);
+    EXPECT_EQ(s.status, lp::SolveStatus::kInfeasible) << "demand " << demand;
+  }
+}
+
+TEST(LpFormulation, InvalidWidthIsInfeasible) {
+  for (const double width : {std::numeric_limits<double>::quiet_NaN(),
+                             -5.0}) {
+    const std::vector<LpJob> jobs = {
+        make_job(0, 0, 2, 30.0, 40.0, 20.0, 20.0),
+        make_job(1, 0, 2, 30.0, 40.0, width, 20.0)};
+    const LpSchedule s =
+        solve_placement(jobs, uniform_caps(3, 100.0, 100.0), 0);
+    EXPECT_EQ(s.status, lp::SolveStatus::kInfeasible) << "width " << width;
+  }
+}
+
+class IntegralExtractionProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(IntegralExtractionProperty, IntegerDataGiveIntegerPlansUnderCeilCaps) {
+  // Integer demands, widths and caps, with every other job's width
+  // binding. The extracted plan must be integral, demand-complete, inside
+  // every window and width, and load each slot at most ceil(u_t * C_t) of
+  // the fractional lexmin load u_t.
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
+  const int slots = static_cast<int>(rng.uniform_int(3, 12));
+  std::vector<ResourceVec> caps;
+  for (int t = 0; t < slots; ++t) {
+    caps.push_back(ResourceVec{static_cast<double>(rng.uniform_int(20, 60)),
+                               static_cast<double>(rng.uniform_int(40, 90))});
+  }
+  const int n = static_cast<int>(rng.uniform_int(3, 8));
+  std::vector<LpJob> jobs;
+  for (int i = 0; i < n; ++i) {
+    const int release = static_cast<int>(rng.uniform_int(0, slots - 1));
+    const int deadline =
+        static_cast<int>(rng.uniform_int(release, slots - 1));
+    const int window = deadline - release + 1;
+    ResourceVec width{};
+    ResourceVec demand{};
+    for (int r = 0; r < workload::kNumResources; ++r) {
+      width[r] = static_cast<double>(rng.uniform_int(1, 12));
+      demand[r] = i % 2 == 0
+                      ? width[r] * window  // binding in every slot
+                      : static_cast<double>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(width[r]) * window));
+    }
+    jobs.push_back(make_job(i, release, deadline, demand[kCpu],
+                            demand[kMemory], width[kCpu], width[kMemory]));
+  }
+  const LpSchedule fractional = solve_placement(jobs, caps, 0);
+  ASSERT_TRUE(fractional.ok());
+  LpScheduleOptions options;
+  options.integral_extraction = true;
+  const LpSchedule s = solve_placement(jobs, caps, 0, options);
+  ASSERT_TRUE(s.ok());
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    for (int t = 0; t < slots; ++t) {
+      double load = 0.0;
+      for (int j = 0; j < n; ++j) {
+        const LpJob& job = jobs[static_cast<std::size_t>(j)];
+        const double x = s.allocation[static_cast<std::size_t>(j)]
+                                     [static_cast<std::size_t>(t)][r];
+        EXPECT_NEAR(x, std::round(x), 1e-9) << "job " << j << " slot " << t;
+        EXPECT_GE(x, 0.0);
+        EXPECT_LE(x, job.width[r]);
+        if (t < job.release_slot || t > job.deadline_slot) {
+          EXPECT_EQ(x, 0.0) << "job " << j << " outside window at " << t;
+        }
+        load += x;
+      }
+      const double z = fractional.normalized_load[static_cast<std::size_t>(
+                           t)][r] *
+                       caps[static_cast<std::size_t>(t)][r];
+      EXPECT_LE(load, std::ceil(z - 1e-9) + 1e-9)
+          << "resource " << r << " slot " << t;
+    }
+    for (int j = 0; j < n; ++j) {
+      double placed = 0.0;
+      for (int t = 0; t < slots; ++t) {
+        placed += s.allocation[static_cast<std::size_t>(j)]
+                              [static_cast<std::size_t>(t)][r];
+      }
+      EXPECT_NEAR(placed, jobs[static_cast<std::size_t>(j)].demand[r], 1e-9)
+          << "job " << j << " resource " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntegralExtractionProperty,
+                         ::testing::Range(1, 25));
 
 TEST(LpFormulation, NonZeroFirstSlotOffsetsIndices) {
   const std::vector<LpJob> jobs = {make_job(0, 10, 12, 30.0, 0.0, 15.0, 0.0)};

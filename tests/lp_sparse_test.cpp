@@ -1,12 +1,13 @@
-// Differential tests between the two simplex basis representations
-// (SimplexEngine::kSparseLu, the default, vs kDenseInverse, the retained
-// reference). Both engines walk the same pricing / ratio-test rules, but
-// they round the solved directions differently in the last ULP (dense
-// inverse-multiply vs sparse LU + eta solves), so degenerate ties can
-// resolve to different — equally optimal — vertices. What IS guaranteed,
-// and pinned here on generated job sets: identical statuses and
-// infeasibility diagnoses, the same optimum level to ~1e-9, and plans that
-// are each feasible, demand-complete, and width/window-respecting.
+// Differential tests between the two lexmin solvers of the placement LP:
+// the flow lexmin (core/flow_placement.h), which solve_placement runs on
+// every resource, and the sparse revised simplex (lp/simplex.h), reached
+// through the coupled formulation on each resource's single-resource
+// projection (test::solve_projected_simplex). Both are exact on these
+// instances, but the optimal vertex is not unique, so what is pinned on
+// generated job sets is: identical statuses and infeasibility diagnoses,
+// the same peak level, the same sorted level vector per resource, and
+// plans that are each feasible, demand-complete, and width/window-
+// respecting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,8 @@
 #include <vector>
 
 #include "core/lp_formulation.h"
-#include "lp/model.h"
-#include "lp/simplex.h"
 #include "lp/solve_budget.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace flowtime::core {
@@ -46,16 +46,10 @@ std::vector<LpJob> random_jobs(int count, int horizon, std::uint64_t seed) {
   return jobs;
 }
 
-LpScheduleOptions engine_options(lp::SimplexEngine engine,
-                                 bool coupled = false) {
-  LpScheduleOptions options;
-  options.lexmin.lp_options.engine = engine;
-  options.flow_fast_path = false;  // both sides through simplex
-  options.coupled_resources = coupled;
-  return options;
-}
+using test::solve_projected_simplex;
+using test::sorted_loads;
 
-// One engine's plan must be a valid optimum on its own: every demand fully
+// One solver's plan must be a valid optimum on its own: every demand fully
 // placed inside its window, width bounds respected, and no slot loaded
 // beyond the reported peak level.
 void expect_valid_plan(const LpSchedule& s, const std::vector<LpJob>& jobs,
@@ -90,71 +84,82 @@ void expect_valid_plan(const LpSchedule& s, const std::vector<LpJob>& jobs,
   }
 }
 
-// The cross-engine contract: same statuses and diagnoses, same optimum
-// level, and each plan independently valid.
+// The cross-solver contract: same statuses and diagnoses, the same level
+// vector per resource, and each plan independently valid.
 void expect_equivalent(const LpSchedule& a, const LpSchedule& b,
                        const std::vector<LpJob>& jobs,
                        const std::vector<ResourceVec>& caps) {
   ASSERT_EQ(a.status, b.status);
   EXPECT_EQ(a.capacity_exceeded, b.capacity_exceeded);
-  EXPECT_NEAR(a.max_normalized_load, b.max_normalized_load, 1e-9);
-  if (a.ok()) {
-    expect_valid_plan(a, jobs, caps);
-    expect_valid_plan(b, jobs, caps);
+  EXPECT_NEAR(a.max_normalized_load, b.max_normalized_load, 1e-6);
+  if (!a.ok()) return;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    const std::vector<double> la = sorted_loads(a, r);
+    const std::vector<double> lb = sorted_loads(b, r);
+    ASSERT_EQ(la.size(), lb.size());
+    for (std::size_t k = 0; k < la.size(); ++k) {
+      EXPECT_NEAR(la[k], lb[k], 1e-6) << "resource " << r << " coordinate "
+                                      << k;
+    }
   }
+  expect_valid_plan(a, jobs, caps);
+  expect_valid_plan(b, jobs, caps);
 }
 
 TEST(SparseDifferential, PlansEquivalentAcrossSeeds) {
   for (std::uint64_t seed : {1u, 7u, 23u, 91u}) {
     const auto jobs = random_jobs(12, 10, seed);
     const auto caps = uniform_caps(10, 150.0, 300.0);
-    const LpSchedule sparse = solve_placement(
-        jobs, caps, 0, engine_options(lp::SimplexEngine::kSparseLu));
-    const LpSchedule dense = solve_placement(
-        jobs, caps, 0, engine_options(lp::SimplexEngine::kDenseInverse));
-    ASSERT_TRUE(sparse.ok()) << "seed " << seed;
-    expect_equivalent(sparse, dense, jobs, caps);
+    const LpSchedule flow = solve_placement(jobs, caps, 0);
+    const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0);
+    ASSERT_TRUE(flow.ok()) << "seed " << seed;
+    EXPECT_TRUE(flow.flow_fast_path);
+    EXPECT_FALSE(simplex.flow_fast_path);
+    expect_equivalent(flow, simplex, jobs, caps);
   }
 }
 
 TEST(SparseDifferential, CoupledFormulationEquivalent) {
-  // The coupled matrix loses the clean bipartite TU structure; the
-  // equivalence contract must still hold there.
-  const auto jobs = random_jobs(8, 8, 5);
+  // The premise of the projection reference: on jobs that each demand one
+  // resource, the coupled formulation — solved whole, by simplex — is
+  // exactly the separable LP, so it must match the flow lexmin.
+  auto jobs = random_jobs(8, 8, 5);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].demand[j % 2 == 0 ? workload::kMemory : workload::kCpu] = 0.0;
+  }
   const auto caps = uniform_caps(8, 200.0, 400.0);
-  const LpSchedule sparse = solve_placement(
-      jobs, caps, 0, engine_options(lp::SimplexEngine::kSparseLu, true));
-  const LpSchedule dense = solve_placement(
-      jobs, caps, 0, engine_options(lp::SimplexEngine::kDenseInverse, true));
-  ASSERT_TRUE(sparse.ok());
-  expect_equivalent(sparse, dense, jobs, caps);
+  LpScheduleOptions coupled;
+  coupled.coupled_resources = true;
+  const LpSchedule flow = solve_placement(jobs, caps, 0);
+  const LpSchedule simplex = solve_placement(jobs, caps, 0, coupled);
+  ASSERT_TRUE(flow.ok());
+  expect_equivalent(flow, simplex, jobs, caps);
 }
 
 TEST(SparseDifferential, OverloadedAndInfeasibleAgree) {
   // Over-capacity: both report capacity_exceeded with the same level.
   const std::vector<LpJob> heavy = random_jobs(10, 4, 11);
   const auto tight = uniform_caps(4, 30.0, 60.0);
-  const LpSchedule s = solve_placement(
-      heavy, tight, 0, engine_options(lp::SimplexEngine::kSparseLu));
-  const LpSchedule d = solve_placement(
-      heavy, tight, 0, engine_options(lp::SimplexEngine::kDenseInverse));
-  expect_equivalent(s, d, heavy, tight);
-  EXPECT_TRUE(s.capacity_exceeded);
+  const LpSchedule flow = solve_placement(heavy, tight, 0);
+  const LpSchedule simplex = solve_projected_simplex(heavy, tight, 0);
+  expect_equivalent(flow, simplex, heavy, tight);
+  EXPECT_TRUE(flow.capacity_exceeded);
+  // Width-limited: both diagnose the same infeasibility.
+  std::vector<LpJob> narrow = random_jobs(6, 8, 13);
+  narrow[2].width = ResourceVec{0.1, 0.1};  // < 1 of >= 5 per window
+  const auto caps = uniform_caps(8, 150.0, 300.0);
+  const LpSchedule flow_narrow = solve_placement(narrow, caps, 0);
+  EXPECT_EQ(flow_narrow.status, lp::SolveStatus::kInfeasible);
+  expect_equivalent(flow_narrow, solve_projected_simplex(narrow, caps, 0),
+                    narrow, caps);
 }
 
 TEST(SparseDifferential, WarmStartedResolvesEquivalent) {
-  // Same cache flow the scheduler uses: solve, perturb demands under the
-  // same shape, re-solve warm. Warm-started solves must honor the same
-  // contract engine-to-engine.
+  // Same cache flow the scheduler uses, one warm cache per resource: solve,
+  // perturb demands under the same shape, re-solve warm. Warm-started
+  // simplex solves must still match the flow lexmin.
   const auto caps = uniform_caps(10, 150.0, 300.0);
-  PlacementWarmCache sparse_cache;
-  PlacementWarmCache dense_cache;
-  LpScheduleOptions sparse_options =
-      engine_options(lp::SimplexEngine::kSparseLu);
-  sparse_options.warm_cache = &sparse_cache;
-  LpScheduleOptions dense_options =
-      engine_options(lp::SimplexEngine::kDenseInverse);
-  dense_options.warm_cache = &dense_cache;
+  PlacementWarmCache caches[workload::kNumResources];
   for (std::uint64_t seed : {3u, 4u}) {  // same windows, different demands
     auto jobs = random_jobs(10, 10, 3);
     util::Rng perturb(seed);
@@ -162,46 +167,51 @@ TEST(SparseDifferential, WarmStartedResolvesEquivalent) {
       job.demand[0] *= perturb.uniform_real(0.8, 1.2);
       job.demand[1] *= perturb.uniform_real(0.8, 1.2);
     }
-    const LpSchedule s = solve_placement(jobs, caps, 0, sparse_options);
-    const LpSchedule d = solve_placement(jobs, caps, 0, dense_options);
-    ASSERT_TRUE(s.ok());
-    expect_equivalent(s, d, jobs, caps);
+    const LpSchedule flow = solve_placement(jobs, caps, 0);
+    const LpSchedule simplex =
+        solve_projected_simplex(jobs, caps, 0, {}, caches);
+    ASSERT_TRUE(flow.ok());
+    expect_equivalent(flow, simplex, jobs, caps);
+  }
+  for (const PlacementWarmCache& cache : caches) {
+    EXPECT_FALSE(cache.basis.empty());
   }
 }
 
 TEST(SparseDifferential, BudgetExhaustionAgrees) {
-  // A 1-pivot budget must stop both engines at the same point with the
-  // same statuses — the watchdog sits outside the basis representation.
+  // A 1-unit budget must stop both solvers before their first level with
+  // the same status: the watchdog charges one unit per simplex pivot and
+  // per augmenting path alike, and sits outside either solver's state.
   const auto jobs = random_jobs(10, 8, 17);
   const auto caps = uniform_caps(8, 120.0, 240.0);
-  auto run = [&](lp::SimplexEngine engine) {
-    lp::SolveBudget budget;
-    budget.set_pivot_cap(1);
-    LpScheduleOptions options = engine_options(engine);
-    options.lexmin.lp_options.budget = &budget;
-    return solve_placement(jobs, caps, 0, options);
-  };
-  const LpSchedule s = run(lp::SimplexEngine::kSparseLu);
-  const LpSchedule d = run(lp::SimplexEngine::kDenseInverse);
-  EXPECT_EQ(s.status, d.status);
-  EXPECT_EQ(s.budget_exhausted, d.budget_exhausted);
-  EXPECT_EQ(s.pivots, d.pivots);
-  EXPECT_TRUE(s.budget_exhausted);
+  lp::SolveBudget flow_budget;
+  flow_budget.set_pivot_cap(1);
+  LpScheduleOptions flow_options;
+  flow_options.lexmin.lp_options.budget = &flow_budget;
+  lp::SolveBudget simplex_budget;
+  simplex_budget.set_pivot_cap(1);
+  LpScheduleOptions simplex_options;
+  simplex_options.lexmin.lp_options.budget = &simplex_budget;
+  const LpSchedule flow = solve_placement(jobs, caps, 0, flow_options);
+  const LpSchedule simplex =
+      solve_projected_simplex(jobs, caps, 0, simplex_options);
+  EXPECT_EQ(flow.status, lp::SolveStatus::kIterationLimit);
+  EXPECT_EQ(flow.status, simplex.status);
+  EXPECT_EQ(flow.budget_exhausted, simplex.budget_exhausted);
+  EXPECT_EQ(flow.pivots, simplex.pivots);
+  EXPECT_TRUE(flow.budget_exhausted);
 }
 
 TEST(FlowFastPath, MatchesSimplexFirstLevel) {
   // At max_rounds = 1 the simplex lexmin stops after the first level
   // (truncated); the flow lexmin ignores the cap and refines every level.
-  // Both share the first level, and the flags report which engine ran.
+  // Both share the first level, and the flags report which solver ran.
   const auto jobs = random_jobs(12, 10, 29);
   const auto caps = uniform_caps(10, 150.0, 300.0);
-  LpScheduleOptions flow_options;
-  flow_options.lexmin.max_rounds = 1;
-  flow_options.flow_fast_path = true;
-  LpScheduleOptions simplex_options = flow_options;
-  simplex_options.flow_fast_path = false;
-  const LpSchedule flow = solve_placement(jobs, caps, 0, flow_options);
-  const LpSchedule simplex = solve_placement(jobs, caps, 0, simplex_options);
+  LpScheduleOptions options;
+  options.lexmin.max_rounds = 1;
+  const LpSchedule flow = solve_placement(jobs, caps, 0, options);
+  const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0, options);
   ASSERT_TRUE(flow.ok());
   ASSERT_TRUE(simplex.ok());
   EXPECT_TRUE(flow.flow_fast_path);
@@ -215,18 +225,15 @@ TEST(FlowFastPath, MatchesSimplexFirstLevel) {
 }
 
 TEST(FlowFastPath, DeepRefinementTakesFlowPathAndMatchesSimplex) {
-  // Default options refine every level (max_rounds = 64), and the flow
-  // lexmin still answers them: its whole sorted load vector must match the
-  // simplex lexmin's per resource, and the flags and counts must report
-  // which engine ran (a flow solve's pivots are its augmenting paths).
+  // Default options refine every simplex level (max_rounds = 64), and the
+  // flow lexmin answers them too: its whole sorted load vector must match
+  // the simplex lexmin's per resource, and the flags and counts must
+  // report which solver ran (a flow solve's pivots are its augmenting
+  // paths).
   const auto jobs = random_jobs(12, 10, 29);
   const auto caps = uniform_caps(10, 150.0, 300.0);
-  LpScheduleOptions flow_options;
-  ASSERT_TRUE(flow_options.flow_fast_path);
-  LpScheduleOptions simplex_options = flow_options;
-  simplex_options.flow_fast_path = false;
-  const LpSchedule flow = solve_placement(jobs, caps, 0, flow_options);
-  const LpSchedule simplex = solve_placement(jobs, caps, 0, simplex_options);
+  const LpSchedule flow = solve_placement(jobs, caps, 0);
+  const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0);
   ASSERT_TRUE(flow.ok());
   ASSERT_TRUE(simplex.ok());
   EXPECT_TRUE(flow.flow_fast_path);
@@ -235,22 +242,7 @@ TEST(FlowFastPath, DeepRefinementTakesFlowPathAndMatchesSimplex) {
   EXPECT_GT(flow.lexmin_rounds, 1);
   EXPECT_FALSE(flow.lexmin_truncated);
   EXPECT_FALSE(simplex.lexmin_truncated);
-  EXPECT_NEAR(flow.max_normalized_load, simplex.max_normalized_load, 1e-6);
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    std::vector<double> a;
-    std::vector<double> b;
-    for (int t = 0; t < 10; ++t) {
-      a.push_back(flow.normalized_load[static_cast<std::size_t>(t)][r]);
-      b.push_back(simplex.normalized_load[static_cast<std::size_t>(t)][r]);
-    }
-    std::sort(a.rbegin(), a.rend());
-    std::sort(b.rbegin(), b.rend());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_NEAR(a[k], b[k], 1e-6) << "resource " << r << " coordinate "
-                                    << k;
-    }
-  }
-  expect_valid_plan(flow, jobs, caps);
+  expect_equivalent(flow, simplex, jobs, caps);
 }
 
 }  // namespace

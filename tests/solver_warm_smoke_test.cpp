@@ -1,4 +1,5 @@
-// Smoke test for the warm-started LP hot path (DESIGN.md "Warm starts").
+// Smoke test for the warm-started LP hot path (DESIGN.md "Warm starts") of
+// the coupled formulation, the one placement the simplex lexmin solves.
 //
 // Drives the exact pattern the scheduler produces: a sequence of re-plans
 // over the same job set whose remaining demands shrink step by step (work
@@ -63,7 +64,7 @@ std::vector<std::int64_t> run_sequence(const std::vector<LpJob>& jobs,
   const std::vector<ResourceVec> caps(
       kHorizon, ResourceVec{500.0, 1000.0});
   LpScheduleOptions options;
-  options.flow_fast_path = false;  // simplex warm starts are under test
+  options.coupled_resources = true;  // simplex warm starts are under test
   options.warm_cache = cache;
   options.lexmin.warm_start = warm_start;
   std::vector<std::int64_t> pivots;
@@ -126,7 +127,7 @@ TEST(SolverWarmSmoke, ShapeChangeFallsBackWithoutFailing) {
       kHorizon, ResourceVec{500.0, 1000.0});
   PlacementWarmCache cache;
   LpScheduleOptions options;
-  options.flow_fast_path = false;  // simplex warm starts are under test
+  options.coupled_resources = true;  // simplex warm starts are under test
   options.warm_cache = &cache;
 
   const LpSchedule first = solve_placement(jobs, caps, 0, options);

@@ -76,9 +76,7 @@ bool is_bipartite_incidence_like(const IntMatrix& m);
 /// coefficient +1, and every load normalizer positive. Such a system is TU
 /// (each column is a bipartite incidence column), and its lexmin is the
 /// lexicographically optimal base the flow lexmin (core/flow_placement.h)
-/// computes. O(nnz). core::solve_placement checks the same condition on
-/// its jobs without building the LP; this form serves callers and tests
-/// that hold an LpProblem.
+/// computes. O(nnz). Only tests call it, on LPs they build.
 bool flow_representable(const LpProblem& base,
                         const std::vector<LoadRow>& loads);
 

@@ -1,6 +1,7 @@
-// Direct unit tests for lp/unimodular: the exact TU check (Bareiss
-// determinant enumeration), the Ghouila-Houri certificate, and the O(nnz)
-// flow_representable gate that guards the max-flow fast path. lemma_test.cpp
+// Direct unit tests for lp/unimodular (a test-only checker under
+// tests/support): the exact TU check (Bareiss determinant enumeration), the
+// Ghouila-Houri certificate, and the O(nnz) flow_representable check that an
+// LP is the transportation system the flow lexmin solves. lemma_test.cpp
 // checks TU on the matrices the formulation builds; this file pins the
 // checker itself on hand-constructed matrices, including the classic
 // non-TU counterexamples and the Bareiss pivoting edge cases.
@@ -87,7 +88,7 @@ TEST(Unimodular, GhouilaHouriAgreesOnSmallMatrices) {
   EXPECT_TRUE(ghouila_houri_violation(not_tu).has_value());
 }
 
-// --- flow_representable: the structural gate for the max-flow fast path ---
+// --- flow_representable: the transportation structure of the flow lexmin ---
 
 // Builds the canonical 2-job / 2-slot transportation system the gate is
 // designed for: one equality demand row per job over its window columns,
