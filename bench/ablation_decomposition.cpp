@@ -9,19 +9,17 @@
 // We print the Fig. 3 windows and then measure end-to-end misses under
 // FlowTime configured with each decomposition mode.
 //
-// Part 2: lexicographic refinement depth of the simplex lexmin, on the
-// coupled formulation it serves (the separable formulation's flow lexmin
-// always refines every level). The first round already fixes the peak;
-// further rounds flatten the rest of the profile. We report peak and mean
-// normalized load and solve cost per round budget.
-//
-// Part 3: the paper's decoupled formulation (flow lexmin) vs the
-// resource-coupled one (simplex lexmin): flatness and solver work.
+// Part 2: lexicographic refinement depth. The first level alone
+// (solve_flow_placement, the admission primitive) already fixes the peak;
+// the full flow lexmin (solve_placement) refines every further level and
+// flattens the rest of the profile. We report peak, mean and spread of the
+// normalized load for both.
 #include <cstdio>
 
 #include "bench_trace.h"
 
 #include "core/decomposition.h"
+#include "core/flow_placement.h"
 #include "core/lp_formulation.h"
 #include "dag/generators.h"
 #include "sched/experiment.h"
@@ -147,90 +145,37 @@ void part2_lexmin_depth() {
   }
   const std::vector<ResourceVec> caps(slots, ResourceVec{5000.0, 10240.0});
 
-  util::Table table({"max_rounds", "rounds_used", "peak_load", "mean_load",
-                     "load_stddev", "pivots"});
-  for (const int rounds : {1, 2, 4, 8, 1024}) {
-    core::LpScheduleOptions options;
-    options.coupled_resources = true;  // the simplex round cap is under test
-    options.lexmin.max_rounds = rounds;
-    const core::LpSchedule schedule =
-        core::solve_placement(jobs, caps, 0, options);
-    if (!schedule.ok()) continue;
-    std::vector<double> loads;
-    for (const auto& slot_load : schedule.normalized_load) {
-      for (int r = 0; r < workload::kNumResources; ++r) {
-        loads.push_back(slot_load[r]);
-      }
-    }
-    table.begin_row()
-        .add(static_cast<std::int64_t>(rounds))
-        .add(static_cast<std::int64_t>(schedule.lexmin_rounds))
-        .add(schedule.max_normalized_load, 4)
-        .add(util::mean(loads), 4)
-        .add(util::stddev(loads), 4)
-        .add(schedule.pivots);
-  }
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf(
-      "Expected: the peak is fixed after round 1; deeper refinement lowers "
-      "the load variance (flatter profile => better ad-hoc leftovers) at "
-      "growing pivot cost.\n");
-}
-
-void part3_resource_coupling() {
-  std::printf("--- Part 3: decoupled (paper) vs resource-coupled LP ---\n");
-  // The paper's x_it^r variables let CPU and memory follow different time
-  // profiles; the coupled variant ties them to one task-time variable,
-  // which containers need. Measure the flatness cost and solver effort:
-  // augmenting paths of the flow lexmin for the decoupled row, simplex
-  // pivots for the coupled one.
-  util::Rng rng(11);
-  std::vector<core::LpJob> jobs;
-  const int slots = 80;
-  for (int i = 0; i < 30; ++i) {
-    const int release = static_cast<int>(rng.uniform_int(0, slots / 2));
-    const int deadline =
-        std::min(slots - 1,
-                 release + static_cast<int>(rng.uniform_int(10, slots / 2)));
-    const int tasks = static_cast<int>(rng.uniform_int(10, 80));
-    const double runtime =
-        rng.uniform_real(20.0, 0.9 * (deadline - release + 1) * 10.0);
-    const double mem = rng.uniform_real(1.5, 4.0);
-    core::LpJob job;
-    job.uid = i;
-    job.release_slot = release;
-    job.deadline_slot = deadline;
-    job.demand = ResourceVec{tasks * runtime, tasks * runtime * mem};
-    job.width = ResourceVec{tasks * 10.0, tasks * mem * 10.0};
-    jobs.push_back(job);
-  }
-  const std::vector<ResourceVec> caps(slots, ResourceVec{5000.0, 10240.0});
-
   util::Table table(
-      {"formulation", "peak_load", "load_stddev", "solver work"});
-  for (const bool coupled : {false, true}) {
-    core::LpScheduleOptions options;
-    options.coupled_resources = coupled;
-    const core::LpSchedule s = core::solve_placement(jobs, caps, 0, options);
-    if (!s.ok()) continue;
+      {"solve", "levels", "peak_load", "mean_load", "load_stddev"});
+  const auto add_row = [&](const std::string& solve, std::int64_t levels,
+                           const std::vector<std::vector<ResourceVec>>&
+                               allocation) {
     std::vector<double> loads;
-    for (const auto& slot_load : s.normalized_load) {
+    for (int t = 0; t < slots; ++t) {
       for (int r = 0; r < workload::kNumResources; ++r) {
-        loads.push_back(slot_load[r]);
+        double load = 0.0;
+        for (const auto& row : allocation) {
+          load += row[static_cast<std::size_t>(t)][r];
+        }
+        loads.push_back(load / caps[static_cast<std::size_t>(t)][r]);
       }
     }
     table.begin_row()
-        .add(std::string(coupled ? "coupled (container-ready, simplex)"
-                                 : "decoupled (paper, flow)"))
-        .add(s.max_normalized_load, 4)
-        .add(util::stddev(loads), 4)
-        .add(s.pivots);
-  }
+        .add(solve)
+        .add(levels)
+        .add(util::max_of(loads), 4)
+        .add(util::mean(loads), 4)
+        .add(util::stddev(loads), 4);
+  };
+  const core::FlowPlacementResult first =
+      core::solve_flow_placement(jobs, caps, 0);
+  if (first.feasible) add_row("first level", 1, first.allocation);
+  const core::LpSchedule full = core::solve_placement(jobs, caps, 0);
+  if (full.ok()) add_row("full lexmin", full.lexmin_rounds, full.allocation);
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "Expected: nearly identical peaks for gang jobs (demands proportional "
-      "to widths), with the coupled variant producing proportional task "
-      "bundles per slot.\n");
+      "Expected: the same peak at both depths; the full lexmin lowers the "
+      "load variance (flatter profile => better ad-hoc leftovers).\n");
 }
 
 }  // namespace
@@ -241,8 +186,6 @@ int main(int argc, char** argv) {
   part1_decomposition_mode();
   std::printf("\n");
   part2_lexmin_depth();
-  std::printf("\n");
-  part3_resource_coupling();
   flowtime::bench::finish_trace_out();
   return 0;
 }

@@ -2,16 +2,15 @@
 //
 // Runs the scheduler's steady-state workload — a re-plan sequence over one
 // Fig.7-style job set whose demands shrink step to step — once through the
-// sparse revised simplex and once through the exact flow lexmin
+// test-only sparse revised simplex and once through the exact flow lexmin
 // (core/flow_placement.h), the solver solve_placement runs on every
 // resource. The simplex row ("sparse_lu", lexmin capped at --rounds) solves
-// the same per-resource systems: each resource's single-resource
-// projection (the job set with the other resource's demand zeroed) through
-// the coupled formulation, which for such jobs is exactly that resource's
-// separable LP, with one warm cache per resource carried across steps. The
-// flow row ("flow_fast_path") refines every level. Per row it reports the
-// solver work (simplex pivots, or augmenting paths for the flow row), the
-// deepest lexmin it refined (levels_refined), and the phase-level wall
+// the same per-resource transportation LPs through
+// lp::solve_placement_simplex (tests/support/lp), with each resource's
+// final basis carried across steps. The flow row ("flow_fast_path")
+// refines every level. Per row it reports the solver work (simplex
+// pivots, or augmenting paths for the flow row), the deepest lexmin it
+// refined (levels_refined), and the phase-level wall
 // clock from lp/solve_profile (pricing, ratio test, basis update,
 // refactorization), whose sum is the simplex pivot-loop wall time.
 //
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "core/lp_formulation.h"
+#include "lp/placement_simplex.h"
 #include "lp/solve_profile.h"
 #include "obs/metrics.h"
 #include "sim/report.h"
@@ -82,35 +82,6 @@ std::vector<core::LpJob> jobs_at_step(const std::vector<core::LpJob>& jobs,
   const double scale = 1.0 - 0.07 * step;
   for (core::LpJob& job : out) job.demand = workload::scale(job.demand, scale);
   return out;
-}
-
-// The simplex row's solve: each resource's system as the coupled
-// formulation of its single-resource projection, warm-started from that
-// resource's cache. Merged as solve_placement merges resources: summed
-// pivots, the deepest lexmin, the highest peak.
-core::LpSchedule solve_projected(const std::vector<core::LpJob>& jobs,
-                                 const std::vector<ResourceVec>& caps,
-                                 core::LpScheduleOptions options,
-                                 core::PlacementWarmCache* caches) {
-  core::LpSchedule merged;
-  merged.status = lp::SolveStatus::kOptimal;
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    std::vector<core::LpJob> projected = jobs;
-    for (core::LpJob& job : projected) {
-      for (int other = 0; other < workload::kNumResources; ++other) {
-        if (other != r) job.demand[other] = 0.0;
-      }
-    }
-    options.warm_cache = &caches[r];
-    const core::LpSchedule s =
-        core::solve_placement_coupled(projected, caps, 0, options);
-    if (!s.ok()) return s;
-    merged.pivots += s.pivots;
-    merged.lexmin_rounds = std::max(merged.lexmin_rounds, s.lexmin_rounds);
-    merged.max_normalized_load =
-        std::max(merged.max_normalized_load, s.max_normalized_load);
-  }
-  return merged;
 }
 
 using Solver =
@@ -249,13 +220,14 @@ int main(int argc, char** argv) {
   const std::vector<core::LpJob> jobs = make_jobs(jobs_n, slots);
 
   std::vector<EngineRow> rows;
-  core::LpScheduleOptions options;
-  options.lexmin.max_rounds = rounds;
-  core::PlacementWarmCache caches[workload::kNumResources];
+  lp::LexMinMaxOptions options;
+  options.max_rounds = rounds;
+  lp::ResourceBases bases;
   rows.push_back(run_sequence(
       "sparse_lu", jobs, steps,
       [&](const std::vector<core::LpJob>& step_jobs) {
-        return solve_projected(step_jobs, caps, options, caches);
+        return lp::solve_placement_simplex(step_jobs, caps, 0, options,
+                                           &bases);
       }));
   // The flow row is the exact lexmin: every level, whatever --rounds says;
   // its pivots are augmenting paths.

@@ -4,11 +4,9 @@
 // runtime (barrier mode, so every mode executes the identical plan
 // sequence) in three observability modes:
 //   * "obs_off"    — obs disabled: the instrumentation guards (one relaxed
-//                    atomic load per site, a cached null profile pointer in
-//                    the simplex hot loop) are the only residue,
-//   * "obs_on"     — obs enabled, no sink: timers, counters, histograms
-//                    and the thread-local solve profile run; rendered
-//                    events are dropped,
+//                    atomic load per site) are the only residue,
+//   * "obs_on"     — obs enabled, no sink: timers, counters and
+//                    histograms run; rendered events are dropped,
 //   * "obs_jsonl"  — obs enabled with a JSONL file sink: full causal
 //                    tracing written to disk.
 // The off mode runs twice ("obs_off" + "obs_off_repeat"): the spread

@@ -4,12 +4,10 @@
 // grows, on a 500-core / 1 TB cluster with 100 time slots (10 s each,
 // i.e. a 1000 s planning horizon), solved with CPLEX on a MacBook. This
 // harness sweeps the job count over the same horizon with the scheduler's
-// own solver: the exact flow lexmin (core/flow_placement.h); the
-// BM_LpReplanSequence* series run the coupled formulation, the one
-// placement the simplex lexmin solves, to measure its warm starts.
-// Absolute times differ from CPLEX; the
-// reproduction target is latency growing polynomially with the job count —
-// fast enough to re-plan on job completion events.
+// own solver: the exact flow lexmin (core/flow_placement.h). Absolute
+// times differ from CPLEX; the reproduction target is latency growing
+// polynomially with the job count — fast enough to re-plan on job
+// completion events.
 #include <benchmark/benchmark.h>
 
 #include "bench_trace.h"
@@ -50,13 +48,9 @@ void BM_LpSchedulerLatency(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<core::LpJob> jobs = make_jobs(n);
   const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
-  core::LpScheduleOptions options;
-  options.lexmin.max_rounds = 6;  // the scheduler's runtime configuration
-                                  // (the flow lexmin ignores the cap)
   std::int64_t pivots = 0;
   for (auto _ : state) {
-    const core::LpSchedule schedule =
-        core::solve_placement(jobs, caps, 0, options);
+    const core::LpSchedule schedule = core::solve_placement(jobs, caps, 0);
     benchmark::DoNotOptimize(schedule);
     pivots = schedule.pivots;
   }
@@ -71,92 +65,6 @@ BENCHMARK(BM_LpSchedulerLatency)
     ->Arg(60)
     ->Arg(80)
     ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-// Warm-vs-cold re-plan sequence under the coupled formulation (the
-// scheduler path that warm-starts simplex): the scheduler's steady state
-// is a run of re-plans over the same job set whose remaining demands
-// shrink as work completes — identical LP shape, different data. The warm
-// series threads the previous solve's basis through a PlacementWarmCache
-// (and bases round-to-round inside each lexmin); the cold series disables
-// warm starting entirely, paying a full two-phase solve per round. Each
-// iteration runs the whole kReplanSteps-step sequence; the pivot counters
-// expose the warm/cold ratio directly.
-constexpr int kReplanSteps = 6;
-
-std::vector<core::LpJob> jobs_at_step(const std::vector<core::LpJob>& jobs,
-                                      int step) {
-  std::vector<core::LpJob> out = jobs;
-  const double scale = 1.0 - 0.07 * step;
-  for (core::LpJob& job : out) job.demand = workload::scale(job.demand, scale);
-  return out;
-}
-
-void run_replan_sequence(benchmark::State& state, bool warm) {
-  const int n = static_cast<int>(state.range(0));
-  const std::vector<core::LpJob> jobs = make_jobs(n);
-  const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
-  core::LpScheduleOptions options;
-  options.coupled_resources = true;  // the simplex lexmin's formulation
-  options.lexmin.max_rounds = 6;
-  options.lexmin.warm_start = warm;
-  std::int64_t pivots = 0;
-  for (auto _ : state) {
-    core::PlacementWarmCache cache;
-    options.warm_cache = warm ? &cache : nullptr;
-    pivots = 0;
-    for (int step = 0; step < kReplanSteps; ++step) {
-      const core::LpSchedule schedule =
-          core::solve_placement(jobs_at_step(jobs, step), caps, 0, options);
-      benchmark::DoNotOptimize(schedule);
-      pivots += schedule.pivots;
-    }
-  }
-  state.counters["jobs"] = n;
-  state.counters["pivots"] = static_cast<double>(pivots);
-}
-
-void BM_LpReplanSequenceWarm(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/true);
-}
-
-void BM_LpReplanSequenceCold(benchmark::State& state) {
-  run_replan_sequence(state, /*warm=*/false);
-}
-
-BENCHMARK(BM_LpReplanSequenceWarm)
-    ->Arg(10)
-    ->Arg(40)
-    ->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_LpReplanSequenceCold)
-    ->Arg(10)
-    ->Arg(40)
-    ->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-// Companion series: max_rounds = 1024. The flow lexmin refines every level
-// regardless, so this now matches BM_LpSchedulerLatency; it stays as the
-// anchor for the simplex full-refinement numbers in EXPERIMENTS.md.
-void BM_LpSchedulerLatencyFullLex(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const std::vector<core::LpJob> jobs = make_jobs(n);
-  const std::vector<ResourceVec> caps(kSlots, ResourceVec{kCpuCap, kMemCap});
-  core::LpScheduleOptions options;
-  options.lexmin.max_rounds = 1024;
-  for (auto _ : state) {
-    const core::LpSchedule schedule =
-        core::solve_placement(jobs, caps, 0, options);
-    benchmark::DoNotOptimize(schedule);
-  }
-  state.counters["jobs"] = n;
-}
-
-BENCHMARK(BM_LpSchedulerLatencyFullLex)
-    ->Arg(10)
-    ->Arg(40)
-    ->Arg(80)
     ->Unit(benchmark::kMillisecond);
 
 // Companion series: the flow lexmin's FIRST level only (feasibility + peak
@@ -185,7 +93,7 @@ BENCHMARK(BM_FlowPlacementLatency)
 
 // Companion series: scaling with the horizon length T at a fixed job
 // count (the paper fixes T=100; re-planning horizons vary in practice and
-// load-row count drives the basis size).
+// the slot count sizes the flow network).
 void BM_LpSchedulerLatencyBySlots(benchmark::State& state) {
   const int slots = static_cast<int>(state.range(0));
   std::vector<core::LpJob> jobs = make_jobs(40);
@@ -198,11 +106,8 @@ void BM_LpSchedulerLatencyBySlots(benchmark::State& state) {
   }
   const std::vector<ResourceVec> caps(static_cast<std::size_t>(slots),
                                       ResourceVec{kCpuCap, kMemCap});
-  core::LpScheduleOptions options;
-  options.lexmin.max_rounds = 6;
   for (auto _ : state) {
-    const core::LpSchedule schedule =
-        core::solve_placement(jobs, caps, 0, options);
+    const core::LpSchedule schedule = core::solve_placement(jobs, caps, 0);
     benchmark::DoNotOptimize(schedule);
   }
   state.counters["slots"] = slots;

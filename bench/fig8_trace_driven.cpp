@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
   config.sim.max_horizon_s = 24.0 * 3600.0;
   config.flowtime.cluster.capacity = config.sim.cluster.capacity;
   config.flowtime.cluster.slot_seconds = config.sim.cluster.slot_seconds;
-  // Long-horizon LPs: a shallower lexmin budget keeps re-plans snappy
-  // without affecting the peak (see the ablation bench).
-  config.flowtime.lp.lexmin.max_rounds = 4;
   config.schedulers = {"FlowTime", "CORA", "EDF", "Fair", "FIFO",
                        "Morpheus", "Rayon"};
 

@@ -104,19 +104,9 @@ const std::map<std::string, std::vector<std::string>>& event_schema() {
        {"entity", "workflow", "level", "now_s", "deadline_s", "projected_s",
         "laxity_s"}},
       // -- LP layer ---------------------------------------------------------
-      {"simplex_solve",
-       {"rows", "cols", "status", "pivots", "phase1_iters", "phase2_iters",
-        "objective", "warm_start", "warm_start_fallback", "wall_s"}},
       {"lexmin_solve",
        {"engine", "rows", "cols", "loads", "status", "rounds", "pivots",
         "levels", "max_level", "truncated", "budget_exhausted", "wall_s"}},
-      {"lexmin_round",
-       {"round", "level", "pivots", "fixed", "total_fixed", "wall_s"}},
-      {"solve_profile",
-       {"context", "slot", "solves", "pivots", "degenerate_pivots",
-        "bound_flips", "refactorizations", "basis_patches", "lexmin_rounds",
-        "pricing_s", "ratio_test_s", "basis_update_s", "refactor_s",
-        "wall_s"}},
       // -- fault injection --------------------------------------------------
       {"fault_injected", {"kind"}},  // per-kind fields differ by variant
       {"fault_lifted", {"kind", "slot", "now_s"}},
@@ -346,7 +336,7 @@ int main(int argc, char** argv) {
       }
       open_spans.erase(it);
     }
-    if (type == "simplex_solve" || type == "lexmin_solve") ++solves;
+    if (type == "lexmin_solve") ++solves;
     if (type == "replan") ++replans;
     if (type == "slot") ++slots;
   }

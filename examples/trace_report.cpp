@@ -9,8 +9,6 @@
 //   * the event latency decomposition (queue-wait / coalesce / solve /
 //     adoption-lag stages of every causal chain from the concurrent
 //     runtime, with a stages-sum-to-total consistency check),
-//   * the solver-phase profile table (pricing / ratio test / basis update /
-//     refactorize seconds aggregated from solve_profile events),
 //   * a deadline-risk summary (warn/breach transitions per workflow).
 // With --chrome-out it additionally converts the span stream to the Chrome
 // trace-event JSON that chrome://tracing and https://ui.perfetto.dev load.
@@ -422,72 +420,6 @@ int main(int argc, char** argv) {
                   trigger_enqueues, chain_solve_begins, terminals,
                   chain_solve_begins == terminals ? " (balanced)"
                                                   : " (UNBALANCED)");
-    }
-  }
-
-  // --- solver-phase profile ---------------------------------------------
-  // Aggregates the per-solve lp::SolveProfile merge events: where the LP
-  // hot path spends its time, and the pivot-quality counters.
-  {
-    double pricing_s = 0.0;
-    double ratio_test_s = 0.0;
-    double basis_update_s = 0.0;
-    double refactor_s = 0.0;
-    std::int64_t solves = 0;
-    std::int64_t pivots = 0;
-    std::int64_t degenerate = 0;
-    std::int64_t bound_flips = 0;
-    std::int64_t refactorizations = 0;
-    std::int64_t basis_patches = 0;
-    std::int64_t lexmin_rounds = 0;
-    int profiles = 0;
-    for (const TraceRecord& record : events) {
-      if (as_string(record, "type") != "solve_profile") continue;
-      ++profiles;
-      pricing_s += as_double(record, "pricing_s");
-      ratio_test_s += as_double(record, "ratio_test_s");
-      basis_update_s += as_double(record, "basis_update_s");
-      refactor_s += as_double(record, "refactor_s");
-      solves += static_cast<std::int64_t>(as_double(record, "solves"));
-      pivots += static_cast<std::int64_t>(as_double(record, "pivots"));
-      degenerate +=
-          static_cast<std::int64_t>(as_double(record, "degenerate_pivots"));
-      bound_flips +=
-          static_cast<std::int64_t>(as_double(record, "bound_flips"));
-      refactorizations +=
-          static_cast<std::int64_t>(as_double(record, "refactorizations"));
-      basis_patches +=
-          static_cast<std::int64_t>(as_double(record, "basis_patches"));
-      lexmin_rounds +=
-          static_cast<std::int64_t>(as_double(record, "lexmin_rounds"));
-    }
-    if (profiles > 0) {
-      const double phase_total =
-          pricing_s + ratio_test_s + basis_update_s + refactor_s;
-      auto pct = [&](double value) {
-        return phase_total > 0.0 ? 100.0 * value / phase_total : 0.0;
-      };
-      std::printf("\nSolver phase profile (%d profiled solve scopes):\n",
-                  profiles);
-      std::printf("  %-16s %12s %8s\n", "phase", "seconds", "share");
-      std::printf("  %-16s %12.6f %7.1f%%\n", "pricing", pricing_s,
-                  pct(pricing_s));
-      std::printf("  %-16s %12.6f %7.1f%%\n", "ratio_test", ratio_test_s,
-                  pct(ratio_test_s));
-      std::printf("  %-16s %12.6f %7.1f%%\n", "basis_update", basis_update_s,
-                  pct(basis_update_s));
-      std::printf("  %-16s %12.6f %7.1f%%\n", "refactorize", refactor_s,
-                  pct(refactor_s));
-      std::printf(
-          "  %lld LP solves, %lld pivots (%lld degenerate, %lld bound "
-          "flips), %lld refactorizations, %lld basis patches, %lld lexmin "
-          "rounds\n",
-          static_cast<long long>(solves), static_cast<long long>(pivots),
-          static_cast<long long>(degenerate),
-          static_cast<long long>(bound_flips),
-          static_cast<long long>(refactorizations),
-          static_cast<long long>(basis_patches),
-          static_cast<long long>(lexmin_rounds));
     }
   }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "lp/lexmin.h"
+#include "lp/lexmin_trace.h"
 #include "lp/maxflow.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -280,7 +280,6 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
   }
   obs::registry().counter("lp.flow.augmentations").add(result.augmentations);
   lp::LexminTrace trace;
-  trace.engine = "flow";
   trace.rows = result.jobs;
   trace.cols = result.edges;
   trace.loads = result.load.size();

@@ -21,9 +21,9 @@
 //   3. Repeat until every covered slot (one some job can use) is fixed.
 //
 // Every level is exact, so the result is the whole lexicographic optimum,
-// not just its peak. This is solve_placement's only per-resource solver;
-// the simplex lexmin (lp/lexmin.h) serves only the coupled formulation,
-// whose single-resource projection is this routine's test reference.
+// not just its peak. This is solve_placement's only solver; the tests
+// check it against a simplex lexmin of the same per-resource LP
+// (tests/support/lp/placement_simplex.h).
 //
 // Inputs: an infinite width caps a job->slot arc at the job's demand (a
 // job never places more than its demand in one slot); a NaN, infinite or
@@ -37,7 +37,7 @@
 //
 // Work is counted in augmenting paths. A SolveBudget charges one unit per
 // path and is polled between paths (lp::FlowNetwork::max_flow), so pivot
-// caps, wall budgets and cancel tokens cut a flow solve like a simplex one:
+// caps, wall budgets and cancel tokens cut a flow solve between paths:
 // before the first level is found the budget's status (kTimeout or
 // kIterationLimit) comes back; after it, the last completed level's flow
 // comes back as a truncated plan.

@@ -9,7 +9,6 @@
 
 #include "core/greedy_placement.h"
 #include "lp/solve_budget.h"
-#include "lp/solve_profile.h"
 #include "obs/deadline_monitor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -475,11 +474,8 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
   }
   if (record.lexmin_truncated) {
     ++truncated_replans_;
-    FT_LOG(kWarn) << "FlowTime replan: "
-                  << (record.budget_exhausted
-                          ? "the solver budget cut the lexmin"
-                          : "the simplex lexmin round cap ran out")
-                  << "; the plan's load profile tail is unrefined";
+    FT_LOG(kWarn) << "FlowTime replan: the solver budget cut the lexmin; "
+                     "the plan's load profile tail is unrefined";
   }
   if (record.capacity_exceeded) {
     FT_LOG(kInfo) << "FlowTime: deadline windows need "
@@ -613,9 +609,9 @@ void FlowTimeScheduler::abandon_replan(const PendingReplan& pending,
   }
 }
 
-PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
-                                                PlacementWarmCache* warm_cache,
-                                                PendingReplan& pending) {
+PlanSolveResult FlowTimeScheduler::solve_replan(
+    const FlowTimeConfig& config, PlacementWarmCache* /*warm_cache*/,
+    PendingReplan& pending) {
   std::optional<obs::ScopedTimer> timer;
   if (obs::enabled()) timer.emplace(&pending.record.wall_s);
   PlanSolveResult out;
@@ -626,13 +622,6 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
   // snapshot in `pending` stays what begin_replan produced.
   std::vector<LpJob> lp_jobs = pending.lp_jobs;
   const int horizon_last_slot = pending.horizon_last_slot;
-
-  // Phase-level profile of every LP the escalation ladder runs below (all
-  // rungs, retries and lexmin probes included). Thread-local while open;
-  // merged into the registry and emitted as one `solve_profile` trace event
-  // when the scope closes, so the solver pool never contends on it.
-  std::optional<lp::ScopedSolveProfile> profile;
-  if (obs::enabled()) profile.emplace("replan", state.slot);
 
   const int num_slots = horizon_last_slot - state.slot + 1;
   // Plan-ahead coarsening: bucket `bucket` consecutive slots into one
@@ -674,8 +663,6 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
   std::vector<workload::ResourceVec> caps(
       static_cast<std::size_t>(coarse_horizon),
       workload::scale(full_cap, cap_fraction));
-  LpScheduleOptions lp_options = config.lp;
-  lp_options.warm_cache = warm_cache;
   const int lp_first_slot = bucket > 1 ? 0 : state.slot;
 
   // --- Escalation ladder (DESIGN.md §10) ---------------------------------
@@ -692,11 +679,9 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
     return pending.cancel != nullptr &&
            pending.cancel->load(std::memory_order_relaxed);
   };
-  if (budget.limited()) {
-    // Installed only when a limit exists, so the unlimited path is
-    // bit-identical to a build without budgets.
-    lp_options.lexmin.lp_options.budget = &budget;
-  }
+  // Passed only when a limit exists, so the unlimited path is bit-identical
+  // to a build without budgets.
+  lp::SolveBudget* const solve_budget = budget.limited() ? &budget : nullptr;
 
   const auto classify = [](lp::SolveStatus status) {
     switch (status) {
@@ -710,39 +695,24 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
         return DegradeReason::kNumericalFailure;
     }
   };
-  const auto escalate = [&](int from_rung, DegradeReason reason) {
-    if (record.degrade_reason == DegradeReason::kNone) {
-      record.degrade_reason = reason;
-    }
-    FT_LOG(kWarn) << "FlowTime replan: solver rung " << from_rung
-                  << " failed (" << to_string(reason) << "); escalating to rung "
-                  << from_rung + 1;
-    if (obs::enabled()) {
-      obs::registry().counter("core.solver_escalations").add();
-      obs::emit(obs::TraceEvent("solver_escalation")
-                    .field("slot", state.slot)
-                    .field("from_rung", from_rung)
-                    .field("to_rung", from_rung + 1)
-                    .field("reason", to_string(reason))
-                    .field("budget_pivots", budget.pivots_used()));
-    }
-  };
 
-  // Rung 0: the regular warm-started LP (with the headroom retry).
+  // Rung 0: the flow lexmin (with the headroom retry).
   LpSchedule schedule;
   if (pending.force_numerical) {
-    // Chaos injection: pretend the warm solve lost its numerics so the
-    // cold rung is exercised end to end.
+    // Chaos injection: pretend the flow solve lost its numerics so the
+    // greedy rung is exercised end to end.
     schedule.status = lp::SolveStatus::kNumericalFailure;
   } else {
-    schedule = solve_placement(lp_jobs, caps, lp_first_slot, lp_options);
+    schedule = solve_placement(lp_jobs, caps, lp_first_slot, config.lp,
+                               solve_budget);
     if (cap_fraction < 1.0 &&
         (!schedule.ok() || schedule.capacity_exceeded)) {
       // The reserved headroom is a preference, not a mandate: retry at the
       // full cluster before conceding any deadline.
       caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
       const std::int64_t prior = schedule.pivots;
-      schedule = solve_placement(lp_jobs, caps, lp_first_slot, lp_options);
+      schedule = solve_placement(lp_jobs, caps, lp_first_slot, config.lp,
+                                 solve_budget);
       schedule.pivots += prior;
     }
   }
@@ -750,42 +720,33 @@ PlanSolveResult FlowTimeScheduler::solve_replan(const FlowTimeConfig& config,
 
   if (!schedule.ok() && preempted()) {
     // Cancelled, not broken: the inputs went stale while rung 0 ran.
-    // Escalating would burn the cold rung on answers nobody will adopt.
+    // Falling back would spend the greedy rung on a plan nobody will adopt.
     out.preempted = true;
     return out;
   }
   if (!schedule.ok()) {
-    // Rung 1: cold LP — fresh basis (the warm cache may be poisoned, so it
-    // is dropped entirely), Bland's rule from the first pivot, a tighter
-    // pivot tolerance, and the most permissive caps.
-    escalate(0, classify(schedule.status));
+    // Rung 1: the LP-free guaranteed fallback, at the full cluster. Cannot
+    // itself fail; the plan may be less flat and may oversubscribe
+    // (capacity_exceeded), which the allocator's proportional shrink
+    // absorbs. Re-running the deterministic flow solve would fail the same
+    // way, so there is no retry rung.
+    const DegradeReason reason = classify(schedule.status);
     record.degrade_rung = 1;
-    if (warm_cache != nullptr) warm_cache->clear();
-    LpScheduleOptions cold = lp_options;
-    cold.warm_cache = nullptr;
-    cold.lexmin.warm_start = false;
-    cold.lexmin.lp_options.degenerate_before_bland = 0;
-    cold.lexmin.lp_options.pivot_tol = 1e-7;
-    caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
-    schedule = solve_placement(lp_jobs, caps, lp_first_slot, cold);
-    out.pivots += schedule.pivots;
-  }
-
-  if (!schedule.ok() && preempted()) {
-    out.preempted = true;
-    return out;
-  }
-  if (!schedule.ok()) {
-    // Rung 2: the LP-free guaranteed fallback. Cannot itself fail; the
-    // plan may be less flat and may oversubscribe (capacity_exceeded),
-    // which the allocator's proportional shrink absorbs.
-    escalate(1, classify(schedule.status));
-    record.degrade_rung = 2;
+    record.degrade_reason = reason;
     record.lp_failed = true;
-    FT_LOG(kError) << "FlowTime replan: both LP rungs failed ("
-                   << lp::to_string(schedule.status)
-                   << "); using greedy fallback placement for "
-                   << lp_jobs.size() << " jobs";
+    FT_LOG(kWarn) << "FlowTime replan: solver rung 0 failed ("
+                  << to_string(reason) << "); greedy fallback (rung 1) for "
+                  << lp_jobs.size() << " jobs";
+    if (obs::enabled()) {
+      obs::registry().counter("core.solver_escalations").add();
+      obs::emit(obs::TraceEvent("solver_escalation")
+                    .field("slot", state.slot)
+                    .field("from_rung", 0)
+                    .field("to_rung", 1)
+                    .field("reason", to_string(reason))
+                    .field("budget_pivots", budget.pivots_used()));
+    }
+    caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
     schedule = greedy_placement(lp_jobs, caps, lp_first_slot);
   }
 

@@ -64,17 +64,16 @@ struct FlowTimeConfig {
   /// deadline down), and a bucket's allocation is spread evenly over its
   /// slots. Keeps re-plan latency bounded for day-scale deadlines.
   int max_planning_slots = 360;
-  /// Wall-clock allowance for ALL LP solving of one re-plan (warm and cold
-  /// rungs share it); <= 0 = unlimited. Enforced by a monotonic-clock
-  /// watchdog between pivots and augmenting paths, so placements under a
-  /// wall budget are machine-dependent — use solver_pivot_budget for
+  /// Wall-clock allowance for ALL LP solving of one re-plan (both resources
+  /// and the headroom retry share it); <= 0 = unlimited. Enforced by a
+  /// monotonic-clock watchdog between augmenting paths, so placements under
+  /// a wall budget are machine-dependent — use solver_pivot_budget for
   /// reproducible runs.
   double solver_budget_ms = 0.0;
   /// Total solver work one re-plan may spend across every solve, counted
-  /// in flow augmenting paths plus simplex pivots; <= 0 = unlimited.
-  /// Deterministic, unlike the wall clock: the same scenario and cap
-  /// degrade at the same path or pivot and produce byte-identical
-  /// placements.
+  /// in flow augmenting paths; <= 0 = unlimited. Deterministic, unlike the
+  /// wall clock: the same scenario and cap degrade at the same path and
+  /// produce byte-identical placements.
   std::int64_t solver_pivot_budget = 0;
   /// Consecutive clean full-LP re-plans required before degraded mode ends
   /// (hysteresis; see DESIGN.md §10). Every re-plan re-attempts the full
@@ -87,12 +86,6 @@ struct FlowTimeConfig {
   /// its replan/arrival trace events and bumps the per-cell
   /// `cluster.cell.<id>.*` counters so multi-cell traces stay separable.
   int cell_id = -1;
-
-  FlowTimeConfig() {
-    // Bounds the coupled formulation's simplex lexmin only: the separable
-    // formulation's flow lexmin always refines every level.
-    lp.lexmin.max_rounds = 6;
-  }
 };
 
 /// Why a re-plan was triggered. A single re-plan may coalesce several
@@ -124,9 +117,9 @@ inline bool has_cause(ReplanCause mask, ReplanCause bit) {
 /// "arrival|deviation|overrun|plan_exhausted|stale_plan" subset.
 std::string to_string(ReplanCause causes);
 
-/// Why an escalation-ladder rung was abandoned (DESIGN.md §10). Attached to
-/// every `solver_escalation` trace event and, for the first failed rung, to
-/// the re-plan's record.
+/// Why the flow lexmin rung was abandoned for greedy (DESIGN.md §10).
+/// Attached to the `solver_escalation` trace event and to the re-plan's
+/// record.
 enum class DegradeReason {
   kNone = 0,
   kTimeout,           // wall-clock budget or cancellation fired mid-solve
@@ -143,29 +136,26 @@ struct ReplanRecord {
   int slot = 0;
   ReplanCause causes = ReplanCause::kNone;
   int planned_jobs = 0;       // incomplete deadline jobs fed to the LP
-  std::int64_t pivots = 0;    // augmenting paths + simplex pivots
+  std::int64_t pivots = 0;    // flow augmenting paths
   double wall_s = 0.0;        // re-plan wall time (0 when obs disabled)
   int late_extensions = 0;    // jobs whose window had to be extended
   bool capacity_exceeded = false;
-  bool lp_failed = false;     // greedy fallback used (degrade_rung == 2)
-  /// A lexmin solve stopped before the load profile was fully refined (a
-  /// solver budget cut after a flow solve's first level, or the coupled
-  /// formulation's simplex round cap): the plan is feasible and its peak
-  /// exact, but its tail is not the lexicographic optimum (plan-quality
-  /// warning, not a failure).
+  bool lp_failed = false;     // greedy fallback used (degrade_rung == 1)
+  /// A solver budget cut the flow lexmin after its first level: the plan is
+  /// feasible and its peak exact, but its tail is not the lexicographic
+  /// optimum (plan-quality warning, not a failure).
   bool lexmin_truncated = false;
   double max_normalized_load = 0.0;
-  /// Escalation-ladder rung that produced this plan: 0 = warm LP,
-  /// 1 = cold LP retry, 2 = greedy fallback placement.
+  /// Escalation-ladder rung that produced this plan: 0 = flow lexmin,
+  /// 1 = greedy fallback placement.
   int degrade_rung = 0;
-  /// Why rung 0 was abandoned (kNone when the warm LP succeeded). Per-rung
-  /// reasons are in the `solver_escalation` trace events.
+  /// Why rung 0 was abandoned (kNone when the flow lexmin succeeded); the
+  /// `solver_escalation` trace event carries it too.
   DegradeReason degrade_reason = DegradeReason::kNone;
   /// The re-plan's shared SolveBudget ran out at some point of the ladder.
   bool budget_exhausted = false;
   /// The flow lexmin solved the placement (LpSchedule::flow_fast_path):
-  /// every separable replan that plans jobs; false for the coupled
-  /// formulation's simplex and the greedy fallback.
+  /// every rung-0 replan that plans jobs; false for the greedy fallback.
   bool flow_fast_path = false;
   /// The solve finished (or was preempted) but was never adopted: its
   /// inputs went stale while it ran, or its cancel token fired, so
@@ -266,10 +256,10 @@ class FlowTimeScheduler : public sim::Scheduler {
     return solve_replan(config_, &warm_cache_, pending);
   }
   /// The same step as a free function of its arguments: bucketing,
-  /// escalation ladder, LP solves. Every solve warm-starts from
-  /// `warm_cache` (config.lp.warm_cache is ignored), which must not be
-  /// shared with a concurrent solve. Updates pending.record in place,
-  /// including its wall time (measured only while obs is enabled).
+  /// escalation ladder, LP solves. `warm_cache` is the planner's
+  /// cross-replan solver state (empty today, see PlacementWarmCache) and
+  /// must not be shared with a concurrent solve. Updates pending.record in
+  /// place, including its wall time (measured only while obs is enabled).
   static PlanSolveResult solve_replan(const FlowTimeConfig& config,
                                       PlacementWarmCache* warm_cache,
                                       PendingReplan& pending);
@@ -348,9 +338,8 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// (negative slack) since construction.
   int decomposition_fallbacks() const { return decomposition_fallbacks_; }
 
-  /// Re-plans whose lexmin solve was truncated — by a solver budget or the
-  /// coupled formulation's round cap (see ReplanRecord::lexmin_truncated)
-  /// — since construction.
+  /// Re-plans whose lexmin solve a solver budget truncated (see
+  /// ReplanRecord::lexmin_truncated) since construction.
   int truncated_replans() const { return truncated_replans_; }
 
   /// Workflows re-decomposed in critical-path mode after a fault left a
@@ -358,12 +347,12 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// construction. See on_task_failure.
   int fault_redecompositions() const { return fault_redecompositions_; }
 
-  /// True while the scheduler is in degraded mode: some recent re-plan
-  /// needed the ladder and fewer than `degrade_recovery_replans` clean
+  /// True while the scheduler is in degraded mode: some recent re-plan fell
+  /// back to greedy and fewer than `degrade_recovery_replans` clean
   /// full-LP re-plans have happened since.
   bool degraded_mode() const { return degraded_mode_; }
 
-  /// Re-plans that escalated past the warm LP (rung > 0) since construction.
+  /// Re-plans that fell back to greedy (rung > 0) since construction.
   int degraded_replans() const { return degraded_replans_; }
 
  private:
@@ -416,13 +405,9 @@ class FlowTimeScheduler : public sim::Scheduler {
   int min_slots_needed(const DeadlineJobState& job) const;
 
   FlowTimeConfig config_;
-  /// Warm-start cache threaded through every solve_placement call: under
-  /// the coupled formulation the final basis of one re-plan seeds the next
-  /// when the LP shape (same jobs, same windows, same horizon) repeats,
-  /// which is the common case for deviation/overrun re-plans. Keyed by a
-  /// shape fingerprint inside solve_placement; a mismatch falls back to a
-  /// cold solve. Only solve_replan touches it, so under a replan driver the
-  /// solver thread owns it while a solve is in flight.
+  /// This planner's cross-replan solver state (empty today). Only
+  /// solve_replan touches it, so under a replan driver the solver thread
+  /// owns it while a solve is in flight.
   PlacementWarmCache warm_cache_;
   bool dirty_ = false;
   ReplanCause pending_causes_ = ReplanCause::kNone;
@@ -442,7 +427,7 @@ class FlowTimeScheduler : public sim::Scheduler {
   obs::SpanId plan_span_ = obs::kNoSpan;  // current re-plan epoch
 
   // Degraded-mode state machine (DESIGN.md §10): entered when a re-plan
-  // escalates past the warm LP, left after `degrade_recovery_replans`
+  // falls back to greedy, left after `degrade_recovery_replans`
   // consecutive clean full-LP re-plans.
   bool degraded_mode_ = false;
   int clean_replans_ = 0;       // consecutive rung-0 re-plans while degraded

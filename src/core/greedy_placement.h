@@ -1,11 +1,10 @@
 // LP-free fallback placement (DESIGN.md §10 "Graceful degradation").
 //
-// The last rung of FlowTimeScheduler's escalation ladder: when both the
-// warm and the cold LP solve fail (budget exhausted, numerical failure,
-// infeasible after window repair), this routine still produces a complete
-// placement for every job — in O(jobs * slots * resources) arithmetic with
-// no iteration counts to bound and no tolerances to trip, so it cannot
-// itself fail.
+// Rung 1 of FlowTimeScheduler's escalation ladder: when the flow lexmin
+// fails (budget exhausted, numerical failure, infeasible after window
+// repair), this routine still produces a complete placement for every
+// job — in O(jobs * slots * resources) arithmetic with no iteration counts
+// to bound and no tolerances to trip, so it cannot itself fail.
 //
 // Algorithm (earliest-deadline-first water filling):
 //   * Jobs are processed in (deadline_slot, release_slot, uid) order — the

@@ -162,7 +162,7 @@ struct CellFault {
 /// to `budget_ms` of wall clock and `pivot_cap` pivots per planning
 /// decision (either may be unlimited: < 0 resp. <= 0), and — when
 /// `force_numerical_failure` is set — its primary solve path is declared
-/// numerically broken, forcing the escalation ladder to its cold rung.
+/// numerically broken, forcing the escalation ladder to its greedy rung.
 /// Overlapping windows merge with the tightest limit winning.
 struct SolverFault {
   int slot = 0;

@@ -1,16 +1,16 @@
 // Deadline-bounded solving (DESIGN.md §10 "Graceful degradation").
 //
-// A SolveBudget caps how much work a chain of LP solves may spend before
-// the caller's slot deadline: a wall-clock limit (monotonic clock, checked
-// at pivot granularity), a shared pivot cap across every solve that carries
-// the same budget, and an optional cooperative cancellation token. One
-// "pivot" is one unit of solver work: a simplex pivot, a branch-and-bound
-// node, or a max-flow augmenting path (lp::FlowNetwork, which the flow
-// lexmin of core/flow_placement.h runs on). The budget is *shared*, not
-// per-solve: FlowTimeScheduler creates one per re-plan and threads it
-// through every flow/simplex/lexmin/branch-and-bound call of that re-plan,
-// so a pathological first solve cannot leave later solves with a fresh
-// allowance.
+// A SolveBudget caps how much work the solves of one re-plan may spend
+// before the caller's slot deadline: a wall-clock limit (monotonic clock,
+// checked between units of work), a shared work cap across every solve
+// that carries the same budget, and an optional cooperative cancellation
+// token. One "pivot" is one unit of solver work: a max-flow augmenting path
+// of lp::FlowNetwork, which the flow lexmin of core/flow_placement.h runs
+// on. (The tests' simplex reference charges one per pivot, its
+// branch-and-bound one per node.) The budget is *shared*, not per-solve:
+// FlowTimeScheduler creates one per re-plan and passes it to every
+// solve_placement call of that re-plan, so a pathological first solve
+// cannot leave later solves with a fresh allowance.
 //
 // Determinism: the pivot cap and the cancel token are deterministic given a
 // deterministic pivot sequence; the wall-clock limit is not (it depends on
@@ -18,7 +18,7 @@
 // therefore drive the ladder with the pivot cap, never the wall clock —
 // see FlowTimeConfig::solver_pivot_budget.
 //
-// Non-owning by design: SimplexOptions carries a `SolveBudget*`; a null
+// Non-owning by design: solve_placement takes a `SolveBudget*`; a null
 // pointer (the default everywhere) means unlimited and costs nothing on the
 // hot path, so the ladder is transparent when unused.
 #pragma once
@@ -27,7 +27,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "lp/model.h"
+#include "lp/solve_status.h"
 
 namespace flowtime::lp {
 
@@ -60,14 +60,14 @@ class SolveBudget {
     return has_deadline_ || pivot_cap_ > 0 || cancel_ != nullptr;
   }
 
-  /// Called by the simplex engine once per pivot (by branch-and-bound per
-  /// node, by lp::FlowNetwork per augmenting path); feeds the shared cap.
+  /// Called by lp::FlowNetwork once per augmenting path; feeds the shared
+  /// cap.
   void charge_pivot() { ++pivots_used_; }
   std::int64_t pivots_used() const { return pivots_used_; }
 
-  /// Checked at pivot granularity. Cheapest test first: the deterministic
+  /// Checked between units of work. Cheapest test first: the deterministic
   /// pivot cap, then the cancel token, then the clock (one steady_clock
-  /// read per pivot — far below the cost of a pivot's dense BTRAN/FTRAN).
+  /// read per augmenting path — far below the cost of its path search).
   /// Exhaustion latches, so the status query below stays consistent even
   /// if the caller re-tests after the deadline has drifted further.
   bool exhausted() {

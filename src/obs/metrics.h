@@ -11,7 +11,7 @@
 //     lifetime, so hot paths may cache `Counter&` references.
 //
 // Metric names are dot-separated paths, lowest-level component last:
-// "lp.simplex.pivots", "core.replans", "sim.slots".
+// "lp.flow.augmentations", "core.replans", "sim.slots".
 #pragma once
 
 #include <atomic>

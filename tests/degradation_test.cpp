@@ -289,10 +289,11 @@ TEST(DegradationLadder, PivotBudgetOfOneFallsThroughToGreedy) {
   for (const core::ReplanRecord& record : scheduler.replan_log()) {
     // A re-plan with no incomplete deadline jobs solves a trivial LP in
     // zero pivots and legitimately stays on rung 0; any real placement
-    // must have burned the one-pivot budget and fallen through to greedy.
+    // must have burned the one-pivot budget and fallen through to greedy
+    // (rung 1).
     if (record.planned_jobs == 0) continue;
     ++greedy_replans;
-    EXPECT_EQ(record.degrade_rung, 2) << "slot " << record.slot;
+    EXPECT_EQ(record.degrade_rung, 1) << "slot " << record.slot;
     EXPECT_EQ(record.degrade_reason, core::DegradeReason::kIterationLimit);
     EXPECT_TRUE(record.budget_exhausted);
     EXPECT_TRUE(record.lp_failed);
@@ -373,14 +374,14 @@ TEST(DegradationLadder, EscalationsAreTracedWithReasons) {
     } else if (type == "span_begin" && record["kind"] == "degraded") {
       ++degraded_span_begins;
     } else if (type == "replan" && record["degrade_rung"] != "0") {
-      EXPECT_EQ(record["degrade_rung"], "2") << line;
+      EXPECT_EQ(record["degrade_rung"], "1") << line;
       EXPECT_EQ(record["degrade_reason"], "iteration_limit") << line;
     }
   }
-  // Each degraded re-plan escalates twice (warm -> cold -> greedy); every
+  // Each degraded re-plan escalates once (flow lexmin -> greedy); every
   // degraded-mode window opens exactly one paired span.
-  EXPECT_GE(escalations, 2);
-  EXPECT_EQ(escalations, 2 * scheduler.degraded_replans());
+  EXPECT_GE(escalations, 1);
+  EXPECT_EQ(escalations, scheduler.degraded_replans());
   EXPECT_GE(enters, 1);
   EXPECT_EQ(degraded_span_begins, enters);
 }
@@ -391,9 +392,10 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
   obs::set_trace_sink(std::unique_ptr<obs::TraceSink>(sink));
 
   // The sabotage window covers slot 0 only: the arrival re-plan is forced
-  // into a numerical failure (rung 1 cold retry succeeds). The second
-  // workflow arrives long after the window lifts, giving the hysteresis a
-  // clean full-LP re-plan to recover on.
+  // into a numerical failure and falls straight to greedy (rung 1) without
+  // running the flow solve. The second workflow arrives long after the
+  // window lifts, giving the hysteresis a clean full-LP re-plan to recover
+  // on.
   auto parsed = parse(
       "cluster cores=100 mem_gb=256 slot_seconds=10\n"
       "workflow id=0 name=wf start=0 deadline=600\n"
@@ -418,11 +420,14 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
 
   ASSERT_FALSE(scheduler.replan_log().empty());
   const core::ReplanRecord& first = scheduler.replan_log().front();
-  EXPECT_EQ(first.degrade_rung, 1) << "the cold retry absorbs the sabotage";
+  EXPECT_EQ(first.degrade_rung, 1) << "greedy absorbs the sabotage";
   EXPECT_EQ(first.degrade_reason, core::DegradeReason::kNumericalFailure);
+  EXPECT_TRUE(first.lp_failed);
+  EXPECT_EQ(first.pivots, 0) << "no solve may re-run the sabotaged flow";
 
   int enters = 0;
   int exits = 0;
+  int escalations = 0;
   int sabotage_events = 0;
   for (const std::string& line : sink->lines()) {
     std::map<std::string, std::string> record;
@@ -430,12 +435,14 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
     const std::string type = record["type"];
     if (type == "degrade_enter") ++enters;
     if (type == "degrade_exit") ++exits;
+    if (type == "solver_escalation") ++escalations;
     if (type == "fault_injected" && record["kind"] == "solver_sabotage") {
       ++sabotage_events;
     }
   }
   EXPECT_EQ(enters, 1);
   EXPECT_EQ(exits, 1);
+  EXPECT_EQ(escalations, 1);
   EXPECT_EQ(sabotage_events, 1);
   EXPECT_EQ(result.faults.solver_sabotages, 1);
 }

@@ -1,7 +1,7 @@
 // Exactness tests for the flow lexmin (core/flow_placement.h), the
 // per-resource placement solver: a differential against the simplex
-// dual-test lexmin (the coupled formulation on each resource's
-// single-resource projection) on the whole sorted level vector, the
+// dual-test lexmin (lp::solve_placement_simplex, on each resource's
+// transportation LP) on the whole sorted level vector, the
 // exchange-condition certificate of lexicographic optimality, feasibility
 // of every plan, and how solver budgets cut a flow solve.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "core/flow_placement.h"
 #include "core/flowtime_scheduler.h"
 #include "core/lp_formulation.h"
+#include "lp/placement_simplex.h"
 #include "lp/solve_budget.h"
 #include "sim/simulator.h"
 #include "test_support.h"
@@ -77,15 +78,16 @@ Instance random_instance(int seed) {
 
 using test::sorted_loads;
 
-LpSchedule solve_flow(const Instance& inst, LpScheduleOptions options = {}) {
-  return solve_placement(inst.jobs, inst.caps, inst.first_slot, options);
+LpSchedule solve_flow(const Instance& inst,
+                      lp::SolveBudget* budget = nullptr) {
+  return solve_placement(inst.jobs, inst.caps, inst.first_slot, {}, budget);
 }
 
 LpSchedule solve_dual_test(const Instance& inst) {
-  LpScheduleOptions options;
-  options.lexmin.max_rounds = 1000;
-  return test::solve_projected_simplex(inst.jobs, inst.caps, inst.first_slot,
-                                       options);
+  lp::LexMinMaxOptions options;
+  options.max_rounds = 1000;
+  return lp::solve_placement_simplex(inst.jobs, inst.caps, inst.first_slot,
+                                     options);
 }
 
 class FlowLexminProperty : public ::testing::TestWithParam<int> {};
@@ -220,10 +222,8 @@ std::vector<ResourceVec> flat_caps(int slots) {
 TEST(FlowLexminBudget, OneUnitCapStopsBeforeTheFirstLevel) {
   lp::SolveBudget budget;
   budget.set_pivot_cap(1);
-  LpScheduleOptions options;
-  options.lexmin.lp_options.budget = &budget;
   const LpSchedule s =
-      solve_placement(two_level_jobs(), flat_caps(4), 0, options);
+      solve_placement(two_level_jobs(), flat_caps(4), 0, {}, &budget);
   EXPECT_EQ(s.status, lp::SolveStatus::kIterationLimit);
   EXPECT_TRUE(s.budget_exhausted);
   EXPECT_TRUE(s.flow_fast_path);
@@ -234,10 +234,8 @@ TEST(FlowLexminBudget, PresetCancelTokenTimesOut) {
   std::atomic<bool> cancel{true};
   lp::SolveBudget budget;
   budget.set_cancel_token(&cancel);
-  LpScheduleOptions options;
-  options.lexmin.lp_options.budget = &budget;
   const LpSchedule s =
-      solve_placement(two_level_jobs(), flat_caps(4), 0, options);
+      solve_placement(two_level_jobs(), flat_caps(4), 0, {}, &budget);
   EXPECT_EQ(s.status, lp::SolveStatus::kTimeout);
   EXPECT_TRUE(s.budget_exhausted);
   EXPECT_EQ(s.pivots, 0) << "no path may be searched once cancelled";
@@ -248,9 +246,7 @@ TEST(FlowLexminBudget, HugeWallBudgetGivesTheIdenticalPlan) {
   const LpSchedule unlimited = solve_flow(inst);
   lp::SolveBudget budget;
   budget.set_wall_clock_ms(1e9);
-  LpScheduleOptions options;
-  options.lexmin.lp_options.budget = &budget;
-  const LpSchedule bounded = solve_flow(inst, options);
+  const LpSchedule bounded = solve_flow(inst, &budget);
   ASSERT_TRUE(unlimited.ok());
   ASSERT_TRUE(bounded.ok());
   EXPECT_FALSE(bounded.budget_exhausted);

@@ -250,34 +250,6 @@ TEST(DeadlineCapFraction, FallsBackToFullClusterWhenTight) {
   EXPECT_EQ(report.workflows_missed, 0);
 }
 
-TEST(CoupledMode, FlowTimeMeetsDeadlinesWithCoupledLp) {
-  sim::SimConfig sim_config;
-  sim_config.cluster.capacity = ResourceVec{50.0, 100.0};
-  sim_config.max_horizon_s = 2.0 * 3600.0;
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  config.lp.coupled_resources = true;
-
-  const workload::Scenario scenario = chain_scenario(4000.0);
-  sim::Simulator sim(sim_config);
-  core::FlowTimeScheduler scheduler(config);
-  const sim::SimResult result = sim.run(scenario, scheduler);
-  ASSERT_TRUE(result.all_completed);
-  const sim::DeadlineReport report = sim::evaluate_deadlines(
-      result, scenario.workflows,
-      sim::JobDeadlines(scheduler.job_deadlines().begin(),
-                        scheduler.job_deadlines().end()));
-  EXPECT_EQ(report.jobs_missed, 0);
-  // Coupled plans keep resources proportional per slot: check a sample of
-  // the allocated profile (cpu:mem = 1:2 for these jobs).
-  for (const auto& allocated : result.allocated_per_slot) {
-    if (allocated[0] > 1e-6) {
-      EXPECT_NEAR(allocated[1] / allocated[0], 2.0, 1e-3);
-    }
-  }
-}
-
 class SchedulerContractSweep
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 

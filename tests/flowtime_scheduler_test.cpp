@@ -437,49 +437,5 @@ TEST(FlowTimeScheduler, FinishReplanDiscardsPreemptedSolve) {
   });
 }
 
-TEST(FlowTimeScheduler, SolvesAgainstItsOwnWarmCacheNotTheConfigs) {
-  // A warm cache named in config.lp is not the planner's: every solve uses
-  // solve_replan's warm_cache argument (the member overload passes the
-  // planner's own), so the escalation ladder's clear() hits the cache
-  // rung 0 used, and federation cells, which copy one config, never share
-  // a cache across solver threads. The outside cache stays untouched, and
-  // the coupled formulation's replans still warm-start.
-  const sim::SimConfig sim_config = small_cluster();
-  PlacementWarmCache outside;
-  FlowTimeConfig config = flowtime_config(sim_config);
-  config.lp.coupled_resources = true;
-  config.lp.warm_cache = &outside;
-  FlowTimeScheduler scheduler(config);
-  const auto workflow = one_job_workflow(0);
-  scheduler.on_event(sim::WorkflowArrivalEvent{workflow, {0}, 0.0});
-  const sim::ClusterState state = one_job_state(sim_config, *workflow);
-
-  // The planner's own cycle: a second replan of the same shape is warm.
-  scheduler.allocate(state);
-  scheduler.request_replan(ReplanCause::kDeviation);
-  scheduler.allocate(state);
-  ASSERT_EQ(scheduler.replan_log().size(), 2u);
-  EXPECT_GT(scheduler.replan_log()[0].pivots, 0);
-  EXPECT_LT(scheduler.replan_log()[1].pivots,
-            scheduler.replan_log()[0].pivots);
-
-  // The static step: the same LP twice against one cache, cold then warm.
-  scheduler.request_replan(ReplanCause::kDeviation);
-  scheduler.sync_views(state);
-  const PendingReplan pending = scheduler.begin_replan(state);
-  PlacementWarmCache own;
-  PendingReplan first = pending;
-  const PlanSolveResult cold =
-      FlowTimeScheduler::solve_replan(scheduler.config(), &own, first);
-  EXPECT_NE(own.fingerprint, 0u);
-  PendingReplan second = pending;
-  const PlanSolveResult warm =
-      FlowTimeScheduler::solve_replan(scheduler.config(), &own, second);
-  EXPECT_LT(warm.pivots, cold.pivots);
-
-  EXPECT_EQ(outside.fingerprint, 0u);
-  EXPECT_TRUE(outside.basis.empty());
-}
-
 }  // namespace
 }  // namespace flowtime::core

@@ -1,13 +1,12 @@
 // Differential tests between the two lexmin solvers of the placement LP:
 // the flow lexmin (core/flow_placement.h), which solve_placement runs on
-// every resource, and the sparse revised simplex (lp/simplex.h), reached
-// through the coupled formulation on each resource's single-resource
-// projection (test::solve_projected_simplex). Both are exact on these
-// instances, but the optimal vertex is not unique, so what is pinned on
-// generated job sets is: identical statuses and infeasibility diagnoses,
-// the same peak level, the same sorted level vector per resource, and
-// plans that are each feasible, demand-complete, and width/window-
-// respecting.
+// every resource, and the test-only sparse revised simplex (lp/simplex.h)
+// on each resource's transportation LP (lp::solve_placement_simplex). Both
+// are exact on these instances, but the optimal vertex is not unique, so
+// what is pinned on generated job sets is: identical statuses and
+// infeasibility diagnoses, the same peak level, the same sorted level
+// vector per resource, and plans that are each feasible, demand-complete,
+// and width/window-respecting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "core/lp_formulation.h"
+#include "lp/placement_simplex.h"
 #include "lp/solve_budget.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -46,7 +46,7 @@ std::vector<LpJob> random_jobs(int count, int horizon, std::uint64_t seed) {
   return jobs;
 }
 
-using test::solve_projected_simplex;
+using lp::solve_placement_simplex;
 using test::sorted_loads;
 
 // One solver's plan must be a valid optimum on its own: every demand fully
@@ -111,7 +111,7 @@ TEST(SparseDifferential, PlansEquivalentAcrossSeeds) {
     const auto jobs = random_jobs(12, 10, seed);
     const auto caps = uniform_caps(10, 150.0, 300.0);
     const LpSchedule flow = solve_placement(jobs, caps, 0);
-    const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0);
+    const LpSchedule simplex = solve_placement_simplex(jobs, caps, 0);
     ASSERT_TRUE(flow.ok()) << "seed " << seed;
     EXPECT_TRUE(flow.flow_fast_path);
     EXPECT_FALSE(simplex.flow_fast_path);
@@ -119,29 +119,12 @@ TEST(SparseDifferential, PlansEquivalentAcrossSeeds) {
   }
 }
 
-TEST(SparseDifferential, CoupledFormulationEquivalent) {
-  // The premise of the projection reference: on jobs that each demand one
-  // resource, the coupled formulation — solved whole, by simplex — is
-  // exactly the separable LP, so it must match the flow lexmin.
-  auto jobs = random_jobs(8, 8, 5);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    jobs[j].demand[j % 2 == 0 ? workload::kMemory : workload::kCpu] = 0.0;
-  }
-  const auto caps = uniform_caps(8, 200.0, 400.0);
-  LpScheduleOptions coupled;
-  coupled.coupled_resources = true;
-  const LpSchedule flow = solve_placement(jobs, caps, 0);
-  const LpSchedule simplex = solve_placement(jobs, caps, 0, coupled);
-  ASSERT_TRUE(flow.ok());
-  expect_equivalent(flow, simplex, jobs, caps);
-}
-
 TEST(SparseDifferential, OverloadedAndInfeasibleAgree) {
   // Over-capacity: both report capacity_exceeded with the same level.
   const std::vector<LpJob> heavy = random_jobs(10, 4, 11);
   const auto tight = uniform_caps(4, 30.0, 60.0);
   const LpSchedule flow = solve_placement(heavy, tight, 0);
-  const LpSchedule simplex = solve_projected_simplex(heavy, tight, 0);
+  const LpSchedule simplex = solve_placement_simplex(heavy, tight, 0);
   expect_equivalent(flow, simplex, heavy, tight);
   EXPECT_TRUE(flow.capacity_exceeded);
   // Width-limited: both diagnose the same infeasibility.
@@ -150,16 +133,16 @@ TEST(SparseDifferential, OverloadedAndInfeasibleAgree) {
   const auto caps = uniform_caps(8, 150.0, 300.0);
   const LpSchedule flow_narrow = solve_placement(narrow, caps, 0);
   EXPECT_EQ(flow_narrow.status, lp::SolveStatus::kInfeasible);
-  expect_equivalent(flow_narrow, solve_projected_simplex(narrow, caps, 0),
+  expect_equivalent(flow_narrow, solve_placement_simplex(narrow, caps, 0),
                     narrow, caps);
 }
 
 TEST(SparseDifferential, WarmStartedResolvesEquivalent) {
-  // Same cache flow the scheduler uses, one warm cache per resource: solve,
+  // One warm basis per resource, threaded from solve to solve: solve,
   // perturb demands under the same shape, re-solve warm. Warm-started
   // simplex solves must still match the flow lexmin.
   const auto caps = uniform_caps(10, 150.0, 300.0);
-  PlacementWarmCache caches[workload::kNumResources];
+  lp::ResourceBases bases;
   for (std::uint64_t seed : {3u, 4u}) {  // same windows, different demands
     auto jobs = random_jobs(10, 10, 3);
     util::Rng perturb(seed);
@@ -169,12 +152,12 @@ TEST(SparseDifferential, WarmStartedResolvesEquivalent) {
     }
     const LpSchedule flow = solve_placement(jobs, caps, 0);
     const LpSchedule simplex =
-        solve_projected_simplex(jobs, caps, 0, {}, caches);
+        solve_placement_simplex(jobs, caps, 0, {}, &bases);
     ASSERT_TRUE(flow.ok());
     expect_equivalent(flow, simplex, jobs, caps);
   }
-  for (const PlacementWarmCache& cache : caches) {
-    EXPECT_FALSE(cache.basis.empty());
+  for (const lp::Basis& basis : bases) {
+    EXPECT_FALSE(basis.empty());
   }
 }
 
@@ -186,15 +169,13 @@ TEST(SparseDifferential, BudgetExhaustionAgrees) {
   const auto caps = uniform_caps(8, 120.0, 240.0);
   lp::SolveBudget flow_budget;
   flow_budget.set_pivot_cap(1);
-  LpScheduleOptions flow_options;
-  flow_options.lexmin.lp_options.budget = &flow_budget;
   lp::SolveBudget simplex_budget;
   simplex_budget.set_pivot_cap(1);
-  LpScheduleOptions simplex_options;
-  simplex_options.lexmin.lp_options.budget = &simplex_budget;
-  const LpSchedule flow = solve_placement(jobs, caps, 0, flow_options);
+  lp::LexMinMaxOptions simplex_options;
+  simplex_options.lp_options.budget = &simplex_budget;
+  const LpSchedule flow = solve_placement(jobs, caps, 0, {}, &flow_budget);
   const LpSchedule simplex =
-      solve_projected_simplex(jobs, caps, 0, simplex_options);
+      solve_placement_simplex(jobs, caps, 0, simplex_options);
   EXPECT_EQ(flow.status, lp::SolveStatus::kIterationLimit);
   EXPECT_EQ(flow.status, simplex.status);
   EXPECT_EQ(flow.budget_exhausted, simplex.budget_exhausted);
@@ -204,14 +185,14 @@ TEST(SparseDifferential, BudgetExhaustionAgrees) {
 
 TEST(FlowFastPath, MatchesSimplexFirstLevel) {
   // At max_rounds = 1 the simplex lexmin stops after the first level
-  // (truncated); the flow lexmin ignores the cap and refines every level.
+  // (truncated); the flow lexmin has no round cap and refines every level.
   // Both share the first level, and the flags report which solver ran.
   const auto jobs = random_jobs(12, 10, 29);
   const auto caps = uniform_caps(10, 150.0, 300.0);
-  LpScheduleOptions options;
-  options.lexmin.max_rounds = 1;
-  const LpSchedule flow = solve_placement(jobs, caps, 0, options);
-  const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0, options);
+  lp::LexMinMaxOptions options;
+  options.max_rounds = 1;
+  const LpSchedule flow = solve_placement(jobs, caps, 0);
+  const LpSchedule simplex = solve_placement_simplex(jobs, caps, 0, options);
   ASSERT_TRUE(flow.ok());
   ASSERT_TRUE(simplex.ok());
   EXPECT_TRUE(flow.flow_fast_path);
@@ -233,7 +214,7 @@ TEST(FlowFastPath, DeepRefinementTakesFlowPathAndMatchesSimplex) {
   const auto jobs = random_jobs(12, 10, 29);
   const auto caps = uniform_caps(10, 150.0, 300.0);
   const LpSchedule flow = solve_placement(jobs, caps, 0);
-  const LpSchedule simplex = solve_projected_simplex(jobs, caps, 0);
+  const LpSchedule simplex = solve_placement_simplex(jobs, caps, 0);
   ASSERT_TRUE(flow.ok());
   ASSERT_TRUE(simplex.ok());
   EXPECT_TRUE(flow.flow_fast_path);

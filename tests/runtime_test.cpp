@@ -488,6 +488,7 @@ TEST(ConcurrentRuntimeChaos, SabotageCancellationAndLadderUnderAsync) {
   EXPECT_GE(sched.inner().degraded_replans(), 1);
   EXPECT_FALSE(sched.inner().degraded_mode());
   ASSERT_FALSE(sched.inner().replan_log().empty());
+  // Rung 1 is the greedy fallback: the sabotaged flow solve is not retried.
   EXPECT_EQ(sched.inner().replan_log().front().degrade_rung, 1);
 }
 

@@ -1,19 +1,21 @@
-// Smoke test for the warm-started LP hot path (DESIGN.md "Warm starts") of
-// the coupled formulation, the one placement the simplex lexmin solves.
+// Smoke test for the warm starts of the test-only simplex lexmin
+// (lp/lexmin.h), through the placement reference lp::solve_placement_simplex.
 //
-// Drives the exact pattern the scheduler produces: a sequence of re-plans
+// Drives the pattern a scheduler's re-plans produce: a sequence of solves
 // over the same job set whose remaining demands shrink step by step (work
 // completing between deviation re-plans), so every step after the first
-// builds the same LP shape with different data. With a shared
-// PlacementWarmCache the tail steps must warm-start — observable through
-// the lp.simplex.warm_starts counter — and the total pivot count must drop
-// well below the cold baseline of the identical sequence.
+// builds the same LP shapes with different data. With each resource's
+// final basis passed from solve to solve, the tail steps must warm-start —
+// observable through the lp.simplex.warm_starts counter — and the total
+// pivot count must drop well below the cold baseline of the identical
+// sequence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/lp_formulation.h"
+#include "lp/placement_simplex.h"
 #include "obs/metrics.h"
 #include "obs/testing.h"
 #include "util/rng.h"
@@ -57,20 +59,19 @@ std::vector<LpJob> at_step(const std::vector<LpJob>& jobs, int step) {
   return out;
 }
 
-// Runs the whole sequence, returns per-step pivot counts.
+// Runs the whole sequence, returns per-step pivot counts. `bases`, when
+// given, carries each resource's final basis from one step to the next.
 std::vector<std::int64_t> run_sequence(const std::vector<LpJob>& jobs,
-                                       PlacementWarmCache* cache,
+                                       lp::ResourceBases* bases,
                                        bool warm_start) {
   const std::vector<ResourceVec> caps(
       kHorizon, ResourceVec{500.0, 1000.0});
-  LpScheduleOptions options;
-  options.coupled_resources = true;  // simplex warm starts are under test
-  options.warm_cache = cache;
-  options.lexmin.warm_start = warm_start;
+  lp::LexMinMaxOptions options;
+  options.warm_start = warm_start;
   std::vector<std::int64_t> pivots;
   for (int step = 0; step < kSteps; ++step) {
-    const LpSchedule s = solve_placement(at_step(jobs, step), caps, 0,
-                                         options);
+    const LpSchedule s = lp::solve_placement_simplex(at_step(jobs, step),
+                                                     caps, 0, options, bases);
     EXPECT_TRUE(s.ok()) << "step " << step;
     EXPECT_FALSE(s.capacity_exceeded) << "step " << step;
     pivots.push_back(s.pivots);
@@ -99,11 +100,11 @@ TEST(SolverWarmSmoke, ReplanSequenceWarmStartsAndCutsPivots) {
       run_sequence(jobs, nullptr, /*warm_start=*/false);
   EXPECT_EQ(warm_starts.value(), 0) << "cold run must not warm-start";
 
-  // Warm run: rounds thread bases within each solve, and the shared cache
-  // carries the final basis across steps.
-  PlacementWarmCache cache;
+  // Warm run: rounds thread bases within each solve, and each resource's
+  // final basis carries across steps.
+  lp::ResourceBases bases;
   const std::vector<std::int64_t> warm =
-      run_sequence(jobs, &cache, /*warm_start=*/true);
+      run_sequence(jobs, &bases, /*warm_start=*/true);
 
   EXPECT_GT(warm_starts.value(), 0);
   ASSERT_EQ(cold.size(), warm.size());
@@ -115,9 +116,9 @@ TEST(SolverWarmSmoke, ReplanSequenceWarmStartsAndCutsPivots) {
 }
 
 TEST(SolverWarmSmoke, ShapeChangeFallsBackWithoutFailing) {
-  // A job set change alters the fingerprint: the cross-replan cache entry
-  // must be bypassed (stale-basis reuse would be a shape mismatch) and the
-  // solve must still succeed.
+  // A job set change alters the LP shape: the previous solve's bases no
+  // longer fit, the simplex must fall back to a cold solve, and the solve
+  // must still succeed.
   obs::testing::ScopedRegistryReset reset;
   obs::set_enabled(true);
 
@@ -125,16 +126,15 @@ TEST(SolverWarmSmoke, ShapeChangeFallsBackWithoutFailing) {
   std::vector<LpJob> jobs = make_jobs(rng);
   const std::vector<ResourceVec> caps(
       kHorizon, ResourceVec{500.0, 1000.0});
-  PlacementWarmCache cache;
-  LpScheduleOptions options;
-  options.coupled_resources = true;  // simplex warm starts are under test
-  options.warm_cache = &cache;
+  lp::ResourceBases bases;
 
-  const LpSchedule first = solve_placement(jobs, caps, 0, options);
+  const LpSchedule first =
+      lp::solve_placement_simplex(jobs, caps, 0, {}, &bases);
   ASSERT_TRUE(first.ok());
 
-  jobs.pop_back();  // different shape: fingerprint mismatch, cold solve
-  const LpSchedule second = solve_placement(jobs, caps, 0, options);
+  jobs.pop_back();  // different shape: the bases mismatch, cold solve
+  const LpSchedule second =
+      lp::solve_placement_simplex(jobs, caps, 0, {}, &bases);
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second.pivots, 0);
 }

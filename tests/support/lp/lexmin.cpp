@@ -28,6 +28,7 @@ LexMinMaxResult LexMinMaxSolver::solve(
     result = solve_impl(base, loads, warm);
   }
   LexminTrace trace;
+  trace.engine = "simplex";
   trace.rows = base.num_rows();
   trace.cols = base.num_columns();
   trace.loads = loads.size();
@@ -41,30 +42,6 @@ LexMinMaxResult LexMinMaxSolver::solve(
   trace.wall_s = wall_s;
   record_lexmin_solve(trace);
   return result;
-}
-
-void record_lexmin_solve(const LexminTrace& trace) {
-  obs::Registry& reg = obs::registry();
-  reg.counter("lp.lexmin.solves").add();
-  reg.counter("lp.lexmin.rounds").add(trace.rounds);
-  reg.counter("lp.lexmin.pivots").add(trace.pivots);
-  if (trace.status != SolveStatus::kOptimal) {
-    reg.counter("lp.lexmin.failures").add();
-  }
-  if (trace.truncated) reg.counter("lp.lexmin.truncations").add();
-  obs::emit(obs::TraceEvent("lexmin_solve")
-                .field("engine", trace.engine)
-                .field("rows", trace.rows)
-                .field("cols", trace.cols)
-                .field("loads", trace.loads)
-                .field("status", to_string(trace.status))
-                .field("rounds", trace.rounds)
-                .field("pivots", trace.pivots)
-                .field("levels", trace.levels)
-                .field("max_level", trace.max_level)
-                .field("truncated", trace.truncated)
-                .field("budget_exhausted", trace.budget_exhausted)
-                .field("wall_s", trace.wall_s));
 }
 
 LexMinMaxResult LexMinMaxSolver::solve_impl(

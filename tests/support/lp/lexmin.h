@@ -24,15 +24,15 @@
 // binding set at each level is unique; when every binding row is
 // *individually* reducible (the argmax shifts between optima), the stall
 // fallback fixes all candidates, which can over-constrain later levels.
-// The caveat does not reach the paper's separable formulation: every
-// per-resource placement runs the exact flow lexmin of
-// core/flow_placement.h, and this driver serves only the coupled
-// formulation (core/lp_formulation.h), where it applies.
+// The caveat does not reach the scheduler, whose every placement runs the
+// exact flow lexmin of core/flow_placement.h; this driver is test-only,
+// the differential reference (lp/placement_simplex.h).
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "lp/lexmin_trace.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 
@@ -112,27 +112,5 @@ class LexMinMaxSolver {
 
   LexMinMaxOptions options_;
 };
-
-/// What one lexmin solve reports to observability, whichever engine ran
-/// it: this simplex driver or the flow lexmin (core/flow_placement.h).
-struct LexminTrace {
-  const char* engine = "simplex";  // "simplex" or "flow"
-  int rows = 0;            // base rows (flow: jobs with demand)
-  int cols = 0;            // base columns (flow: job->slot edges)
-  std::size_t loads = 0;   // load rows (slots)
-  SolveStatus status = SolveStatus::kOptimal;
-  int rounds = 0;          // lexmin rounds (flow: levels)
-  std::int64_t pivots = 0; // simplex pivots (flow: augmenting paths)
-  std::size_t levels = 0;
-  double max_level = 0.0;
-  bool truncated = false;
-  bool budget_exhausted = false;
-  double wall_s = 0.0;
-};
-
-/// Adds one solve to the lp.lexmin.{solves,rounds,pivots,failures,
-/// truncations} counters and emits its `lexmin_solve` trace event. Callers
-/// check obs::enabled() first.
-void record_lexmin_solve(const LexminTrace& trace);
 
 }  // namespace flowtime::lp

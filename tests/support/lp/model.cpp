@@ -7,24 +7,6 @@
 
 namespace flowtime::lp {
 
-const char* to_string(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::kOptimal:
-      return "optimal";
-    case SolveStatus::kInfeasible:
-      return "infeasible";
-    case SolveStatus::kUnbounded:
-      return "unbounded";
-    case SolveStatus::kIterationLimit:
-      return "iteration_limit";
-    case SolveStatus::kNumericalFailure:
-      return "numerical_failure";
-    case SolveStatus::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 int LpProblem::add_column(double objective, double lower, double upper,
                           std::string name) {
   assert(lower <= upper && "variable bounds crossed");

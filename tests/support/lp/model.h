@@ -2,12 +2,13 @@
 //
 // FlowTime's scheduler (paper §V) formulates resource allocation as an ILP
 // whose constraint matrix is totally unimodular, so an LP solver returning
-// vertex solutions yields the integral optimum. No LP library ships in this
-// environment, so the repository carries its own solver stack:
+// vertex solutions yields the integral optimum. The scheduler solves it by
+// parametric max flow (core/flow_placement.h); the tests check that solver
+// and the paper's Lemmas against this test-only LP stack:
 //
 //   LpProblem (this header)  — column/row model with bounds,
 //   SimplexSolver            — two-phase bounded-variable primal simplex,
-//   BranchAndBound           — reference MILP solver used by tests,
+//   BranchAndBound           — reference MILP solver,
 //   LexMinMaxSolver          — the paper's lexicographic min-max objective.
 #pragma once
 
@@ -15,6 +16,8 @@
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "lp/solve_status.h"
 
 namespace flowtime::lp {
 
@@ -36,21 +39,6 @@ struct ColEntry {
   int row = 0;
   double coeff = 0.0;
 };
-
-/// Solver termination status.
-enum class SolveStatus {
-  kOptimal,
-  kInfeasible,
-  kUnbounded,
-  kIterationLimit,
-  kNumericalFailure,
-  /// A SolveBudget's wall-clock watchdog (or cancellation token) fired
-  /// mid-solve. Like kIterationLimit, the solve stopped at a feasible but
-  /// unproven point when one was available.
-  kTimeout,
-};
-
-const char* to_string(SolveStatus status);
 
 /// Snapshot of a simplex basis, for warm-starting a later solve.
 ///

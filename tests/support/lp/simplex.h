@@ -1,10 +1,9 @@
 // Two-phase bounded-variable primal simplex.
 //
-// Replaces the paper's CPLEX dependency for the LPs that are not a
-// transportation problem: the coupled placement formulation
-// (core/lp_formulation.h), through the lexmin driver (lp/lexmin.h). The
-// paper's separable formulation is solved by parametric max flow instead
-// (core/flow_placement.h). Design goals, in order:
+// Test-only: the reference LP solver behind the lexmin driver
+// (lp/lexmin.h), the simplex placement reference (lp/placement_simplex.h)
+// and branch-and-bound. The scheduler solves its placement LP by
+// parametric max flow (core/flow_placement.h). Design goals, in order:
 //   1. Vertex solutions, the extreme points the paper's integrality
 //      argument (Lemma 2, Meyer 1977) is about; interior-point methods
 //      would not deliver them.

@@ -2,8 +2,7 @@
 //
 // The simplex engine spends its time in four places — pricing (duals +
 // reduced-cost scan), the ratio test (ftran + leaving-row search), the
-// rank-1 basis-inverse update, and periodic refactorization — and the
-// question ROADMAP item 1 (sparse LP core) hinges on is *which one*. A
+// rank-1 basis-inverse update, and periodic refactorization. A
 // SolveProfile is a plain accumulator for those phase timers plus the
 // counters that explain them (degenerate pivots, bound flips, basis
 // patches, lexmin rounds).
@@ -19,12 +18,12 @@
 //
 // Usage:
 //   {
-//     lp::ScopedSolveProfile prof("replan", slot);   // installs TLS pointer
+//     lp::ScopedSolveProfile prof("bench_lp_sparse");  // installs TLS ptr
 //     ... run simplex / lexmin on this thread ...
 //   }  // merges into obs::registry(), emits a "solve_profile" trace event
 //
 // Scopes do not nest: an inner scope on the same thread is inert (the outer
-// one keeps collecting), which lets solve_replan own the profile while the
+// one keeps collecting), which lets a caller own the profile while the
 // lexmin solver underneath stays oblivious.
 #pragma once
 

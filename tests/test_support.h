@@ -1,7 +1,7 @@
 // Shared test helpers: the small scenarios the runtime, federation and
 // failover suites run, the schedule-identity check behind the
-// replan-driver identity tests, and the simplex reference the flow lexmin
-// is tested against.
+// replan-driver identity tests, and the sorted level vector the flow
+// lexmin is compared on.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,57 +18,6 @@
 #include "sim/simulator.h"
 
 namespace flowtime::test {
-
-/// The simplex reference for the separable placement: the coupled
-/// formulation solved on each resource's single-resource projection (the
-/// job set with every other resource's demand set to 0). For jobs that
-/// demand one resource the coupled LP is exactly that resource's separable
-/// LP, so this is the per-resource simplex lexmin. The per-resource results
-/// merge the way solve_placement merges its flow solves; the first failing
-/// resource ends the solve. `caches`, when given, holds one warm cache per
-/// resource (options.warm_cache is ignored).
-inline core::LpSchedule solve_projected_simplex(
-    const std::vector<core::LpJob>& jobs,
-    const std::vector<workload::ResourceVec>& caps, int first_slot,
-    core::LpScheduleOptions options = {},
-    core::PlacementWarmCache* caches = nullptr) {
-  core::LpSchedule merged;
-  merged.status = lp::SolveStatus::kOptimal;
-  merged.first_slot = first_slot;
-  merged.num_slots = static_cast<int>(caps.size());
-  merged.allocation.assign(
-      jobs.size(), std::vector<workload::ResourceVec>(caps.size()));
-  merged.normalized_load.assign(caps.size(), workload::ResourceVec{});
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    std::vector<core::LpJob> projected = jobs;
-    for (core::LpJob& job : projected) {
-      for (int other = 0; other < workload::kNumResources; ++other) {
-        if (other != r) job.demand[other] = 0.0;
-      }
-    }
-    options.warm_cache = caches != nullptr ? &caches[r] : nullptr;
-    const core::LpSchedule s =
-        core::solve_placement_coupled(projected, caps, first_slot, options);
-    merged.pivots += s.pivots;
-    merged.lexmin_rounds = std::max(merged.lexmin_rounds, s.lexmin_rounds);
-    merged.lexmin_truncated = merged.lexmin_truncated || s.lexmin_truncated;
-    merged.budget_exhausted = merged.budget_exhausted || s.budget_exhausted;
-    if (!s.ok()) {
-      merged.status = s.status;
-      return merged;
-    }
-    merged.max_normalized_load =
-        std::max(merged.max_normalized_load, s.max_normalized_load);
-    merged.capacity_exceeded = merged.capacity_exceeded || s.capacity_exceeded;
-    for (std::size_t t = 0; t < caps.size(); ++t) {
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        merged.allocation[j][t][r] = s.allocation[j][t][r];
-      }
-      merged.normalized_load[t][r] = s.normalized_load[t][r];
-    }
-  }
-  return merged;
-}
 
 /// One resource's normalized slot loads, sorted in decreasing order: the
 /// lexmin level vector, whichever solver produced the plan.
