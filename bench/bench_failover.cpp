@@ -13,8 +13,9 @@
 // the repo so the numbers travel with the code). Regenerate with:
 //   ./build/bench/bench_failover --out BENCH_failover.json
 // The committed file is schema-checked by the bench_failover_schema ctest
-// target (--check mode); bench_failover_smoke runs a small instance
-// end-to-end. Both carry the "failover" label.
+// target (--check mode) and regenerated and compared byte for byte by
+// bench_failover_golden; bench_failover_smoke runs a small instance
+// end-to-end. All three carry the "failover" label.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

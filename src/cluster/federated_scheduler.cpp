@@ -14,6 +14,15 @@ namespace flowtime::cluster {
 
 namespace {
 
+// Probe schedule of a quarantined cell (DESIGN.md §14): 2 slots, doubling
+// per failed probe up to 64, jittered by +/-25%; 60 slots of uninterrupted
+// health reset it to the base delay.
+constexpr double kProbeBaseSlots = 2.0;
+constexpr double kProbeMultiplier = 2.0;
+constexpr double kProbeCapSlots = 64.0;
+constexpr double kProbeJitter = 0.25;
+constexpr int kProbeResetSlots = 60;
+
 core::AdmissionConfig admission_config_for(
     const CellSpec& spec, const core::FlowTimeConfig& flowtime) {
   core::AdmissionConfig config;
@@ -23,35 +32,34 @@ core::AdmissionConfig admission_config_for(
   return config;
 }
 
-}  // namespace
-
-const char* to_string(CellHealth health) {
-  switch (health) {
-    case CellHealth::kHealthy:
-      return "healthy";
-    case CellHealth::kSuspect:
-      return "suspect";
-    case CellHealth::kQuarantined:
-      return "quarantined";
-  }
-  return "healthy";
+int backoff_delay_slots(util::Backoff& backoff) {
+  return std::max(1, static_cast<int>(std::lround(backoff.next())));
 }
 
-CellScheduler::CellScheduler(CellSpec spec, core::FlowTimeConfig config,
-                             util::BackoffConfig probe_backoff)
-    : spec_(spec),
+// Sums one planner statistic over every cell.
+template <typename T>
+T sum_over_cells(const std::vector<std::unique_ptr<CellScheduler>>& cells,
+                 T (core::FlowTimeScheduler::*stat)() const) {
+  T total = 0;
+  for (const auto& cell : cells) total += (cell->scheduler().*stat)();
+  return total;
+}
+
+}  // namespace
+
+CellScheduler::CellScheduler(CellSpec cell_spec, core::FlowTimeConfig config,
+                             util::BackoffConfig probe)
+    : spec(cell_spec),
+      admission(admission_config_for(cell_spec, config)),
+      probe_backoff(probe),
       config_(std::move(config)),
-      scheduler_(std::make_unique<core::FlowTimeScheduler>(config_)),
-      admission_(std::make_unique<core::AdmissionController>(
-          admission_config_for(spec_, scheduler_->config()))),
-      probe_backoff_(probe_backoff) {}
+      scheduler_(std::make_unique<core::FlowTimeScheduler>(config_)) {}
 
 void CellScheduler::reset() {
   scheduler_ = std::make_unique<core::FlowTimeScheduler>(config_);
-  admission_ = std::make_unique<core::AdmissionController>(
-      admission_config_for(spec_, scheduler_->config()));
-  adhoc_active_ = 0;
-  was_overloaded_ = false;
+  admission = core::AdmissionController(admission_config_for(spec, config_));
+  adhoc_active = 0;
+  was_overloaded = false;
 }
 
 double CellScheduler::last_peak_load() const {
@@ -67,10 +75,13 @@ bool CellScheduler::overloaded(double threshold) const {
          log.back().late_extensions > 0;
 }
 
-bool CellScheduler::latch_overload(bool now_overloaded) {
-  const bool transition = now_overloaded && !was_overloaded_;
-  was_overloaded_ = now_overloaded;
-  return transition;
+void CellScheduler::set_fault(fault::CellFaultMode mode, bool active) {
+  if (mode == fault::CellFaultMode::kSolverFail) {
+    solver_broken = active;
+  } else {
+    down = active;
+  }
+  cancel.store(down || solver_broken, std::memory_order_relaxed);
 }
 
 FederatedScheduler::FederatedScheduler(FederatedConfig config)
@@ -97,10 +108,10 @@ FederatedScheduler::FederatedScheduler(FederatedConfig config)
     // from the partition seed and cell id, so recovery schedules are
     // reproducible and uncorrelated across cells.
     util::BackoffConfig probe;
-    probe.base = config_.probe_backoff_base_slots;
-    probe.multiplier = config_.probe_backoff_multiplier;
-    probe.cap = config_.probe_backoff_cap_slots;
-    probe.jitter = config_.probe_backoff_jitter;
+    probe.base = kProbeBaseSlots;
+    probe.multiplier = kProbeMultiplier;
+    probe.cap = kProbeCapSlots;
+    probe.jitter = kProbeJitter;
     probe.seed = config_.partition.seed ^
                  (0x9e3779b97f4a7c15ull *
                   static_cast<std::uint64_t>(spec.id + 1));
@@ -116,52 +127,20 @@ FederatedScheduler::FederatedScheduler(FederatedConfig config)
 
 FederatedScheduler::~FederatedScheduler() = default;
 
-int FederatedScheduler::cell_of_workflow(int workflow_id) const {
-  const auto it = workflows_.find(workflow_id);
-  return it == workflows_.end() ? -1 : it->second.cell;
-}
-
 int FederatedScheduler::replans() const {
-  int total = 0;
-  for (const auto& cell : cells_) total += cell->scheduler().replans();
-  return total;
+  return sum_over_cells(cells_, &core::FlowTimeScheduler::replans);
 }
 
 std::int64_t FederatedScheduler::total_pivots() const {
-  std::int64_t total = 0;
-  for (const auto& cell : cells_) total += cell->scheduler().total_pivots();
-  return total;
-}
-
-bool FederatedScheduler::degraded_mode() const {
-  for (const auto& cell : cells_) {
-    if (cell->scheduler().degraded_mode()) return true;
-  }
-  return false;
+  return sum_over_cells(cells_, &core::FlowTimeScheduler::total_pivots);
 }
 
 int FederatedScheduler::degraded_replans() const {
-  int total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->scheduler().degraded_replans();
-  }
-  return total;
+  return sum_over_cells(cells_, &core::FlowTimeScheduler::degraded_replans);
 }
 
 int FederatedScheduler::truncated_replans() const {
-  int total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->scheduler().truncated_replans();
-  }
-  return total;
-}
-
-int FederatedScheduler::decomposition_fallbacks() const {
-  int total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->scheduler().decomposition_fallbacks();
-  }
-  return total;
+  return sum_over_cells(cells_, &core::FlowTimeScheduler::truncated_replans);
 }
 
 double FederatedScheduler::tenant_usage(int tenant) const {
@@ -193,7 +172,7 @@ void FederatedScheduler::on_event(const sim::SchedulerEvent& event) {
     return;
   }
   if (const auto* adhoc = std::get_if<sim::AdhocArrivalEvent>(&event)) {
-    // The event is kept verbatim so a crashed cell's ad-hoc jobs can be
+    // The event is kept verbatim so an evacuated cell's ad-hoc jobs can be
     // re-delivered to a survivor.
     adhoc_events_[adhoc->uid] = *adhoc;
     const int best = route_adhoc();
@@ -203,7 +182,7 @@ void FederatedScheduler::on_event(const sim::SchedulerEvent& event) {
       return;
     }
     cell_of_uid_[adhoc->uid] = best;
-    cells_[best]->adhoc_arrived();
+    ++cells_[best]->adhoc_active;
     cells_[best]->scheduler().on_event(event);
     return;
   }
@@ -238,21 +217,21 @@ void FederatedScheduler::on_event(const sim::SchedulerEvent& event) {
 void FederatedScheduler::apply_capacity_to_cell(
     int cell, const sim::CapacityChangeEvent& change) {
   CellScheduler& target = *cells_[cell];
-  const double fraction = target.spec().fraction;
+  const double fraction = target.spec.fraction;
   sim::CapacityChangeEvent scaled = change;
   scaled.capacity = workload::scale(change.capacity, fraction);
   target.scheduler().on_event(sim::SchedulerEvent{scaled});
   // The event carries per-slot resource-seconds; the admission layer
   // models capacity in resource units.
-  const double slot_seconds = target.spec().cluster.slot_seconds;
-  target.admission().on_capacity_change(
+  const double slot_seconds = target.spec.cluster.slot_seconds;
+  target.admission.on_capacity_change(
       workload::scale(change.capacity, fraction / slot_seconds),
       change.now_s);
 }
 
 bool FederatedScheduler::cell_routable(int cell) const {
   const CellScheduler& c = *cells_[cell];
-  return !c.down() && c.health() == CellHealth::kHealthy;
+  return !c.down && c.health == CellHealth::kHealthy;
 }
 
 int FederatedScheduler::route_adhoc() const {
@@ -260,8 +239,8 @@ int FederatedScheduler::route_adhoc() const {
   double best_pressure = std::numeric_limits<double>::infinity();
   for (int i = 0; i < num_cells(); ++i) {
     if (!cell_routable(i)) continue;
-    const double pressure = static_cast<double>(cells_[i]->adhoc_active()) /
-                            std::max(cells_[i]->spec().fraction, 1e-12);
+    const double pressure = static_cast<double>(cells_[i]->adhoc_active) /
+                            std::max(cells_[i]->spec.fraction, 1e-12);
     if (pressure < best_pressure - 1e-12) {
       best = i;
       best_pressure = pressure;
@@ -273,131 +252,113 @@ int FederatedScheduler::route_adhoc() const {
 int FederatedScheduler::quarantined_cells() const {
   int quarantined = 0;
   for (const auto& c : cells_) {
-    if (c->health() == CellHealth::kQuarantined) ++quarantined;
+    if (c->health == CellHealth::kQuarantined) ++quarantined;
   }
   return quarantined;
 }
 
-namespace {
-int backoff_delay_slots(util::Backoff& backoff) {
-  return std::max(1, static_cast<int>(std::lround(backoff.next())));
-}
-}  // namespace
-
 void FederatedScheduler::handle_cell_fault(const sim::CellFaultEvent& event) {
   if (event.cell < 0 || event.cell >= num_cells()) return;
   CellScheduler& cell = *cells_[event.cell];
+  // A hang only marks the cell down (it looks like slowness; missed
+  // heartbeats escalate it), a solver fault only arms the preemption token.
+  // A lifted fault re-admits nothing: a quarantined cell rejoins only
+  // through a probe, so flapping keeps hurting the flapper, not the fleet.
+  cell.set_fault(event.mode, event.active);
+  if (!event.active) return;
   const double slot_seconds = config_.flowtime.cluster.slot_seconds;
   const int slot =
       static_cast<int>(std::floor(event.now_s / slot_seconds + 1e-9));
-  if (event.active) {
-    ++cell_failures_;
-    if (obs::enabled()) {
-      obs::registry().counter("cluster.cell_failures").add();
-      obs::emit(obs::TraceEvent("cell_failed")
-                    .field("cell", event.cell)
-                    .field("mode", fault::to_string(event.mode))
-                    .field("slot", slot)
-                    .field("sim_s", event.now_s));
-    }
-    switch (event.mode) {
-      case fault::CellFaultMode::kCrash:
-      case fault::CellFaultMode::kFlap:
-        cell.set_down(true, event.mode);
-        // The shard's memory is gone: rebuild it empty, then replay the
-        // last capacity broadcast so the fresh admission ledger tracks any
-        // machine churn that already happened.
-        cell.reset();
-        if (last_capacity_event_.has_value()) {
-          apply_capacity_to_cell(event.cell, *last_capacity_event_);
-        }
-        // A dead connection is an unambiguous failure signal (unlike a
-        // timeout), so the breaker trips immediately.
-        quarantine_cell(event.cell, slot, event.now_s,
-                        fault::to_string(event.mode), /*state_lost=*/true);
-        break;
-      case fault::CellFaultMode::kHang:
-        // Not instantly distinguishable from slowness; detection happens
-        // through missed heartbeats in update_cell_health.
-        cell.set_down(true, event.mode);
-        break;
-      case fault::CellFaultMode::kSolverFail:
-        // Arms the preemption token: subsequent solves return preempted
-        // and escalate through the solve-failure path.
-        cell.set_solver_broken(true);
-        break;
-    }
-  } else {
-    if (event.mode == fault::CellFaultMode::kSolverFail) {
-      cell.set_solver_broken(false);
-    } else {
-      cell.set_down(false, event.mode);
-    }
-    // No instant re-admission: a quarantined cell rejoins only through a
-    // successful probe (update_cell_health), so flapping keeps hurting the
-    // flapper, not the fleet.
+  ++cell_failures_;
+  if (obs::enabled()) {
+    obs::registry().counter("cluster.cell_failures").add();
+    obs::emit(obs::TraceEvent("cell_failed")
+                  .field("cell", event.cell)
+                  .field("mode", fault::to_string(event.mode))
+                  .field("slot", slot)
+                  .field("sim_s", event.now_s));
   }
+  if (event.mode != fault::CellFaultMode::kCrash &&
+      event.mode != fault::CellFaultMode::kFlap) {
+    return;
+  }
+  // The shard's memory is gone: rebuild it empty, then replay the last
+  // capacity broadcast so the fresh admission ledger tracks any machine
+  // churn that already happened.
+  cell.reset();
+  if (last_capacity_event_.has_value()) {
+    apply_capacity_to_cell(event.cell, *last_capacity_event_);
+  }
+  // A dead connection is an unambiguous failure signal (unlike a timeout),
+  // so the breaker trips immediately.
+  quarantine_cell(event.cell, slot, event.now_s, fault::to_string(event.mode),
+                  /*state_lost=*/true);
 }
 
 void FederatedScheduler::update_cell_health(const sim::ClusterState& state) {
-  const int breaker = std::max(config_.quarantine_after_failures, 1);
   for (int i = 0; i < num_cells(); ++i) {
     CellScheduler& cell = *cells_[i];
-    if (cell.down() && cell.health() != CellHealth::kQuarantined) {
-      // Missed heartbeat: one observed failure per slot while unreachable.
-      cell.count_failure();
-      if (cell.health() == CellHealth::kHealthy) {
-        cell.set_health(CellHealth::kSuspect);
-      }
-      if (cell.consecutive_failures() >= breaker) {
-        quarantine_cell(i, state.slot, state.now_s, "heartbeat_timeout",
-                        /*state_lost=*/false);
-      }
-      continue;
-    }
-    if (!cell.down() && cell.health() == CellHealth::kSuspect &&
-        !cell.solver_broken()) {
-      // Heartbeats (and the solver) are back before the breaker tripped.
-      cell.clear_failures();
-      cell.set_health(CellHealth::kHealthy);
-      cell.set_healthy_since_slot(state.slot);
-      continue;
-    }
-    if (cell.health() == CellHealth::kQuarantined &&
-        cell.probe_at_slot() >= 0 && state.slot >= cell.probe_at_slot()) {
-      if (!cell.down() && !cell.solver_broken()) {
+    if (cell.health == CellHealth::kQuarantined) {
+      if (cell.probe_at_slot < 0 || state.slot < cell.probe_at_slot) continue;
+      if (!cell.down && !cell.solver_broken) {
         readmit_cell(i, state.slot, state.now_s);
       } else {
         // Probe failed; the next one waits exponentially longer.
-        cell.set_probe_at_slot(state.slot +
-                               backoff_delay_slots(cell.probe_backoff()));
+        cell.probe_at_slot =
+            state.slot + backoff_delay_slots(cell.probe_backoff);
       }
       continue;
     }
-    if (cell.health() == CellHealth::kHealthy &&
-        cell.probe_backoff().attempts() > 0 &&
-        cell.healthy_since_slot() >= 0 &&
-        state.slot - cell.healthy_since_slot() >=
-            std::max(config_.backoff_reset_slots, 1)) {
+    if (cell.down) {
+      // Missed heartbeat: one observed failure per slot while unreachable.
+      record_failure(i, state.slot, state.now_s, "heartbeat_timeout");
+      continue;
+    }
+    // Heartbeats (and the solver) are back before the breaker tripped.
+    recover_if_alive(i, state.slot);
+    if (cell.health == CellHealth::kHealthy &&
+        cell.probe_backoff.attempts() > 0 && cell.healthy_since_slot >= 0 &&
+        state.slot - cell.healthy_since_slot >= kProbeResetSlots) {
       // Stable for long enough: future outages start from the base delay.
-      cell.probe_backoff().reset();
+      cell.probe_backoff.reset();
     }
   }
+}
+
+void FederatedScheduler::record_failure(int cell_id, int slot, double now_s,
+                                        const char* reason) {
+  CellScheduler& cell = *cells_[cell_id];
+  ++cell.consecutive_failures;
+  if (cell.health == CellHealth::kHealthy) cell.health = CellHealth::kSuspect;
+  if (cell.consecutive_failures >=
+      std::max(config_.quarantine_after_failures, 1)) {
+    quarantine_cell(cell_id, slot, now_s, reason, /*state_lost=*/false);
+  }
+}
+
+void FederatedScheduler::recover_if_alive(int cell_id, int slot) {
+  CellScheduler& cell = *cells_[cell_id];
+  if (cell.health != CellHealth::kSuspect || cell.down || cell.solver_broken) {
+    return;
+  }
+  cell.consecutive_failures = 0;
+  cell.health = CellHealth::kHealthy;
+  cell.healthy_since_slot = slot;
 }
 
 void FederatedScheduler::quarantine_cell(int cell_id, int slot, double now_s,
                                          const char* reason,
                                          bool state_lost) {
   CellScheduler& cell = *cells_[cell_id];
-  if (cell.health() == CellHealth::kQuarantined) {
+  if (cell.health == CellHealth::kQuarantined) {
     // Already quarantined (e.g. a flap's next down phase): evacuation
     // already ran and the probe schedule stands.
     return;
   }
-  cell.set_health(CellHealth::kQuarantined);
+  cell.health = CellHealth::kQuarantined;
   ++quarantines_;
   outage_log_.push_back(CellOutage{cell_id, slot, -1});
-  cell.set_probe_at_slot(slot + backoff_delay_slots(cell.probe_backoff()));
+  cell.probe_at_slot = slot + backoff_delay_slots(cell.probe_backoff);
   if (obs::enabled()) {
     obs::registry().counter("cluster.cell_quarantines").add();
     obs::registry().gauge("cluster.cells_quarantined").set(
@@ -410,10 +371,10 @@ void FederatedScheduler::quarantine_cell(int cell_id, int slot, double now_s,
 
 void FederatedScheduler::readmit_cell(int cell_id, int slot, double now_s) {
   CellScheduler& cell = *cells_[cell_id];
-  cell.set_health(CellHealth::kHealthy);
-  cell.clear_failures();
-  cell.set_probe_at_slot(-1);
-  cell.set_healthy_since_slot(slot);
+  cell.health = CellHealth::kHealthy;
+  cell.consecutive_failures = 0;
+  cell.probe_at_slot = -1;
+  cell.healthy_since_slot = slot;
   ++cell_recoveries_;
   int downtime_slots = 0;
   for (auto it = outage_log_.rbegin(); it != outage_log_.rend(); ++it) {
@@ -446,6 +407,7 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
       evacuees.push_back(workflow_id);
     }
   }
+  CellScheduler& cell = *cells_[cell_id];
   for (const int workflow_id : evacuees) {
     WorkflowInfo& info = workflows_.at(workflow_id);
     int jobs_moved = info.incomplete_jobs;
@@ -453,11 +415,10 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
       // The shard is alive (hung or solver-broken): drop its planning state
       // for the workflow so it cannot double-serve after recovery. A
       // crashed shard already lost everything.
-      const int dropped =
-          cells_[cell_id]->scheduler().forget_workflow(workflow_id);
+      const int dropped = cell.scheduler().forget_workflow(workflow_id);
       if (dropped > 0) jobs_moved = dropped;
     }
-    cells_[cell_id]->admission().forget_workflow(workflow_id, now_s);
+    cell.admission.forget_workflow(workflow_id, now_s);
     for (std::size_t node = 0; node < info.node_uids.size(); ++node) {
       if (!info.complete[node]) cell_of_uid_.erase(info.node_uids[node]);
     }
@@ -472,9 +433,13 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
     place_failover(workflow_id, target, slot, now_s, cell_id, jobs_moved,
                    cause);
   }
-  if (!state_lost) return;
-  // Crash also wiped the shard's ad-hoc queue: re-deliver those jobs via
-  // the pending queue (drained the same slot when a survivor exists).
+  // A down cell (crashed, or hung possibly for good) serves nothing, so its
+  // ad-hoc jobs go back to the router via the pending queue (drained the
+  // same slot when a survivor exists). No progress is lost — it lives in
+  // the simulator — and the old cell never sees those views again, since
+  // split_state routes by cell_of_uid_. A cell quarantined for solver
+  // failures still serves, so it keeps them.
+  if (!cell.down) return;
   std::vector<sim::JobUid> adhocs;
   for (const auto& [uid, owner] : cell_of_uid_) {
     if (owner == cell_id &&
@@ -484,7 +449,7 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
   }
   for (const sim::JobUid uid : adhocs) {
     cell_of_uid_.erase(uid);
-    cells_[cell_id]->adhoc_finished();
+    cell.adhoc_active = std::max(cell.adhoc_active - 1, 0);
     pending_adhoc_.push_back(uid);
   }
 }
@@ -540,7 +505,7 @@ void FederatedScheduler::route_pending_failover(
         continue;
       }
       cell_of_uid_[uid] = best;
-      cells_[best]->adhoc_arrived();
+      ++cells_[best]->adhoc_active;
       cells_[best]->scheduler().on_event(sim::SchedulerEvent{it->second});
     }
     pending_adhoc_ = std::move(still_pending);
@@ -557,7 +522,6 @@ void FederatedScheduler::handle_workflow_arrival(
   info.incomplete_jobs = static_cast<int>(arrival.node_uids.size());
   info.quota_share = quota_share(workflow);
   workflows_[workflow.id] = std::move(info);
-  tenant_of_workflow_[workflow.id] = workflow.tenant;
   for (const sim::JobUid uid : arrival.node_uids) {
     workflow_of_uid_[uid] = workflow.id;
   }
@@ -602,23 +566,15 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
     int fallback = -1;
     double fallback_peak = std::numeric_limits<double>::infinity();
     for (int i = 0; i < num_cells(); ++i) {
-      CellScheduler& cell = *cells_[i];
-      if (cell.down() || cell.health() == CellHealth::kQuarantined) continue;
-      const bool healthy = cell.health() == CellHealth::kHealthy;
+      const CellScheduler& cell = *cells_[i];
+      if (cell.down || cell.health == CellHealth::kQuarantined) continue;
+      const bool healthy = cell.health == CellHealth::kHealthy;
       if (pass == 0 ? !healthy : healthy) continue;
-      if (!config_.admission_aware_routing) {
-        const double load = cell.last_peak_load();
-        if (fallback < 0 || load < fallback_peak - 1e-12) {
-          fallback = i;
-          fallback_peak = load;
-        }
-        continue;
-      }
       // Projected peak load with the candidate added — the bin-pack key.
       // Infeasible cells (deadline cannot be met next to their admitted
       // work) are pruned first, DCoflow-style.
       const core::AdmissionDecision decision =
-          cell.admission().evaluate(workflow, now_s);
+          cell.admission.evaluate(workflow, now_s);
       if (decision.admitted && decision.peak_load < best_peak - 1e-12) {
         best = i;
         best_peak = decision.peak_load;
@@ -633,18 +589,15 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
     }
     if (best >= 0) return best;
     if (fallback < 0) continue;  // no candidate in this pass
-    // Every cell rejected (or routing is load-only): take the least-loaded
-    // cell anyway — the cell scheduler extends windows rather than failing,
-    // and the miss stays visible in the metrics.
-    if (config_.admission_aware_routing) {
-      ++infeasible_routes_;
-      if (obs::enabled()) {
-        obs::registry().counter("cluster.route_infeasible").add();
-        obs::emit(obs::TraceEvent("route_infeasible")
-                      .field("workflow", workflow.id)
-                      .field("cell", fallback)
-                      .field("peak_load", fallback_peak));
-      }
+    // Every cell rejected: take the least-loaded cell anyway — the cell
+    // scheduler extends windows rather than failing, and the miss stays
+    // visible in the metrics.
+    if (obs::enabled()) {
+      obs::registry().counter("cluster.route_infeasible").add();
+      obs::emit(obs::TraceEvent("route_infeasible")
+                    .field("workflow", workflow.id)
+                    .field("cell", fallback)
+                    .field("peak_load", fallback_peak));
     }
     return fallback;
   }
@@ -671,7 +624,7 @@ void FederatedScheduler::place_workflow(int workflow_id, int cell,
   // Commit the demand to the cell's admission view even when routing
   // placed it past the feasibility gate — the routing oracle must keep
   // seeing it.
-  target.admission().force_admit(*info.workflow, now_s);
+  target.admission.force_admit(*info.workflow, now_s);
 }
 
 void FederatedScheduler::handle_job_complete(
@@ -689,7 +642,10 @@ void FederatedScheduler::handle_job_complete(
   const auto wf_it = workflow_of_uid_.find(event.uid);
   if (wf_it == workflow_of_uid_.end()) {
     // Ad-hoc job: just drop the routing pressure.
-    if (uid_cell >= 0) cells_[uid_cell]->adhoc_finished();
+    if (uid_cell >= 0) {
+      CellScheduler& owner = *cells_[uid_cell];
+      owner.adhoc_active = std::max(owner.adhoc_active - 1, 0);
+    }
     adhoc_events_.erase(event.uid);
     return;
   }
@@ -704,7 +660,7 @@ void FederatedScheduler::handle_job_complete(
       info.complete[node] = true;
       --info.incomplete_jobs;
       if (info.cell >= 0) {
-        cells_[info.cell]->admission().complete_job(
+        cells_[info.cell]->admission.complete_job(
             workflow_id, static_cast<dag::NodeId>(node), event.now_s);
       }
     }
@@ -712,13 +668,10 @@ void FederatedScheduler::handle_job_complete(
   }
   if (info.incomplete_jobs <= 0) {
     if (info.cell >= 0) {
-      cells_[info.cell]->admission().forget_workflow(workflow_id,
-                                                     event.now_s);
+      cells_[info.cell]->admission.forget_workflow(workflow_id, event.now_s);
     }
-    const int tenant = tenant_of_workflow_[workflow_id];
-    tenant_usage_[tenant] =
-        std::max(tenant_usage_[tenant] - info.quota_share, 0.0);
-    tenant_of_workflow_.erase(workflow_id);
+    double& usage = tenant_usage_[info.workflow->tenant];
+    usage = std::max(usage - info.quota_share, 0.0);
     workflows_.erase(info_it);
   }
 }
@@ -729,7 +682,7 @@ void FederatedScheduler::route_deferred(double now_s) {
   for (const int workflow_id : deferred_) {
     const auto it = workflows_.find(workflow_id);
     if (it == workflows_.end()) continue;  // completed while deferred: gone
-    const int tenant = tenant_of_workflow_[workflow_id];
+    const int tenant = it->second.workflow->tenant;
     if (tenant_usage(tenant) + it->second.quota_share >
         config_.tenant_quota_fraction + 1e-12) {
       still_deferred.push_back(workflow_id);
@@ -749,22 +702,24 @@ void FederatedScheduler::route_deferred(double now_s) {
 }
 
 void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
-  if (!config_.enable_migration || num_cells() <= 1) return;
+  if (num_cells() <= 1) return;
   // Overload detection runs every slot; the counter fires on transitions.
   std::vector<int> hot;
   for (int i = 0; i < num_cells(); ++i) {
     if (!cell_routable(i)) continue;  // failover, not migration, moves work
-    const bool overloaded = cells_[i]->overloaded(config_.overload_threshold);
+    CellScheduler& cell = *cells_[i];
+    const bool overloaded = cell.overloaded(config_.overload_threshold);
     if (overloaded) hot.push_back(i);
-    if (cells_[i]->latch_overload(overloaded)) {
+    const bool transition = overloaded && !cell.was_overloaded;
+    cell.was_overloaded = overloaded;
+    if (transition) {
       ++overload_events_;
       if (obs::enabled()) {
         obs::registry().counter("cluster.cell_overload_events").add();
         obs::emit(obs::TraceEvent("cell_overload")
                       .field("cell", i)
-                      .field("peak_load", cells_[i]->last_peak_load())
-                      .field("degraded",
-                             cells_[i]->scheduler().degraded_mode()));
+                      .field("peak_load", cell.last_peak_load())
+                      .field("degraded", cell.scheduler().degraded_mode()));
       }
     }
   }
@@ -781,9 +736,9 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     remaining_by_workflow[view.workflow_id] += worst;
   }
 
-  int budget = config_.max_migrations_per_slot;
+  // At most one workflow moves per slot: the first hot cell with a movable
+  // candidate and a target gives it up.
   for (const int from : hot) {
-    if (budget <= 0) break;
     // Candidate: the cell's heaviest incomplete workflow not in cooldown.
     int candidate = -1;
     double candidate_remaining = 0.0;
@@ -807,6 +762,8 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     // (forced placement onto the least-loaded one if none admits — moving
     // to a cooler cell still beats staying on the hotspot — but never onto
     // another hotspot: in that state migration only reshuffles pain).
+    // Unlike route_workflow it never takes a cell whose projected peak is
+    // infinite, so the two scans cannot be merged without changing plans.
     const workload::Workflow& workflow = *workflows_.at(candidate).workflow;
     int to = -1;
     double to_peak = std::numeric_limits<double>::infinity();
@@ -818,7 +775,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
         continue;
       }
       const core::AdmissionDecision decision =
-          cells_[i]->admission().evaluate(workflow, state.now_s);
+          cells_[i]->admission.evaluate(workflow, state.now_s);
       if (decision.admitted && decision.peak_load < to_peak - 1e-12) {
         to = i;
         to_peak = decision.peak_load;
@@ -831,7 +788,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     if (to < 0) to = cool;
     if (to < 0) continue;
     migrate_workflow(candidate, from, to, state.now_s, state.slot);
-    --budget;
+    return;
   }
 }
 
@@ -839,7 +796,7 @@ void FederatedScheduler::migrate_workflow(int workflow_id, int from, int to,
                                           double now_s, int slot) {
   const int dropped =
       cells_[from]->scheduler().forget_workflow(workflow_id);
-  cells_[from]->admission().forget_workflow(workflow_id, now_s);
+  cells_[from]->admission.forget_workflow(workflow_id, now_s);
   place_workflow(workflow_id, to, now_s);
   WorkflowInfo& info = workflows_.at(workflow_id);
   info.last_migration_slot = slot;
@@ -863,7 +820,7 @@ std::vector<sim::ClusterState> FederatedScheduler::split_state(
     cs.slot = state.slot;
     cs.now_s = state.now_s;
     cs.slot_seconds = state.slot_seconds;
-    cs.capacity = workload::scale(state.capacity, cells_[i]->spec().fraction);
+    cs.capacity = workload::scale(state.capacity, cells_[i]->spec.fraction);
   }
   for (const sim::JobView& view : state.active) {
     const auto it = cell_of_uid_.find(view.uid);
@@ -889,8 +846,8 @@ void FederatedScheduler::replan_dirty_cells(
     // Down cells are unreachable — their dirty bit survives and the plan
     // runs after recovery. A quarantined cell with a broken solver is a
     // tripped breaker: no solve attempts until a probe re-admits it.
-    if (cell.down()) continue;
-    if (cell.solver_broken() && cell.health() == CellHealth::kQuarantined) {
+    if (cell.down) continue;
+    if (cell.solver_broken && cell.health == CellHealth::kQuarantined) {
       continue;
     }
     SolveJob job;
@@ -908,7 +865,7 @@ void FederatedScheduler::replan_dirty_cells(
     }
     // A broken solver preempts deterministically via the cancel token
     // rather than timing out on a wall clock.
-    if (cell.solver_broken()) job.pending.cancel = cell.cancel_flag();
+    if (cell.solver_broken) job.pending.cancel = &cell.cancel;
     jobs.push_back(std::move(job));
   }
   if (jobs.empty()) return;
@@ -942,29 +899,15 @@ void FederatedScheduler::replan_dirty_cells(
   }
   replan_round_wall_s_.push_back(round_wall);
 
-  const int breaker = std::max(config_.quarantine_after_failures, 1);
   for (const SolveJob& job : jobs) {
-    CellScheduler& cell = *cells_[job.cell];
     const int slot = cell_states[static_cast<std::size_t>(job.cell)].slot;
-    if (!job.adopted) {
+    if (job.adopted) {
+      // A clean solve is proof of life.
+      recover_if_alive(job.cell, slot);
+    } else {
       // The solve failed (deadline or broken solver): the old plan keeps
-      // serving and the dirty bit is back; count one failure toward the
-      // breaker.
-      cell.count_failure();
-      if (cell.health() == CellHealth::kHealthy) {
-        cell.set_health(CellHealth::kSuspect);
-      }
-      if (cell.health() != CellHealth::kQuarantined &&
-          cell.consecutive_failures() >= breaker) {
-        quarantine_cell(job.cell, slot, now_s, "solver_failure",
-                        /*state_lost=*/false);
-      }
-    } else if (cell.health() == CellHealth::kSuspect && !cell.down() &&
-               !cell.solver_broken()) {
-      // A clean solve is proof of life: back to healthy.
-      cell.clear_failures();
-      cell.set_health(CellHealth::kHealthy);
-      cell.set_healthy_since_slot(slot);
+      // serving and the dirty bit is back.
+      record_failure(job.cell, slot, now_s, "solver_failure");
     }
   }
 }
@@ -980,7 +923,7 @@ std::vector<sim::Allocation> FederatedScheduler::allocate(
   run_migrations(state);
   const std::vector<sim::ClusterState> cell_states = split_state(state);
   for (int i = 0; i < num_cells(); ++i) {
-    if (cells_[i]->down()) continue;  // unreachable: no heartbeat round-trip
+    if (cells_[i]->down) continue;  // unreachable: no heartbeat round-trip
     cells_[i]->scheduler().sync_views(
         cell_states[static_cast<std::size_t>(i)]);
   }
@@ -990,7 +933,7 @@ std::vector<sim::Allocation> FederatedScheduler::allocate(
     // A down cell serves nothing (its machines answer no RPCs); a merely
     // quarantined cell keeps serving what it still owns — quarantine only
     // removes it from the routing set.
-    if (cells_[i]->down()) continue;
+    if (cells_[i]->down) continue;
     std::vector<sim::Allocation> cell_allocs = cells_[i]->scheduler().serve(
         cell_states[static_cast<std::size_t>(i)]);
     merged.insert(merged.end(), cell_allocs.begin(), cell_allocs.end());

@@ -5,14 +5,14 @@
 // superlinearly with machine count. Federation partitions the cluster into
 // N cells (cluster/partition.h), runs one full FlowTimeScheduler per cell —
 // lexmin *within* a cell — and adds a greedy coordinator *across* cells:
-// workflow arrivals are bin-packed onto the cell with the lowest residual
-// normalized load among those whose admission check accepts the deadline
+// workflow arrivals are bin-packed onto the cell with the lowest projected
+// peak load among those whose admission check accepts the deadline
 // (prune-infeasible-first), ad-hoc jobs go to the cell with the least ad-hoc
-// pressure, and workflows migrate off a cell whose degradation ladder
-// engages or whose plan overloads/extends deadlines. Per-cell replans are
-// independent, so they can run concurrently on a runtime::SolverPool; each
-// cell's planner solves against its own warm cache with a 1/N slice of the
-// solver budget.
+// pressure, and at most one workflow per slot migrates off a cell whose
+// degradation ladder engages or whose plan overloads/extends deadlines.
+// Per-cell replans are independent, so they can run concurrently on a
+// runtime::SolverPool; each cell's planner solves against its own warm
+// cache with a 1/N slice of the solver budget.
 //
 // Invariant: with cells = 1 the coordinator is a pass-through — same event
 // order, same replan sequence, same serve calls — so the federated plan is
@@ -50,6 +50,8 @@
 
 namespace flowtime::cluster {
 
+/// Coordinator settings. Routing is always admission-aware, at most one
+/// workflow migrates per slot, and the probe schedule is fixed (§13–14).
 struct FederatedConfig {
   /// Per-cell scheduler template. `flowtime.cluster` is the TOTAL cluster;
   /// the partitioner derives each cell's slice, and solver budgets
@@ -69,19 +71,12 @@ struct FederatedConfig {
   bool parallel_solve = false;
   /// Worker threads for parallel_solve; 0 = one per cell, capped at 16.
   int solver_threads = 0;
-  /// Move workflows off overloaded cells (no effect with one cell).
-  bool enable_migration = true;
   /// A cell whose last adopted plan exceeded this peak normalized load is
   /// considered a hotspot (1.0 = exactly full).
   double overload_threshold = 1.2;
-  int max_migrations_per_slot = 1;
   /// A migrated workflow is pinned to its new cell for this many slots, so
   /// load oscillations do not bounce it between cells.
   int migration_cooldown_slots = 30;
-  /// Route new workflows only to cells whose admission check accepts the
-  /// deadline; fall back to the least-loaded cell (and count it) when every
-  /// cell rejects. Off = pure least-load routing.
-  bool admission_aware_routing = true;
 
   // --- Cell fault tolerance (DESIGN.md §14) ------------------------------
   /// Wall-clock ceiling (ms) on one cell's solve, merged into the solve
@@ -94,17 +89,6 @@ struct FederatedConfig {
   /// quarantined and its incomplete workflows evacuated. Crashes quarantine
   /// immediately — a dead connection is unambiguous, a timeout is not.
   int quarantine_after_failures = 3;
-  /// Probe-based re-admission: a quarantined cell is re-probed after a
-  /// backoff that grows exponentially per failed probe, with deterministic
-  /// seeded jitter (seeded from partition.seed and the cell id), so
-  /// flapping cells earn growing quarantine windows.
-  double probe_backoff_base_slots = 2.0;
-  double probe_backoff_multiplier = 2.0;
-  double probe_backoff_cap_slots = 64.0;
-  double probe_backoff_jitter = 0.25;
-  /// Slots of uninterrupted health after re-admission before the probe
-  /// backoff resets to its base (earlier relapses keep the longer delays).
-  int backoff_reset_slots = 60;
 };
 
 /// Coordinator-observed health of one cell. Healthy cells are in the
@@ -113,20 +97,16 @@ struct FederatedConfig {
 /// evacuated and it re-enters only through a successful probe.
 enum class CellHealth { kHealthy, kSuspect, kQuarantined };
 
-const char* to_string(CellHealth health);
-
 /// One cell: a FlowTimeScheduler scoped to the cell's capacity slice, the
-/// cell's admission controller (the routing oracle), and the health state
-/// the coordinator keeps for it.
+/// cell's admission controller (the routing oracle), and the routing and
+/// health state the coordinator keeps for it.
 class CellScheduler {
  public:
-  CellScheduler(CellSpec spec, core::FlowTimeConfig config,
-                util::BackoffConfig probe_backoff = {});
+  CellScheduler(CellSpec cell_spec, core::FlowTimeConfig config,
+                util::BackoffConfig probe);
 
-  const CellSpec& spec() const { return spec_; }
   core::FlowTimeScheduler& scheduler() { return *scheduler_; }
   const core::FlowTimeScheduler& scheduler() const { return *scheduler_; }
-  core::AdmissionController& admission() { return *admission_; }
 
   /// Crash recovery: rebuilds the scheduler (warm cache included) and the
   /// admission ledger from the stored config — everything a real shard
@@ -141,72 +121,41 @@ class CellScheduler {
   /// breach).
   bool overloaded(double threshold) const;
 
-  /// Ad-hoc pressure bookkeeping for routing (count of live ad-hoc jobs).
-  void adhoc_arrived() { ++adhoc_active_; }
-  void adhoc_finished() { adhoc_active_ = std::max(adhoc_active_ - 1, 0); }
-  int adhoc_active() const { return adhoc_active_; }
+  /// An injected fault engages or lifts: mode `solver` sets
+  /// `solver_broken`, every other mode `down`; either one arms `cancel`.
+  void set_fault(fault::CellFaultMode mode, bool active);
 
-  /// Overload-transition latch, so `cluster.cell_overload_events` counts
-  /// transitions into overload rather than every overloaded slot.
-  bool latch_overload(bool now_overloaded);
+  const CellSpec spec;
+  core::AdmissionController admission;
+  /// Live ad-hoc jobs, the ad-hoc routing pressure.
+  int adhoc_active = 0;
+  /// Overload latch, so `cluster.cell_overload_events` counts transitions
+  /// into overload rather than every overloaded slot.
+  bool was_overloaded = false;
 
-  // --- Health state (owned here, driven by the coordinator) --------------
-  CellHealth health() const { return health_; }
-  void set_health(CellHealth health) { health_ = health; }
+  // --- Health state (driven by the coordinator) ---------------------------
+  CellHealth health = CellHealth::kHealthy;
+  // `down` and `solver_broken` are written only by set_fault.
   /// Down = an injected crash/hang/flap phase is active: the shard serves
   /// nothing and misses heartbeats. Distinct from quarantine, which is the
   /// coordinator's verdict and outlives the fault until a probe passes.
-  bool down() const { return down_; }
-  void set_down(bool down, fault::CellFaultMode mode) {
-    down_ = down;
-    down_mode_ = mode;
-    arm_cancel();
-  }
-  fault::CellFaultMode down_mode() const { return down_mode_; }
-  /// Solver-broken = every solve attempt is preempted (fault_cell mode
-  /// `solver`); the cell still serves its last plan and answers heartbeats.
-  bool solver_broken() const { return solver_broken_; }
-  void set_solver_broken(bool broken) {
-    solver_broken_ = broken;
-    arm_cancel();
-  }
+  bool down = false;
+  /// Every solve attempt is preempted (fault_cell mode `solver`); the cell
+  /// still serves its last plan and answers heartbeats.
+  bool solver_broken = false;
   /// Cooperative-preemption token handed to PendingReplan::cancel while a
-  /// solver fault or downtime is active; lp::SolveBudget polls it between
-  /// pivots, so injected solve failures are deterministic (no wall clocks).
-  const std::atomic<bool>* cancel_flag() const { return &cancel_; }
-
-  int consecutive_failures() const { return consecutive_failures_; }
-  void count_failure() { ++consecutive_failures_; }
-  void clear_failures() { consecutive_failures_ = 0; }
-
-  util::Backoff& probe_backoff() { return probe_backoff_; }
-  int probe_at_slot() const { return probe_at_slot_; }
-  void set_probe_at_slot(int slot) { probe_at_slot_ = slot; }
-  int healthy_since_slot() const { return healthy_since_slot_; }
-  void set_healthy_since_slot(int slot) { healthy_since_slot_ = slot; }
+  /// solver fault or downtime is active; lp::SolveBudget polls it, so
+  /// injected solve failures are deterministic (no wall clocks).
+  std::atomic<bool> cancel{false};
+  int consecutive_failures = 0;
+  util::Backoff probe_backoff;
+  int probe_at_slot = -1;  ///< next probe of a quarantined cell, -1 = none
+  int healthy_since_slot = -1;
   obs::SpanId quarantine_span = obs::kNoSpan;
 
  private:
-  void arm_cancel() {
-    cancel_.store(down_ || solver_broken_, std::memory_order_relaxed);
-  }
-
-  CellSpec spec_;
   core::FlowTimeConfig config_;  ///< kept verbatim for reset()
   std::unique_ptr<core::FlowTimeScheduler> scheduler_;
-  std::unique_ptr<core::AdmissionController> admission_;
-  int adhoc_active_ = 0;
-  bool was_overloaded_ = false;
-
-  CellHealth health_ = CellHealth::kHealthy;
-  bool down_ = false;
-  fault::CellFaultMode down_mode_ = fault::CellFaultMode::kCrash;
-  bool solver_broken_ = false;
-  std::atomic<bool> cancel_{false};
-  int consecutive_failures_ = 0;
-  util::Backoff probe_backoff_;
-  int probe_at_slot_ = -1;
-  int healthy_since_slot_ = -1;
 };
 
 /// The coordinator. Implements the plain sim::Scheduler typed-event
@@ -230,22 +179,17 @@ class FederatedScheduler : public sim::Scheduler {
 
   int num_cells() const { return static_cast<int>(cells_.size()); }
   const CellScheduler& cell(int i) const { return *cells_[i]; }
-  /// Cell currently owning a workflow, or -1 (unknown / quota-deferred).
-  int cell_of_workflow(int workflow_id) const;
 
   // Aggregate statistics across cells (comparable to the accessors of a
   // single FlowTimeScheduler).
   int replans() const;
   std::int64_t total_pivots() const;
-  bool degraded_mode() const;
   int degraded_replans() const;
   int truncated_replans() const;
-  int decomposition_fallbacks() const;
 
   int migrations() const { return migrations_; }
   int overload_events() const { return overload_events_; }
   int quota_deferrals() const { return quota_deferrals_; }
-  int infeasible_routes() const { return infeasible_routes_; }
 
   // --- Fault-tolerance statistics (DESIGN.md §14) ------------------------
   /// Cell fault engagements observed (CellFaultEvent with active=true).
@@ -300,6 +244,13 @@ class FederatedScheduler : public sim::Scheduler {
   /// the circuit breaker, runs due probes of quarantined cells, and resets
   /// probe backoffs after a stable healthy period. No-op with no faults.
   void update_cell_health(const sim::ClusterState& state);
+  /// The failure rule: one observed failure (missed heartbeat, failed
+  /// solve) counts toward the breaker, a healthy cell turns suspect, and
+  /// the K-th consecutive failure quarantines the cell.
+  void record_failure(int cell, int slot, double now_s, const char* reason);
+  /// The recovery rule: a suspect cell that is reachable and has a working
+  /// solver is healthy again.
+  void recover_if_alive(int cell, int slot);
   /// Trips the circuit breaker: quarantine the cell, open an outage,
   /// schedule the first probe, and evacuate its incomplete workflows.
   /// `state_lost` = crash semantics (the cell was reset; nothing to
@@ -309,8 +260,8 @@ class FederatedScheduler : public sim::Scheduler {
   /// Probe passed: the cell re-enters the routing set.
   void readmit_cell(int cell, int slot, double now_s);
   /// Moves every incomplete workflow off `cell` onto surviving admitting
-  /// cells (pending_failover_ when none is live). With `state_lost` the
-  /// cell's ad-hoc jobs are re-delivered elsewhere too.
+  /// cells (pending_failover_ when none is live). A down cell hands its
+  /// ad-hoc jobs to the ad-hoc router too.
   void fail_over_workflows(int cell, int slot, double now_s,
                            const char* cause, bool state_lost);
   /// Completes a failover for one workflow onto `target`.
@@ -334,13 +285,14 @@ class FederatedScheduler : public sim::Scheduler {
   /// cell's admission ledger whether or not it passed the feasibility gate.
   void place_workflow(int workflow_id, int cell, double now_s);
   /// Bin-pack routing: least projected peak load among admitting cells,
-  /// falling back to least-loaded when all reject. Returns the cell id.
+  /// falling back to the least-loaded live cell when all reject. Returns
+  /// the cell id, or -1 when every cell is down or quarantined.
   int route_workflow(const workload::Workflow& workflow, double now_s);
   void handle_job_complete(const sim::JobCompleteEvent& event);
   /// Re-routes quota-deferred workflows whose tenant dropped under quota.
   void route_deferred(double now_s);
-  /// One migration round (allocate-time): move up to
-  /// `max_migrations_per_slot` workflows off overloaded cells.
+  /// One migration round (allocate-time): moves at most one workflow off
+  /// an overloaded cell.
   void run_migrations(const sim::ClusterState& state);
   void migrate_workflow(int workflow_id, int from, int to, double now_s,
                         int slot);
@@ -364,15 +316,14 @@ class FederatedScheduler : public sim::Scheduler {
   std::map<sim::JobUid, int> cell_of_uid_;
   std::map<sim::JobUid, int> workflow_of_uid_;   // deadline uids only
   std::map<int, WorkflowInfo> workflows_;        // by workflow id
-  std::map<int, int> tenant_of_workflow_;        // workflow id -> tenant
   std::map<int, double> tenant_usage_;           // tenant -> summed shares
   std::vector<int> deferred_;                    // workflow ids, FIFO
 
   /// Workflows evacuated with no live cell to land on, FIFO; retried every
   /// slot so nothing is ever stranded.
   std::vector<int> pending_failover_;
-  /// Ad-hoc arrivals kept verbatim so a crashed cell's ad-hoc jobs can be
-  /// re-delivered to a survivor (the crashed shard forgot them).
+  /// Ad-hoc arrivals kept verbatim so an evacuated cell's ad-hoc jobs can
+  /// be re-delivered to a survivor.
   std::map<sim::JobUid, sim::AdhocArrivalEvent> adhoc_events_;
   /// Ad-hoc jobs waiting for any routable cell (uids into adhoc_events_).
   std::vector<sim::JobUid> pending_adhoc_;
@@ -384,7 +335,6 @@ class FederatedScheduler : public sim::Scheduler {
   int migrations_ = 0;
   int overload_events_ = 0;
   int quota_deferrals_ = 0;
-  int infeasible_routes_ = 0;
   int cell_failures_ = 0;
   int failovers_ = 0;
   int quarantines_ = 0;

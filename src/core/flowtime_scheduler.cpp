@@ -66,7 +66,8 @@ void FlowTimeScheduler::on_event(const sim::SchedulerEvent& event) {
         if constexpr (std::is_same_v<E, sim::WorkflowArrivalEvent>) {
           handle_workflow_arrival(*e.workflow, e.node_uids, e.now_s);
         } else if constexpr (std::is_same_v<E, sim::AdhocArrivalEvent>) {
-          handle_adhoc_arrival(e.uid);
+          // Ad-hoc jobs never enter the plan; serve() finds them in the
+          // views and splits the leftover among them.
         } else if constexpr (std::is_same_v<E, sim::JobCompleteEvent>) {
           handle_job_complete(e.uid, e.now_s);
         } else if constexpr (std::is_same_v<E, sim::CapacityChangeEvent>) {
@@ -185,16 +186,10 @@ void FlowTimeScheduler::handle_workflow_arrival(
   mark_dirty(ReplanCause::kWorkflowArrival);
 }
 
-void FlowTimeScheduler::handle_adhoc_arrival(sim::JobUid uid) {
-  adhoc_fifo_.push_back(uid);
-}
-
 void FlowTimeScheduler::handle_job_complete(sim::JobUid uid, double now_s) {
   const auto it = deadline_jobs_.find(uid);
   if (it == deadline_jobs_.end()) {
-    // Ad-hoc completion frees leftover capacity only; no plan impact.
-    std::erase(adhoc_fifo_, uid);
-    return;
+    return;  // ad-hoc completion frees leftover capacity only; no plan impact
   }
   DeadlineJobState& job = it->second;
   job.complete = true;
@@ -836,9 +831,13 @@ void FlowTimeScheduler::sync_views(const sim::ClusterState& state) {
 
 std::vector<sim::Allocation> FlowTimeScheduler::serve(
     const sim::ClusterState& state) {
+  // An ad-hoc job sitting out a fault backoff is not ready; a grant would
+  // be wasted, so it gets no share of the leftover.
   std::vector<const sim::JobView*> adhoc_views;
   for (const sim::JobView& view : state.active) {
-    if (view.kind != sim::JobKind::kDeadline) adhoc_views.push_back(&view);
+    if (view.kind != sim::JobKind::kDeadline && view.ready) {
+      adhoc_views.push_back(&view);
+    }
   }
 
   if (obs::enabled()) {

@@ -373,7 +373,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   void handle_workflow_arrival(const workload::Workflow& workflow,
                                const std::vector<sim::JobUid>& node_uids,
                                double now_s);
-  void handle_adhoc_arrival(sim::JobUid uid);
   void handle_job_complete(sim::JobUid uid, double now_s);
   void handle_capacity_change();
   void handle_task_failure(sim::JobUid uid, double now_s,
@@ -441,7 +440,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   bool sabotage_force_numerical_ = false;
 
   std::map<sim::JobUid, DeadlineJobState> deadline_jobs_;
-  std::vector<sim::JobUid> adhoc_fifo_;  // arrival order
   std::map<workload::WorkflowJobRef, double> job_deadlines_;
   std::map<int, DecompositionResult> decompositions_;  // by workflow id
   /// Arrived workflows, kept so a fault can re-decompose them (the arrival

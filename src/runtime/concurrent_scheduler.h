@@ -111,9 +111,6 @@ class ConcurrentScheduler : public sim::Scheduler {
   std::int64_t preempted_solves() const { return preempted_solves_; }
   /// Solves submitted to the solver thread.
   std::int64_t async_solves() const { return async_solves_; }
-  /// Serving-thread pushes that found the event queue full and grew past
-  /// its bound instead of self-deadlocking (EventQueue deadlock guard).
-  std::int64_t queue_overflows() const { return queue_.overflows(); }
 
   /// The wrapped scheduler, for stats (replans, pivots, replan_log) and
   /// deadline evaluation. Do not call mutating members while a run is in

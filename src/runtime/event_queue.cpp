@@ -111,9 +111,4 @@ void EventQueue::close() {
   not_full_.notify_all();
 }
 
-bool EventQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 }  // namespace flowtime::runtime

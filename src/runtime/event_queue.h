@@ -76,7 +76,6 @@ class EventQueue {
   /// Releases blocked producers and rejects further pushes. Queued events
   /// remain drainable.
   void close();
-  bool closed() const;
 
  private:
   mutable std::mutex mu_;

@@ -38,17 +38,4 @@ bool is_replan_trigger(const SchedulerEvent& event) {
          !std::holds_alternative<CellFaultEvent>(event);
 }
 
-JobUid event_job_uid(const SchedulerEvent& event) {
-  if (const auto* adhoc = std::get_if<AdhocArrivalEvent>(&event)) {
-    return adhoc->uid;
-  }
-  if (const auto* complete = std::get_if<JobCompleteEvent>(&event)) {
-    return complete->uid;
-  }
-  if (const auto* failure = std::get_if<TaskFailureEvent>(&event)) {
-    return failure->uid;
-  }
-  return -1;
-}
-
 }  // namespace flowtime::sim

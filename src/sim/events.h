@@ -115,9 +115,4 @@ const char* event_name(const SchedulerEvent& event);
 /// so none of those count.
 bool is_replan_trigger(const SchedulerEvent& event);
 
-/// JobUid the event is about, or -1 for events that are not addressed to a
-/// single job (workflow arrivals, capacity changes, sabotage). A federated
-/// coordinator uses this to route job-scoped events to the owning cell.
-JobUid event_job_uid(const SchedulerEvent& event);
-
 }  // namespace flowtime::sim

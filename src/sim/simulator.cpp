@@ -4,13 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "util/backoff.h"
 #include "util/logging.h"
 
 namespace flowtime::sim {
@@ -37,10 +35,6 @@ struct LiveJob {
   int retries = 0;
   int backoff_until_slot = -1;
   bool pending_retry = false;
-  /// Retry delays run through the shared backoff policy. multiplier 1 and
-  /// no jitter reproduce the historical fixed `backoff_slots` delay; the
-  /// policy is rebuilt if a later declared fault changes the base.
-  std::optional<util::Backoff> retry_backoff;
   obs::SpanId job_span = obs::kNoSpan;        // release → completion
   obs::SpanId placement_span = obs::kNoSpan;  // current allocated run
   obs::SpanId fault_span = obs::kNoSpan;      // failure → retry release
@@ -358,16 +352,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
         job.remaining_estimate =
             workload::add(job.remaining_estimate, lost_estimate);
         ++job.retries;
-        if (!job.retry_backoff.has_value() ||
-            job.retry_backoff->config().base !=
-                static_cast<double>(fault->backoff_slots)) {
-          util::BackoffConfig backoff_config;
-          backoff_config.base = fault->backoff_slots;
-          backoff_config.multiplier = 1.0;  // legacy fixed per-retry delay
-          job.retry_backoff.emplace(backoff_config);
-        }
-        job.backoff_until_slot =
-            slot + static_cast<int>(std::lround(job.retry_backoff->next()));
+        job.backoff_until_slot = slot + fault->backoff_slots;
         job.pending_retry = true;
         job.ready_since_s = -1.0;  // re-latches when the retry runs
         injector.count_task_failure();

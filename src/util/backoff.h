@@ -1,14 +1,12 @@
-// Shared retry-backoff policy: exponential growth with deterministic,
-// seeded jitter.
+// Retry-backoff policy: exponential growth with deterministic, seeded
+// jitter.
 //
-// Both fault-handling layers use it. The simulator's task-retry path
-// (sim/simulator.cpp) runs it with multiplier 1 and no jitter, which
-// reproduces the historical fixed `backoff_slots` delay bit-for-bit; the
-// federated coordinator's cell probe policy (cluster/federated_scheduler)
-// runs the full exponential + jitter + cap form so flapping cells earn
-// growing quarantine windows. Jitter draws come from an explicitly seeded
-// util::Rng stream, so two runs with the same seed replay the same delay
-// sequence — the repo's chaos-determinism contract. Header-only.
+// Its user is the federated coordinator's cell probe policy
+// (cluster/federated_scheduler), which runs the full exponential + jitter +
+// cap form so flapping cells earn growing quarantine windows. Jitter draws
+// come from an explicitly seeded util::Rng stream, so two runs with the
+// same seed replay the same delay sequence — the repo's chaos-determinism
+// contract. Header-only.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +19,7 @@ namespace flowtime::util {
 struct BackoffConfig {
   /// First delay (unit is the caller's: slots here, could be seconds).
   double base = 1.0;
-  /// Growth factor per attempt; 1.0 = constant (legacy fixed backoff).
+  /// Growth factor per attempt; 1.0 = constant.
   double multiplier = 2.0;
   /// Upper bound on the un-jittered delay; <= 0 disables the cap.
   double cap = 0.0;

@@ -99,6 +99,29 @@ TEST(ChaosIntegration, TaskFailureRetriesAndReplans) {
   EXPECT_TRUE(any_replan_with(scheduler, core::ReplanCause::kTaskFailure));
 }
 
+TEST(ChaosIntegration, AdhocJobInFaultBackoffGetsNoGrant) {
+  // The ad-hoc job arrives in slot 3, fails in slot 4 and sits out three
+  // slots. Like every baseline, FlowTime must leave it out of the leftover
+  // split meanwhile instead of granting capacity the simulator discards.
+  auto parsed = parse(std::string(kBaseScenario) +
+                      "fault seed=1\n"
+                      "fault_task workflow=-1 node=0 slot=4 lose=1 "
+                      "backoff=3\n");
+  const sim::SimConfig config = sim_config(parsed);
+  core::FlowTimeScheduler scheduler(flowtime_config(config));
+  sim::Simulator simulator(config);
+  const sim::SimResult result = simulator.run(parsed.scenario, scheduler);
+
+  EXPECT_EQ(result.faults.task_failures, 1);
+  EXPECT_EQ(result.faults.task_retries, 1);
+  EXPECT_TRUE(result.all_completed);
+  for (const auto& job : result.jobs) {
+    EXPECT_TRUE(job.completion_s.has_value()) << job.name;
+  }
+  EXPECT_EQ(result.not_ready_allocations, 0)
+      << "an ad-hoc job in its fault backoff must get no grant";
+}
+
 TEST(ChaosIntegration, StragglerSurfacesAsOverrun) {
   auto parsed = parse(std::string(kBaseScenario) +
                       "fault seed=1\n"

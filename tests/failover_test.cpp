@@ -101,7 +101,7 @@ TEST(Failover, CrashedCellFailsOverWithoutStrandingWork) {
   const auto& outage = fed.outage_log().front();
   EXPECT_EQ(outage.cell, 1);
   EXPECT_GT(outage.recovered_slot, outage.failed_slot);
-  EXPECT_EQ(fed.cell(1).health(), cluster::CellHealth::kHealthy);
+  EXPECT_EQ(fed.cell(1).health, cluster::CellHealth::kHealthy);
 }
 
 TEST(Failover, PermanentCellLossCompletesOnSurvivors) {
@@ -123,7 +123,7 @@ TEST(Failover, PermanentCellLossCompletesOnSurvivors) {
   ASSERT_GE(fed.outage_log().size(), 1u);
   EXPECT_EQ(fed.outage_log().front().recovered_slot, -1)
       << "the outage stays open";
-  EXPECT_EQ(fed.cell(2).health(), cluster::CellHealth::kQuarantined);
+  EXPECT_EQ(fed.cell(2).health, cluster::CellHealth::kQuarantined);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +154,76 @@ TEST(Failover, HungCellEscalatesThroughHeartbeatBreaker) {
   ASSERT_GE(fed.outage_log().size(), 1u);
   // Heartbeat escalation means quarantine lags the hang by K slots.
   EXPECT_GE(fed.outage_log().front().failed_slot, 6 + 2);
-  EXPECT_EQ(fed.cell(0).health(), cluster::CellHealth::kHealthy);
+  EXPECT_EQ(fed.cell(0).health, cluster::CellHealth::kHealthy);
+}
+
+TEST(Failover, PermanentlyHungCellHandsItsAdhocJobsToSurvivors) {
+  sim::SimConfig sim_config = small_cluster();
+  sim_config.fault_plan.seed = 5;
+  sim_config.fault_plan.cell_faults.push_back(
+      cell_fault(2, fault::CellFaultMode::kHang, 8));  // never lifts
+
+  // Long ad-hoc jobs arriving from slot 0, so the hung cell owns some of
+  // them when the breaker trips; they can only finish elsewhere.
+  workload::Scenario scenario = spread_scenario(8);
+  for (int id = 0; id < 8; ++id) {
+    workload::AdhocJob adhoc_job;
+    adhoc_job.id = id;
+    adhoc_job.arrival_s = 10.0 * id;
+    adhoc_job.spec = simple_job(4, 200.0);
+    adhoc_job.spec.name = "adhoc" + std::to_string(id);
+    scenario.adhoc_jobs.push_back(std::move(adhoc_job));
+  }
+
+  cluster::FederatedConfig federated;
+  federated.flowtime = flowtime_config(sim_config);
+  federated.partition.cells = 4;
+  cluster::FederatedScheduler fed(federated);
+  const sim::SimResult result = sim::Simulator(sim_config).run(scenario, fed);
+
+  EXPECT_EQ(fed.quarantines(), 1);
+  EXPECT_EQ(fed.cell_recoveries(), 0) << "the hang never lifts";
+  expect_no_stranded_or_duplicated_work(result, fed);
+}
+
+// ---------------------------------------------------------------------------
+// Probe schedule: the first probe of a quarantined cell comes 2 slots after
+// the breaker trips, each failed probe doubles the delay (jittered by up to
+// 25% either way, rounded to slots), and 60 healthy slots reset it.
+
+TEST(Failover, ProbeDelaysDoubleAndResetAfterStableHealth) {
+  sim::SimConfig sim_config = small_cluster();
+  sim_config.fault_plan.seed = 5;
+  sim_config.fault_plan.cell_faults.push_back(
+      cell_fault(0, fault::CellFaultMode::kHang, 6, 26));
+  sim_config.fault_plan.cell_faults.push_back(
+      cell_fault(0, fault::CellFaultMode::kHang, 150, 154));
+
+  cluster::FederatedConfig federated;
+  federated.flowtime = flowtime_config(sim_config);
+  federated.partition.cells = 4;
+  cluster::FederatedScheduler fed(federated);
+  const sim::SimResult result =
+      sim::Simulator(sim_config).run(spread_scenario(8), fed);
+
+  expect_no_stranded_or_duplicated_work(result, fed);
+  ASSERT_EQ(fed.outage_log().size(), 2u);
+  // Three missed heartbeats from slot 6 trip the breaker at slot 8. Probes
+  // follow at 8 + 2 = 10, then +4, +8 and +16 slots, each within 25%:
+  // slot 10, [13, 15], [19, 25], [31, 45]. The hang lifts at slot 26, so
+  // the first three probes fail and the fourth re-admits the cell.
+  const auto& first = fed.outage_log()[0];
+  EXPECT_EQ(first.failed_slot, 8);
+  EXPECT_GE(first.recovered_slot, 31);
+  EXPECT_LE(first.recovered_slot, 45);
+  // The second hang starts more than 60 healthy slots later, so the
+  // schedule is back at its base: 2 slots (2 x 0.75..1.25, rounded), when
+  // the cell is up again. Without the reset the first probe would wait
+  // 32 x 0.75..1.25 slots.
+  const auto& second = fed.outage_log()[1];
+  EXPECT_EQ(second.failed_slot, 152);
+  EXPECT_EQ(second.recovered_slot, 154);
+  EXPECT_EQ(fed.cell(0).health, cluster::CellHealth::kHealthy);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +426,7 @@ TEST(Failover, NoCellFaultsLeaveMachineryIdle) {
   EXPECT_EQ(fed.pending_failover(), 0);
   EXPECT_TRUE(fed.outage_log().empty());
   for (int c = 0; c < fed.num_cells(); ++c) {
-    EXPECT_EQ(fed.cell(c).health(), cluster::CellHealth::kHealthy);
+    EXPECT_EQ(fed.cell(c).health, cluster::CellHealth::kHealthy);
   }
 }
 
