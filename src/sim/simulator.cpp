@@ -38,6 +38,12 @@ struct LiveJob {
   obs::SpanId job_span = obs::kNoSpan;        // release → completion
   obs::SpanId placement_span = obs::kNoSpan;  // current allocated run
   obs::SpanId fault_span = obs::kNoSpan;      // failure → retry release
+  // Per-slot stamps, so no per-slot pass touches every job: the slot of
+  // the job's entry in `grants` (at grant_index, where duplicate
+  // allocations are summed) and the last slot it was granted work.
+  int grant_slot = -1;
+  std::size_t grant_index = 0;
+  int granted_slot = -1;
 
   bool ready(const std::vector<LiveJob>& all) const {
     for (JobUid p : parent_uids) {
@@ -88,7 +94,12 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     }
   }
 
+  std::size_t num_jobs = scenario.adhoc_jobs.size();
+  for (const workload::Workflow& w : scenario.workflows) {
+    num_jobs += static_cast<std::size_t>(w.dag.num_nodes());
+  }
   std::vector<LiveJob> jobs;
+  jobs.reserve(num_jobs);
 
   // Lay out uids: workflow jobs first (in workflow order), then ad-hoc.
   std::vector<PendingWorkflow> workflow_arrivals;
@@ -150,7 +161,8 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     jobs.push_back(std::move(job));
   }
 
-  // Arrival queues sorted by time (stable for determinism).
+  // Arrival queues sorted by time. std::sort is not stable: the order is
+  // deterministic, but ties do not keep their input order.
   std::sort(workflow_arrivals.begin(), workflow_arrivals.end(),
             [](const PendingWorkflow& a, const PendingWorkflow& b) {
               return a.workflow->start_s < b.workflow->start_s;
@@ -173,17 +185,22 @@ SimResult Simulator::run(const workload::Scenario& scenario,
   std::size_t incomplete = jobs.size();
   const int max_slots = static_cast<int>(
       std::ceil(config_.max_horizon_s / config_.cluster.slot_seconds));
+  // Uids of the arrived, incomplete jobs in uid order. Every per-slot loop
+  // walks this list, so a slot costs in proportion to live jobs.
+  std::vector<JobUid> live;
 
   for (int slot = 0; slot < max_slots && incomplete > 0; ++slot) {
     const double now = slot * config_.cluster.slot_seconds;
 
     // Release everything that has arrived by the start of this slot.
+    const std::size_t released_from = live.size();
     while (next_workflow < workflow_arrivals.size() &&
            workflow_arrivals[next_workflow].workflow->start_s <=
                now + kTol) {
       PendingWorkflow& pending = workflow_arrivals[next_workflow];
       for (JobUid uid : pending.node_uids) {
         jobs[static_cast<std::size_t>(uid)].arrived = true;
+        live.push_back(uid);
       }
       if (obs::enabled()) {
         const workload::Workflow& w = *pending.workflow;
@@ -219,6 +236,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       LiveJob& job =
           jobs[static_cast<std::size_t>(adhoc_queue[next_adhoc])];
       job.arrived = true;
+      live.push_back(job.record.uid);
       if (obs::enabled()) {
         obs::SpanMeta meta;
         meta.uid = job.record.uid;
@@ -228,6 +246,13 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       scheduler.on_event(AdhocArrivalEvent{job.record.uid, now, job.width});
       ++next_adhoc;
     }
+    // A later-starting workflow can hold lower uids than live jobs, and
+    // ad-hoc uid order need not follow arrival order: sort the slot's new
+    // uids, then merge them in.
+    const auto released =
+        live.begin() + static_cast<std::ptrdiff_t>(released_from);
+    std::sort(released, live.end());
+    std::inplace_merge(live.begin(), released, live.end());
 
     // Effective capacity this slot: base, then per-slot overrides, then
     // injected machine churn on top.
@@ -290,10 +315,9 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       // Release retries whose backoff expired, then inject this slot's
       // task faults and stragglers. Order matters for determinism: jobs
       // are visited in uid order and retries precede new failures.
-      for (LiveJob& job : jobs) {
-        if (!job.pending_retry || job.complete || slot < job.backoff_until_slot) {
-          continue;
-        }
+      for (JobUid uid : live) {
+        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+        if (!job.pending_retry || slot < job.backoff_until_slot) continue;
         job.pending_retry = false;
         injector.count_task_retry();
         if (obs::enabled()) {
@@ -310,8 +334,8 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           job.fault_span = obs::kNoSpan;
         }
       }
-      for (LiveJob& job : jobs) {
-        if (!job.arrived || job.complete) continue;
+      for (JobUid uid : live) {
+        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
         const bool is_adhoc = job.record.kind == JobKind::kAdhoc;
         const int selector_node = is_adhoc ? job.adhoc_id : job.record.node;
         const double straggle = injector.straggler_factor(
@@ -399,8 +423,9 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     state.slot_seconds = config_.cluster.slot_seconds;
     state.capacity =
         workload::scale(capacity_units, config_.cluster.slot_seconds);
-    for (LiveJob& job : jobs) {
-      if (!job.arrived || job.complete) continue;
+    state.active.reserve(live.size());
+    for (JobUid uid : live) {
+      LiveJob& job = jobs[static_cast<std::size_t>(uid)];
       JobView view;
       view.uid = job.record.uid;
       view.kind = job.record.kind;
@@ -423,33 +448,45 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       state.active.push_back(view);
     }
 
-    std::vector<Allocation> allocations = scheduler.allocate(state);
+    const std::vector<Allocation> allocations = scheduler.allocate(state);
 
-    // Enforce the contract: per-job width, readiness, then global capacity.
-    ResourceVec granted_total{};
+    // One grant per live job, in first-occurrence order: a job's
+    // allocations this slot are summed before any check, so it is
+    // width-checked, delivered and completed at most once.
     std::vector<std::pair<JobUid, ResourceVec>> grants;
-    for (Allocation& alloc : allocations) {
+    for (const Allocation& alloc : allocations) {
       if (alloc.uid < 0 ||
           alloc.uid >= static_cast<JobUid>(jobs.size())) {
         continue;
       }
       LiveJob& job = jobs[static_cast<std::size_t>(alloc.uid)];
       if (!job.arrived || job.complete) continue;
-      ResourceVec amount = workload::clamp_nonnegative(alloc.amount);
+      const ResourceVec amount = workload::clamp_nonnegative(alloc.amount);
+      if (job.grant_slot == slot) {
+        ResourceVec& sum = grants[job.grant_index].second;
+        sum = workload::add(sum, amount);
+        continue;
+      }
+      job.grant_slot = slot;
+      job.grant_index = grants.size();
+      grants.emplace_back(alloc.uid, amount);
+    }
+
+    // Enforce the contract: per-job width, readiness, then global capacity.
+    ResourceVec granted_total{};
+    for (auto& [uid, amount] : grants) {
+      const LiveJob& job = jobs[static_cast<std::size_t>(uid)];
       if (!workload::fits_within(amount, job.width, kTol)) {
         ++result.width_violations;
         amount = workload::elementwise_min(amount, job.width);
       }
+      granted_total = workload::add(granted_total, amount);
       if (!job.runnable(jobs, slot)) {
         // Physical precedence (or a fault backoff): the grant is wasted,
         // not banked.
         ++result.not_ready_allocations;
-        granted_total = workload::add(granted_total, amount);
-        grants.emplace_back(alloc.uid, workload::zeros());
-        continue;
+        amount = workload::zeros();
       }
-      granted_total = workload::add(granted_total, amount);
-      grants.emplace_back(alloc.uid, amount);
     }
     double scale_factor = 1.0;
     if (!workload::fits_within(granted_total, state.capacity, 1e-3)) {
@@ -475,7 +512,6 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     ResourceVec used{};
     std::vector<JobUid> completed_now;
     const bool spans_on = obs::enabled();
-    std::vector<char> granted_this_slot(spans_on ? jobs.size() : 0, 0);
     for (auto& [uid, amount] : grants) {
       LiveJob& job = jobs[static_cast<std::size_t>(uid)];
       ResourceVec granted = workload::scale(amount, scale_factor);
@@ -511,7 +547,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
         granted = realized;
       }
       if (spans_on && !workload::is_zero(granted, kTol)) {
-        granted_this_slot[static_cast<std::size_t>(uid)] = 1;
+        job.granted_slot = slot;
         if (job.placement_span == obs::kNoSpan) {
           obs::SpanMeta meta;
           meta.workflow_id = job.record.workflow_id;
@@ -534,11 +570,16 @@ SimResult Simulator::run(const workload::Scenario& scenario,
         completed_now.push_back(uid);
       }
     }
+    if (!completed_now.empty()) {
+      std::erase_if(live, [&](JobUid uid) {
+        return jobs[static_cast<std::size_t>(uid)].complete;
+      });
+    }
     if (spans_on) {
       // A slot without allocation ends the job's current placement run.
-      for (LiveJob& job : jobs) {
-        if (job.placement_span != obs::kNoSpan && !job.complete &&
-            !granted_this_slot[static_cast<std::size_t>(job.record.uid)]) {
+      for (JobUid uid : live) {
+        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+        if (job.placement_span != obs::kNoSpan && job.granted_slot != slot) {
           obs::end_span(job.placement_span, now);
           job.placement_span = obs::kNoSpan;
         }

@@ -6,11 +6,17 @@
 // allocation to ground truth:
 //
 //   * a job absorbs at most its width per slot and at most its remaining
-//     actual demand per resource,
+//     actual demand per resource; the width cap applies to the sum of the
+//     job's allocations in the slot, so a job listed twice is checked,
+//     delivered and completed once,
 //   * allocations to jobs whose DAG parents have not finished are wasted
 //     (precedence is physical, not advisory),
 //   * a job completes at the end of the slot in which every resource's
 //     actual demand reaches zero.
+//
+// A slot costs in proportion to the live (arrived, incomplete) jobs, not
+// to every job of the scenario: the per-slot passes walk a uid-ordered
+// list of live jobs.
 //
 // Units: all per-slot quantities (capacity, width, allocation) are
 // resource-seconds, i.e. cores*slot_seconds for CPU. Demands are

@@ -64,7 +64,12 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
                                   Scheduler& scheduler) {
   SimResult result;
   result.slot_seconds = config_.cluster.slot_seconds;
+  std::size_t num_jobs = scenario.adhoc_jobs.size();
+  for (const workload::Workflow& w : scenario.workflows) {
+    num_jobs += static_cast<std::size_t>(w.dag.num_nodes());
+  }
   std::vector<TaskJob> jobs;
+  jobs.reserve(num_jobs);
 
   struct PendingWorkflow {
     const workload::Workflow* workflow = nullptr;
@@ -106,6 +111,8 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
     jobs.push_back(std::move(job));
   }
 
+  // Arrival queues sorted by time. std::sort is not stable: the order is
+  // deterministic, but ties do not keep their input order.
   std::sort(workflow_arrivals.begin(), workflow_arrivals.end(),
             [](const PendingWorkflow& a, const PendingWorkflow& b) {
               return a.workflow->start_s < b.workflow->start_s;
@@ -128,14 +135,17 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
       std::ceil(config_.max_horizon_s / config_.cluster.slot_seconds));
   const ResourceVec slot_capacity =
       workload::scale(config_.cluster.capacity, config_.cluster.slot_seconds);
+  // Uids of the arrived, incomplete jobs in uid order. Every per-slot loop
+  // walks this list, so a slot costs in proportion to live jobs.
+  std::vector<JobUid> live;
 
   for (int slot = 0; slot < max_slots && incomplete > 0; ++slot) {
     const double now = slot * config_.cluster.slot_seconds;
 
     // Tasks finishing at this boundary free their containers.
     std::vector<JobUid> completed_now;
-    for (TaskJob& job : jobs) {
-      if (!job.arrived || job.complete) continue;
+    for (JobUid uid : live) {
+      TaskJob& job = jobs[static_cast<std::size_t>(uid)];
       const auto still_running = std::partition(
           job.running_until.begin(), job.running_until.end(),
           [slot](int until) { return until > slot; });
@@ -152,6 +162,11 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
         }
       }
     }
+    if (!completed_now.empty()) {
+      std::erase_if(live, [&](JobUid uid) {
+        return jobs[static_cast<std::size_t>(uid)].complete;
+      });
+    }
     for (JobUid uid : completed_now) {
       --incomplete;
       scheduler.on_event(JobCompleteEvent{uid, now});
@@ -162,11 +177,13 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
     }
 
     // Arrivals.
+    const std::size_t released_from = live.size();
     while (next_workflow < workflow_arrivals.size() &&
            workflow_arrivals[next_workflow].workflow->start_s <= now + kTol) {
       PendingWorkflow& pending = workflow_arrivals[next_workflow];
       for (JobUid uid : pending.node_uids) {
         jobs[static_cast<std::size_t>(uid)].arrived = true;
+        live.push_back(uid);
       }
       // Aliasing, non-owning: the scenario outlives the run, so the event
       // can carry a shared_ptr without taking ownership or copying.
@@ -181,11 +198,17 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
                    .record.arrival_s <= now + kTol) {
       TaskJob& job = jobs[static_cast<std::size_t>(adhoc_queue[next_adhoc])];
       job.arrived = true;
+      live.push_back(job.record.uid);
       scheduler.on_event(AdhocArrivalEvent{
           job.record.uid, now,
           workload::scale(job.container, job.tasks_total)});
       ++next_adhoc;
     }
+    // Release order is not uid order: sort the slot's new uids, then merge.
+    const auto released =
+        live.begin() + static_cast<std::ptrdiff_t>(released_from);
+    std::sort(released, live.end());
+    std::inplace_merge(live.begin(), released, live.end());
 
     // Snapshot.
     ClusterState state;
@@ -194,8 +217,9 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
     state.slot_seconds = config_.cluster.slot_seconds;
     state.capacity = slot_capacity;
     ResourceVec occupied{};
-    for (TaskJob& job : jobs) {
-      if (!job.arrived || job.complete) continue;
+    state.active.reserve(live.size());
+    for (JobUid uid : live) {
+      TaskJob& job = jobs[static_cast<std::size_t>(uid)];
       occupied = workload::add(
           occupied, workload::scale(job.container, job.tasks_running));
       JobView view;
@@ -257,8 +281,10 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
       }
     }
 
+    // Jobs off the live list run no tasks: the live sum is the occupancy.
     ResourceVec used{};
-    for (const TaskJob& job : jobs) {
+    for (JobUid uid : live) {
+      const TaskJob& job = jobs[static_cast<std::size_t>(uid)];
       used = workload::add(
           used, workload::scale(job.container, job.tasks_running));
     }

@@ -1,5 +1,6 @@
 // Tests for the cluster simulator: arrival/completion events, precedence
-// enforcement, capacity/width clamping, estimation overruns and metrics.
+// enforcement, capacity/width clamping, the live-job set, estimation
+// overruns and metrics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "sim/metrics.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "workload/trace_gen.h"
 
 namespace flowtime::sim {
@@ -44,7 +46,7 @@ class FullWidthScheduler : public Scheduler {
 // Deliberately violates the contract to verify the simulator's defenses.
 class MisbehavingScheduler : public Scheduler {
  public:
-  enum class Mode { kOverWidth, kNotReady, kBogusUid };
+  enum class Mode { kOverWidth, kNotReady, kBogusUid, kDuplicate };
   explicit MisbehavingScheduler(Mode mode) : mode_(mode) {}
   std::string name() const override { return "misbehaving"; }
   std::vector<Allocation> allocate(const ClusterState& state) override {
@@ -63,6 +65,12 @@ class MisbehavingScheduler : public Scheduler {
         case Mode::kBogusUid:
           out.push_back(Allocation{99999, view.width});
           if (view.ready) out.push_back(Allocation{view.uid, view.width});
+          break;
+        case Mode::kDuplicate:
+          if (view.ready) {
+            out.push_back(Allocation{view.uid, view.width});
+            out.push_back(Allocation{view.uid, view.width});
+          }
           break;
       }
     }
@@ -190,6 +198,62 @@ TEST(Simulator, IgnoresBogusUids) {
   MisbehavingScheduler scheduler(MisbehavingScheduler::Mode::kBogusUid);
   const SimResult result = sim.run(single_chain_scenario(), scheduler);
   ASSERT_TRUE(result.all_completed);
+}
+
+TEST(Simulator, DuplicateAllocationsAreMergedAndCompleteOnce) {
+  // Each ready job is listed twice at full width. The two entries sum to
+  // twice the width, which is one width violation per job-slot; the job
+  // still absorbs one width per slot and completes exactly once.
+  class DuplicatingScheduler : public MisbehavingScheduler {
+   public:
+    DuplicatingScheduler() : MisbehavingScheduler(Mode::kDuplicate) {}
+    void on_event(const SchedulerEvent& event) override {
+      if (const auto* e = std::get_if<JobCompleteEvent>(&event)) {
+        completions.push_back(e->uid);
+      }
+    }
+    std::vector<JobUid> completions;
+  };
+  SimConfig config;
+  config.cluster.capacity = ResourceVec{1000.0, 2000.0};
+  Simulator sim(config);
+  DuplicatingScheduler scheduler;
+  const SimResult result = sim.run(single_chain_scenario(), scheduler);
+  ASSERT_TRUE(result.all_completed);
+  ASSERT_TRUE(result.jobs[0].completion_s.has_value());
+  ASSERT_TRUE(result.jobs[1].completion_s.has_value());
+  EXPECT_DOUBLE_EQ(*result.jobs[0].completion_s, 30.0);
+  EXPECT_DOUBLE_EQ(*result.jobs[1].completion_s, 50.0);
+  EXPECT_EQ(result.width_violations, 5);  // 3 slots of job 0, 2 of job 1
+  EXPECT_EQ(result.slots_simulated, 5);
+  EXPECT_EQ(scheduler.completions, (std::vector<JobUid>{0, 1}));
+}
+
+TEST(Simulator, LiveSetIsArrivedIncompleteJobsInUidOrder) {
+  // Releases run out of uid order (see out_of_order_scenario), and a task
+  // fault, a straggler and the retries exercise the fault passes.
+  SimConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  fault::FaultPlan& plan = config.fault_plan;
+  plan.seed = 7;
+  // Declared against uid order: ad-hoc id 2 is uid 6, workflow 1's root
+  // is uid 2. Both fire in slot 3 and retry in slot 5.
+  plan.task_faults.push_back(fault::TaskFault{-1, 2, 3, 0.5, 2});
+  plan.task_faults.push_back(fault::TaskFault{1, 0, 3, 0.5, 2});
+  plan.stragglers.push_back(fault::StragglerFault{0, 0, 4, 2.0});
+  Simulator sim(config);
+  test::LiveSetRecorder scheduler;
+  const SimResult result = sim.run(test::out_of_order_scenario(), scheduler);
+  ASSERT_TRUE(result.all_completed);
+  EXPECT_EQ(scheduler.slots, result.slots_simulated);
+  EXPECT_EQ(result.faults.task_failures, 2);
+  EXPECT_EQ(result.faults.task_retries, 2);
+  EXPECT_EQ(result.faults.stragglers, 1);
+  ASSERT_EQ(scheduler.failures.size(), 1u);
+  EXPECT_DOUBLE_EQ(scheduler.failures.begin()->first, 30.0);
+  EXPECT_EQ(scheduler.failures.begin()->second, (std::vector<JobUid>{2, 6}));
+  EXPECT_EQ(result.capacity_violations, 0);
+  EXPECT_EQ(result.width_violations, 0);
 }
 
 TEST(Simulator, ScalesDownWhenCapacityExceeded) {

@@ -7,6 +7,7 @@
 #include "sched/baselines.h"
 #include "sim/metrics.h"
 #include "sim/task_simulator.h"
+#include "test_support.h"
 
 namespace flowtime::sim {
 namespace {
@@ -193,6 +194,16 @@ TEST(TaskSimulator, BaselinesCompleteWithAdhocMix) {
   EXPECT_TRUE(sim.run(scenario, edf).all_completed);
   sched::FifoScheduler fifo;
   EXPECT_TRUE(sim.run(scenario, fifo).all_completed);
+}
+
+TEST(TaskSimulator, LiveSetIsArrivedIncompleteJobsInUidOrder) {
+  TaskSimConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  TaskLevelSimulator sim(config);
+  test::LiveSetRecorder scheduler;
+  const SimResult result = sim.run(test::out_of_order_scenario(), scheduler);
+  ASSERT_TRUE(result.all_completed);
+  EXPECT_EQ(scheduler.slots, result.slots_simulated);
 }
 
 TEST(TaskSimulator, HorizonExpiryReported) {

@@ -1,20 +1,24 @@
 // Shared test helpers: the small scenarios the runtime, federation and
 // failover suites run, the schedule-identity check behind the
 // replan-driver identity tests, and the sorted level vector the flow
-// lexmin is compared on.
+// lexmin is compared on. The live-set check serves both simulator suites.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/flowtime_scheduler.h"
 #include "core/lp_formulation.h"
 #include "dag/generators.h"
+#include "sim/scheduler.h"
 #include "sim/simulator.h"
 
 namespace flowtime::test {
@@ -123,5 +127,69 @@ inline void expect_identical_runs(const sim::SimResult& a,
     EXPECT_FALSE(log_b[i].discarded) << "replan " << i;
   }
 }
+
+/// Releases out of uid order. Workflow 0 (uids 0-1) starts at 30 s, after
+/// workflow 1 (uids 2-3) at 0 s. The ad-hoc jobs (uids 4-8) are listed in
+/// decreasing arrival time, and uids 7 and 6 arrive in the same slot.
+/// Every job runs 4-5 slots at full width on a 100-core cluster.
+inline workload::Scenario out_of_order_scenario() {
+  workload::Scenario scenario;
+  scenario.workflows.push_back(chain_workflow(0, 30.0, 3000.0));
+  scenario.workflows.push_back(chain_workflow(1, 0.0, 3000.0));
+  for (workload::Workflow& w : scenario.workflows) {
+    w.jobs = {simple_job(2, 50.0), simple_job(2, 50.0)};
+  }
+  const double arrivals[] = {45.0, 25.0, 12.0, 11.0, 0.0};
+  for (int i = 0; i < 5; ++i) {
+    workload::AdhocJob job;
+    job.id = i;
+    job.arrival_s = arrivals[i];
+    job.spec = simple_job(2, 40.0);
+    job.spec.name = "a" + std::to_string(i);
+    scenario.adhoc_jobs.push_back(std::move(job));
+  }
+  return scenario;
+}
+
+/// Grants every ready job its full width. At every allocate() it checks
+/// that ClusterState::active is exactly the jobs the events have released
+/// and not yet completed, in strictly increasing uid order. It also records
+/// the uids of each instant's TaskFailureEvents, in delivery order.
+class LiveSetRecorder : public sim::Scheduler {
+ public:
+  std::string name() const override { return "live-set-recorder"; }
+
+  void on_event(const sim::SchedulerEvent& event) override {
+    if (const auto* e = std::get_if<sim::WorkflowArrivalEvent>(&event)) {
+      live_.insert(e->node_uids.begin(), e->node_uids.end());
+    } else if (const auto* e = std::get_if<sim::AdhocArrivalEvent>(&event)) {
+      live_.insert(e->uid);
+    } else if (const auto* e = std::get_if<sim::JobCompleteEvent>(&event)) {
+      EXPECT_EQ(live_.erase(e->uid), 1u) << "uid " << e->uid;
+    } else if (const auto* e = std::get_if<sim::TaskFailureEvent>(&event)) {
+      failures[e->now_s].push_back(e->uid);
+    }
+  }
+
+  std::vector<sim::Allocation> allocate(
+      const sim::ClusterState& state) override {
+    std::vector<sim::JobUid> active;
+    std::vector<sim::Allocation> out;
+    for (const sim::JobView& view : state.active) {
+      active.push_back(view.uid);
+      if (view.ready) out.push_back(sim::Allocation{view.uid, view.width});
+    }
+    const std::vector<sim::JobUid> expected(live_.begin(), live_.end());
+    EXPECT_EQ(active, expected) << "slot " << state.slot;
+    ++slots;
+    return out;
+  }
+
+  int slots = 0;
+  std::map<double, std::vector<sim::JobUid>> failures;
+
+ private:
+  std::set<sim::JobUid> live_;
+};
 
 }  // namespace flowtime::test
