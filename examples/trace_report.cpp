@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
     std::map<std::string, int> moves;  // "from->to" -> count
     int migrations = 0;
     int overloads = 0;
-    int deferrals = 0;
     int infeasible_routes = 0;
     for (const TraceRecord& record : events) {
       const std::string type = as_string(record, "type");
@@ -268,20 +267,17 @@ int main(int argc, char** argv) {
                 as_string(record, "to_cell", "?")];
       } else if (type == "cell_overload") {
         ++overloads;
-      } else if (type == "quota_deferral") {
-        ++deferrals;
       } else if (type == "route_infeasible") {
         ++infeasible_routes;
       }
     }
-    if (migrations + overloads + deferrals + infeasible_routes > 0) {
+    if (migrations + overloads + infeasible_routes > 0) {
       std::printf("\nFederation:\n");
       std::printf("  cell overload events  %d\n", overloads);
       std::printf("  migrations            %d\n", migrations);
       for (const auto& [move, count] : moves) {
         std::printf("    %-18s %d\n", move.c_str(), count);
       }
-      std::printf("  quota deferrals       %d\n", deferrals);
       std::printf("  infeasible routings   %d\n", infeasible_routes);
     }
   }

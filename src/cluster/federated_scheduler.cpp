@@ -22,6 +22,17 @@ constexpr double kProbeMultiplier = 2.0;
 constexpr double kProbeCapSlots = 64.0;
 constexpr double kProbeJitter = 0.25;
 constexpr int kProbeResetSlots = 60;
+// A cell whose last adopted plan peaks above this normalized load is a
+// hotspot (1.0 = exactly full).
+constexpr double kOverloadThreshold = 1.2;
+// A migrated (or failed-over) workflow stays on its new cell this many
+// slots, so load oscillations do not bounce it between cells.
+constexpr int kMigrationCooldownSlots = 30;
+// Circuit breaker K (DESIGN.md §14): consecutive observed failures (missed
+// heartbeats while the cell is down, preempted solves) before the cell is
+// quarantined and its incomplete workflows evacuated. Crashes quarantine
+// immediately — a dead connection is unambiguous, a timeout is not.
+constexpr int kQuarantineAfterFailures = 3;
 
 core::AdmissionConfig admission_config_for(
     const CellSpec& spec, const core::FlowTimeConfig& flowtime) {
@@ -67,11 +78,11 @@ double CellScheduler::last_peak_load() const {
   return log.empty() ? 0.0 : log.back().max_normalized_load;
 }
 
-bool CellScheduler::overloaded(double threshold) const {
+bool CellScheduler::overloaded() const {
   if (scheduler_->degraded_mode()) return true;
   const auto& log = scheduler_->replan_log();
   if (log.empty()) return false;
-  return log.back().max_normalized_load > threshold ||
+  return log.back().max_normalized_load > kOverloadThreshold ||
          log.back().late_extensions > 0;
 }
 
@@ -97,13 +108,10 @@ FederatedScheduler::FederatedScheduler(FederatedConfig config)
     // Invisible at cells = 1: no cell stamps on traces/counters, so the
     // single-cell federation is byte-for-byte a plain FlowTimeScheduler.
     cell_config.cell_id = n > 1 ? spec.id : -1;
-    // Each cell gets a 1/N slice of the solver allowance so the federation
-    // spends the same aggregate budget as one whole-cluster scheduler.
+    // Each cell gets a 1/N slice of the wall-clock allowance so the
+    // federation spends the same aggregate budget as one whole-cluster
+    // scheduler.
     if (cell_config.solver_budget_ms > 0.0) cell_config.solver_budget_ms /= n;
-    if (cell_config.solver_pivot_budget > 0) {
-      cell_config.solver_pivot_budget =
-          std::max<std::int64_t>(1, cell_config.solver_pivot_budget / n);
-    }
     // Each cell's probe backoff draws jitter from its own stream, seeded
     // from the partition seed and cell id, so recovery schedules are
     // reproducible and uncorrelated across cells.
@@ -141,29 +149,6 @@ int FederatedScheduler::degraded_replans() const {
 
 int FederatedScheduler::truncated_replans() const {
   return sum_over_cells(cells_, &core::FlowTimeScheduler::truncated_replans);
-}
-
-double FederatedScheduler::tenant_usage(int tenant) const {
-  const auto it = tenant_usage_.find(tenant);
-  return it == tenant_usage_.end() ? 0.0 : it->second;
-}
-
-double FederatedScheduler::quota_share(
-    const workload::Workflow& workflow) const {
-  // A workflow's claim on its tenant's quota: the fraction of the whole
-  // cluster its total demand occupies when spread evenly over its
-  // start-to-deadline window — the same "average load" yardstick the
-  // decomposer flattens toward.
-  const workload::ClusterSpec& total = config_.flowtime.cluster;
-  const double window_s =
-      std::max(workflow.deadline_s - workflow.start_s, total.slot_seconds);
-  const workload::ResourceVec demand = workflow.total_demand();
-  double share = 0.0;
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    const double cap = total.capacity[r] * window_s;
-    if (cap > 1e-12) share = std::max(share, demand[r] / cap);
-  }
-  return share;
 }
 
 void FederatedScheduler::on_event(const sim::SchedulerEvent& event) {
@@ -266,9 +251,8 @@ void FederatedScheduler::handle_cell_fault(const sim::CellFaultEvent& event) {
   // through a probe, so flapping keeps hurting the flapper, not the fleet.
   cell.set_fault(event.mode, event.active);
   if (!event.active) return;
-  const double slot_seconds = config_.flowtime.cluster.slot_seconds;
-  const int slot =
-      static_cast<int>(std::floor(event.now_s / slot_seconds + 1e-9));
+  const int slot = core::release_slot_of(
+      event.now_s, config_.flowtime.cluster.slot_seconds);
   ++cell_failures_;
   if (obs::enabled()) {
     obs::registry().counter("cluster.cell_failures").add();
@@ -330,8 +314,7 @@ void FederatedScheduler::record_failure(int cell_id, int slot, double now_s,
   CellScheduler& cell = *cells_[cell_id];
   ++cell.consecutive_failures;
   if (cell.health == CellHealth::kHealthy) cell.health = CellHealth::kSuspect;
-  if (cell.consecutive_failures >=
-      std::max(config_.quarantine_after_failures, 1)) {
+  if (cell.consecutive_failures >= kQuarantineAfterFailures) {
     quarantine_cell(cell_id, slot, now_s, reason, /*state_lost=*/false);
   }
 }
@@ -425,8 +408,7 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
     info.cell = -1;
     const int target = route_workflow(*info.workflow, now_s);
     if (target < 0) {
-      // No live cell: parked, retried every slot — never stranded, and the
-      // tenant's quota stays claimed (the workflow is still in flight).
+      // No live cell: parked, retried every slot — never stranded.
       pending_failover_.push_back(workflow_id);
       continue;
     }
@@ -520,34 +502,15 @@ void FederatedScheduler::handle_workflow_arrival(
   info.node_uids = arrival.node_uids;
   info.complete.assign(arrival.node_uids.size(), false);
   info.incomplete_jobs = static_cast<int>(arrival.node_uids.size());
-  info.quota_share = quota_share(workflow);
   workflows_[workflow.id] = std::move(info);
   for (const sim::JobUid uid : arrival.node_uids) {
     workflow_of_uid_[uid] = workflow.id;
   }
 
-  if (config_.tenant_quota_fraction < 1.0) {
-    const double usage = tenant_usage(workflow.tenant);
-    const double share = workflows_[workflow.id].quota_share;
-    if (usage + share > config_.tenant_quota_fraction + 1e-12) {
-      deferred_.push_back(workflow.id);
-      ++quota_deferrals_;
-      if (obs::enabled()) {
-        obs::registry().counter("cluster.quota_deferrals").add();
-        obs::emit(obs::TraceEvent("quota_deferral")
-                      .field("workflow", workflow.id)
-                      .field("tenant", workflow.tenant)
-                      .field("share", share)
-                      .field("tenant_usage", usage));
-      }
-      return;
-    }
-  }
   const int cell = route_workflow(workflow, arrival.now_s);
-  tenant_usage_[workflow.tenant] += workflows_[workflow.id].quota_share;
   if (cell < 0) {
-    // Accepted (quota claimed) but unplaceable: every cell is down or
-    // quarantined. Parked and retried each slot until a cell comes back.
+    // Unplaceable: every cell is down or quarantined. Parked and retried
+    // each slot until a cell comes back.
     pending_failover_.push_back(workflow.id);
     return;
   }
@@ -670,35 +633,8 @@ void FederatedScheduler::handle_job_complete(
     if (info.cell >= 0) {
       cells_[info.cell]->admission.forget_workflow(workflow_id, event.now_s);
     }
-    double& usage = tenant_usage_[info.workflow->tenant];
-    usage = std::max(usage - info.quota_share, 0.0);
     workflows_.erase(info_it);
   }
-}
-
-void FederatedScheduler::route_deferred(double now_s) {
-  if (deferred_.empty()) return;
-  std::vector<int> still_deferred;
-  for (const int workflow_id : deferred_) {
-    const auto it = workflows_.find(workflow_id);
-    if (it == workflows_.end()) continue;  // completed while deferred: gone
-    const int tenant = it->second.workflow->tenant;
-    if (tenant_usage(tenant) + it->second.quota_share >
-        config_.tenant_quota_fraction + 1e-12) {
-      still_deferred.push_back(workflow_id);
-      continue;
-    }
-    const int cell = route_workflow(*it->second.workflow, now_s);
-    if (cell < 0) {
-      // Quota would allow it, but no cell is live; stay deferred (the quota
-      // claim only happens at placement, so nothing leaks).
-      still_deferred.push_back(workflow_id);
-      continue;
-    }
-    tenant_usage_[tenant] += it->second.quota_share;
-    place_workflow(workflow_id, cell, now_s);
-  }
-  deferred_ = std::move(still_deferred);
 }
 
 void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
@@ -708,7 +644,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
   for (int i = 0; i < num_cells(); ++i) {
     if (!cell_routable(i)) continue;  // failover, not migration, moves work
     CellScheduler& cell = *cells_[i];
-    const bool overloaded = cell.overloaded(config_.overload_threshold);
+    const bool overloaded = cell.overloaded();
     if (overloaded) hot.push_back(i);
     const bool transition = overloaded && !cell.was_overloaded;
     cell.was_overloaded = overloaded;
@@ -744,8 +680,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     double candidate_remaining = 0.0;
     for (const auto& [workflow_id, info] : workflows_) {
       if (info.cell != from || info.incomplete_jobs <= 0) continue;
-      if (state.slot - info.last_migration_slot <
-          config_.migration_cooldown_slots) {
+      if (state.slot - info.last_migration_slot < kMigrationCooldownSlots) {
         continue;
       }
       const auto it = remaining_by_workflow.find(workflow_id);
@@ -770,8 +705,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     int cool = -1;
     double cool_peak = std::numeric_limits<double>::infinity();
     for (int i = 0; i < num_cells(); ++i) {
-      if (i == from || !cell_routable(i) ||
-          cells_[i]->overloaded(config_.overload_threshold)) {
+      if (i == from || !cell_routable(i) || cells_[i]->overloaded()) {
         continue;
       }
       const core::AdmissionDecision decision =
@@ -824,7 +758,7 @@ std::vector<sim::ClusterState> FederatedScheduler::split_state(
   }
   for (const sim::JobView& view : state.active) {
     const auto it = cell_of_uid_.find(view.uid);
-    if (it == cell_of_uid_.end()) continue;  // quota-deferred: no cell serves
+    if (it == cell_of_uid_.end()) continue;  // parked: no cell serves it
     cell_states[static_cast<std::size_t>(it->second)].active.push_back(view);
   }
   return cell_states;
@@ -919,7 +853,6 @@ std::vector<sim::Allocation> FederatedScheduler::allocate(
   // on any cell that just came back.
   update_cell_health(state);
   route_pending_failover(state);
-  route_deferred(state.now_s);
   run_migrations(state);
   const std::vector<sim::ClusterState> cell_states = split_state(state);
   for (int i = 0; i < num_cells(); ++i) {

@@ -51,19 +51,16 @@
 namespace flowtime::cluster {
 
 /// Coordinator settings. Routing is always admission-aware, at most one
-/// workflow migrates per slot, and the probe schedule is fixed (§13–14).
+/// workflow migrates per slot, and the hotspot threshold (1.2), migration
+/// cooldown (30 slots), circuit breaker (3 failures) and probe schedule are
+/// fixed (§13–14).
 struct FederatedConfig {
   /// Per-cell scheduler template. `flowtime.cluster` is the TOTAL cluster;
-  /// the partitioner derives each cell's slice, and solver budgets
-  /// (`solver_budget_ms`, `solver_pivot_budget`) are divided evenly across
-  /// cells so the federation spends the same solve allowance in aggregate.
+  /// the partitioner derives each cell's slice, and the wall-clock solver
+  /// budget (`solver_budget_ms`) is divided evenly across cells so the
+  /// federation spends the same solve allowance in aggregate.
   core::FlowTimeConfig flowtime;
   PartitionConfig partition;
-  /// Largest fraction of the whole cluster one tenant's in-flight deadline
-  /// workflows may claim (demand averaged over each workflow's window).
-  /// Arrivals over quota are deferred — routed to no cell — until earlier
-  /// work of the same tenant completes. >= 1 disables quotas.
-  double tenant_quota_fraction = 1.0;
   /// Solve dirty cells concurrently on a SolverPool instead of one after
   /// another. Plans are unchanged either way (each cell's solve reads only
   /// its own inputs); only wall clock differs. Adoption stays in cell order
@@ -71,24 +68,11 @@ struct FederatedConfig {
   bool parallel_solve = false;
   /// Worker threads for parallel_solve; 0 = one per cell, capped at 16.
   int solver_threads = 0;
-  /// A cell whose last adopted plan exceeded this peak normalized load is
-  /// considered a hotspot (1.0 = exactly full).
-  double overload_threshold = 1.2;
-  /// A migrated workflow is pinned to its new cell for this many slots, so
-  /// load oscillations do not bounce it between cells.
-  int migration_cooldown_slots = 30;
-
-  // --- Cell fault tolerance (DESIGN.md §14) ------------------------------
   /// Wall-clock ceiling (ms) on one cell's solve, merged into the solve
   /// budget at begin_replan (tightest wins) so a slow shard degrades via
   /// the escalation ladder instead of stalling the round. 0 = off, keeping
-  /// purely event-driven runs bit-deterministic.
+  /// purely event-driven runs bit-deterministic (DESIGN.md §14).
   double cell_solve_deadline_ms = 0.0;
-  /// Circuit breaker K: consecutive observed failures (missed heartbeats
-  /// while the cell is down, preempted solves) before the cell is
-  /// quarantined and its incomplete workflows evacuated. Crashes quarantine
-  /// immediately — a dead connection is unambiguous, a timeout is not.
-  int quarantine_after_failures = 3;
 };
 
 /// Coordinator-observed health of one cell. Healthy cells are in the
@@ -116,10 +100,9 @@ class CellScheduler {
 
   /// Peak normalized load of the cell's last adopted plan (0 before any).
   double last_peak_load() const;
-  /// Hotspot test: degradation ladder engaged, last plan's peak above the
-  /// threshold, or the last plan had to extend deadline windows (projected
-  /// breach).
-  bool overloaded(double threshold) const;
+  /// Hotspot test: degradation ladder engaged, last plan's peak above 1.2,
+  /// or the last plan had to extend deadline windows (projected breach).
+  bool overloaded() const;
 
   /// An injected fault engages or lifts: mode `solver` sets
   /// `solver_broken`, every other mode `down`; either one arms `cancel`.
@@ -189,7 +172,6 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations() const { return migrations_; }
   int overload_events() const { return overload_events_; }
-  int quota_deferrals() const { return quota_deferrals_; }
 
   // --- Fault-tolerance statistics (DESIGN.md §14) ------------------------
   /// Cell fault engagements observed (CellFaultEvent with active=true).
@@ -229,9 +211,8 @@ class FederatedScheduler : public sim::Scheduler {
     std::shared_ptr<const workload::Workflow> workflow;
     std::vector<sim::JobUid> node_uids;
     std::vector<bool> complete;  // per DAG node
-    int cell = -1;               // -1 = quota-deferred, owned by no cell
+    int cell = -1;               // -1 = parked for failover, owned by no cell
     int incomplete_jobs = 0;
-    double quota_share = 0.0;  // this workflow's claim on its tenant quota
     int last_migration_slot = -1000000;
   };
 
@@ -289,8 +270,6 @@ class FederatedScheduler : public sim::Scheduler {
   /// the cell id, or -1 when every cell is down or quarantined.
   int route_workflow(const workload::Workflow& workflow, double now_s);
   void handle_job_complete(const sim::JobCompleteEvent& event);
-  /// Re-routes quota-deferred workflows whose tenant dropped under quota.
-  void route_deferred(double now_s);
   /// One migration round (allocate-time): moves at most one workflow off
   /// an overloaded cell.
   void run_migrations(const sim::ClusterState& state);
@@ -298,7 +277,8 @@ class FederatedScheduler : public sim::Scheduler {
                         int slot);
   /// Splits the global snapshot into per-cell snapshots (views of jobs the
   /// cell owns, capacity scaled by the cell's fraction), preserving view
-  /// order. Views of deferred workflows are dropped — they get nothing.
+  /// order. Views of jobs no cell owns (parked for failover) are dropped —
+  /// they get nothing.
   std::vector<sim::ClusterState> split_state(
       const sim::ClusterState& state) const;
   /// Runs the begin/solve/finish cycle for every dirty cell (serially or on
@@ -306,8 +286,6 @@ class FederatedScheduler : public sim::Scheduler {
   /// outcome, and records the round's wall time.
   void replan_dirty_cells(const std::vector<sim::ClusterState>& cell_states,
                           double now_s);
-  double tenant_usage(int tenant) const;
-  double quota_share(const workload::Workflow& workflow) const;
 
   FederatedConfig config_;
   std::vector<std::unique_ptr<CellScheduler>> cells_;
@@ -316,8 +294,6 @@ class FederatedScheduler : public sim::Scheduler {
   std::map<sim::JobUid, int> cell_of_uid_;
   std::map<sim::JobUid, int> workflow_of_uid_;   // deadline uids only
   std::map<int, WorkflowInfo> workflows_;        // by workflow id
-  std::map<int, double> tenant_usage_;           // tenant -> summed shares
-  std::vector<int> deferred_;                    // workflow ids, FIFO
 
   /// Workflows evacuated with no live cell to land on, FIFO; retried every
   /// slot so nothing is ever stranded.
@@ -334,7 +310,6 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations_ = 0;
   int overload_events_ = 0;
-  int quota_deferrals_ = 0;
   int cell_failures_ = 0;
   int failovers_ = 0;
   int quarantines_ = 0;

@@ -58,13 +58,10 @@ AdmissionController::decompose_to_jobs(const workload::Workflow& workflow,
     AdmittedJob job;
     job.ref = workload::WorkflowJobRef{workflow.id, v};
     job.lp_job.uid = workflow.id * 100000 + v;
-    job.lp_job.release_slot = static_cast<int>(
-        std::floor(window.start_s / slot_seconds + 1e-9));
-    job.lp_job.deadline_slot = std::max(
-        job.lp_job.release_slot,
-        static_cast<int>(
-            std::ceil(window.deadline_s / slot_seconds - 1e-9)) -
-            1);
+    job.lp_job.release_slot = release_slot_of(window.start_s, slot_seconds);
+    job.lp_job.deadline_slot =
+        std::max(job.lp_job.release_slot,
+                 deadline_slot_of(window.deadline_s, slot_seconds));
     job.lp_job.demand = spec.total_demand();
     job.lp_job.width =
         workload::scale(spec.max_parallel_demand(), slot_seconds);
@@ -86,8 +83,7 @@ AdmissionDecision AdmissionController::evaluate(
   }
 
   const double slot_seconds = config_.cluster.slot_seconds;
-  const int now_slot =
-      static_cast<int>(std::floor(now_s / slot_seconds + 1e-9));
+  const int now_slot = release_slot_of(now_s, slot_seconds);
   std::vector<LpJob> lp_jobs;
   int last_slot = now_slot;
   auto append = [&](const AdmittedJob& job, bool already_admitted) {
@@ -102,14 +98,7 @@ AdmissionDecision AdmissionController::evaluate(
       // minimally — like the runtime scheduler does for late jobs — so a
       // stale window registers as load, not as hard infeasibility that
       // would block every future admission.
-      for (int r = 0; r < workload::kNumResources; ++r) {
-        if (clipped.demand[r] > 1e-9 && clipped.width[r] > 1e-9) {
-          const int needed = static_cast<int>(
-              std::ceil(clipped.demand[r] / clipped.width[r] - 1e-9));
-          clipped.deadline_slot = std::max(
-              clipped.deadline_slot, clipped.release_slot + needed - 1);
-        }
-      }
+      widen_to_min_slots(clipped);
     }
     last_slot = std::max(last_slot, clipped.deadline_slot);
     lp_jobs.push_back(clipped);

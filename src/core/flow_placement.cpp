@@ -30,8 +30,7 @@ double arc_width(const LpJob& job, int r) {
 ResourceFlowLexmin solve_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int r, lp::SolveBudget* budget, bool all_levels,
-    bool integral) {
+    int first_slot, int r, lp::SolveBudget* budget, bool all_levels) {
   const int num_slots = static_cast<int>(capacity_per_slot.size());
   const int last_slot = first_slot + num_slots - 1;
   ResourceFlowLexmin result;
@@ -61,7 +60,6 @@ ResourceFlowLexmin solve_flow_lexmin(
     int edge;
   };
   std::vector<Arc> arcs;
-  std::vector<int> job_edge(jobs.size(), -1);  // source->job edge ids
   std::vector<bool> covered(static_cast<std::size_t>(num_slots), false);
   double demand = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -87,7 +85,7 @@ ResourceFlowLexmin solve_flow_lexmin(
     ++result.jobs;
     demand += job.demand[r] / scale;
     const int node = 1 + static_cast<int>(j);
-    job_edge[j] = network.add_edge(source, node, job.demand[r] / scale);
+    network.add_edge(source, node, job.demand[r] / scale);
     const double width = arc_width(job, r);
     for (int t = begin; t <= end; ++t) {
       arcs.push_back(Arc{j, static_cast<std::size_t>(t),
@@ -210,46 +208,8 @@ ResourceFlowLexmin solve_flow_lexmin(
     if (!all_levels) break;
   }
 
-  // Integral extraction (DESIGN.md §5 item 4): one last max flow, in
-  // resource-seconds, with every covered slot capped at ceil(z_t) of its
-  // lexmin load. The lexmin flow fits under those caps, so all demand
-  // routes, and integer demands and widths give an integral max flow.
-  double unit = scale;  // resource-seconds per unit of `flows`
-  if (integral) {
-    std::vector<double> slot_load(static_cast<std::size_t>(num_slots), 0.0);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      slot_load[arcs[i].slot] += flows[i] * scale;
-    }
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (job_edge[j] < 0) continue;
-      network.set_capacity(job_edge[j], jobs[j].demand[r]);
-    }
-    for (const Arc& arc : arcs) {
-      network.set_capacity(arc.edge, arc_width(jobs[arc.job], r));
-    }
-    for (int t = 0; t < num_slots; ++t) {
-      if (slot_edge[static_cast<std::size_t>(t)] < 0) continue;
-      network.set_capacity(
-          slot_edge[static_cast<std::size_t>(t)],
-          std::max(0.0, std::ceil(slot_load[static_cast<std::size_t>(t)] -
-                                  1e-9)));
-    }
-    const double routed = network.max_flow(source, sink, budget);
-    result.augmentations += network.augmentations();
-    if (!network.budget_cut() && routed >= (demand - tolerance) * scale) {
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        flows[i] = network.flow(arcs[i].edge);
-      }
-      unit = 1.0;
-    } else {
-      FT_LOG(kWarn) << "integral extraction routed " << routed << " of "
-                    << demand * scale
-                    << "; keeping the fractional lexmin placement";
-    }
-  }
-
   for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const double x = flows[i] * unit;
+    const double x = flows[i] * scale;
     result.allocation[arcs[i].job][arcs[i].slot] = x;
     result.load[arcs[i].slot] += x;
   }
@@ -265,10 +225,10 @@ ResourceFlowLexmin solve_flow_lexmin(
 ResourceFlowLexmin solve_resource_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int resource, lp::SolveBudget* budget, bool integral) {
+    int first_slot, int resource, lp::SolveBudget* budget) {
   if (!obs::enabled()) {
     return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                             budget, /*all_levels=*/true, integral);
+                             budget, /*all_levels=*/true);
   }
   double wall_s = 0.0;
   ResourceFlowLexmin result;
@@ -276,7 +236,7 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
     obs::ScopedTimer timer(
         &wall_s, &obs::registry().histogram("lp.lexmin.solve_seconds"));
     result = solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                               budget, /*all_levels=*/true, integral);
+                               budget, /*all_levels=*/true);
   }
   obs::registry().counter("lp.flow.augmentations").add(result.augmentations);
   lp::LexminTrace trace;
@@ -300,8 +260,7 @@ ResourceFlowLexmin solve_resource_flow_level(
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot, int resource) {
   return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                           /*budget=*/nullptr, /*all_levels=*/false,
-                           /*integral=*/false);
+                           /*budget=*/nullptr, /*all_levels=*/false);
 }
 
 FlowPlacementResult solve_flow_placement(

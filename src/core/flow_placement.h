@@ -30,11 +30,6 @@
 // negative demand, a NaN or negative width, or a window clipped to nothing
 // makes the resource kInfeasible with an INFO log line.
 //
-// Integral extraction (DESIGN.md §5 item 4) is one more max flow after the
-// last level, in resource-seconds, with each slot capped at ceil(z_t) of
-// its lexmin load: integer demands and widths give an integral flow (the
-// paper's Lemma 2, from the max-flow integrality theorem).
-//
 // Work is counted in augmenting paths. A SolveBudget charges one unit per
 // path and is polled between paths (lp::FlowNetwork::max_flow), so pivot
 // caps, wall budgets and cancel tokens cut a flow solve between paths:
@@ -93,15 +88,10 @@ struct ResourceFlowLexmin {
 /// [first_slot, first_slot + capacity_per_slot.size()). Emits the
 /// `lexmin_solve` trace event and the lp.lexmin.* / lp.flow.augmentations
 /// counters when observability is on. `budget` may be null (unlimited).
-/// With `integral`, the allocation is then rounded by the integral
-/// extraction max flow (its augmenting paths count too); should that flow
-/// fall short — a budget cut, or rounding — the fractional lexmin
-/// allocation stays, with a WARN line.
 ResourceFlowLexmin solve_resource_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int resource, lp::SolveBudget* budget = nullptr,
-    bool integral = false);
+    int first_slot, int resource, lp::SolveBudget* budget = nullptr);
 
 /// The first level only: the min-max load and a flow achieving it. One
 /// Newton search, no refinement and no trace events.

@@ -18,6 +18,17 @@ namespace flowtime::core {
 
 namespace {
 constexpr double kTol = 1e-9;
+// A completion at least this many slots from its job's planned last slot
+// triggers a re-plan (kDeviation).
+constexpr int kReplanDeviationSlots = 2;
+// Plan-ahead coarsening: past this many slots of horizon, solve_replan
+// buckets consecutive slots so the flow lexmin never sees more.
+constexpr int kMaxPlanningSlots = 360;
+// Degraded mode ends after this many consecutive clean flow-lexmin
+// re-plans (hysteresis; DESIGN.md §10). Every re-plan re-attempts the flow
+// lexmin regardless — this only delays *reporting* recovery, so one lucky
+// solve amid a numerical storm does not flap the mode.
+constexpr int kDegradeRecoveryReplans = 3;
 }
 
 std::string to_string(ReplanCause causes) {
@@ -86,30 +97,6 @@ void FlowTimeScheduler::on_event(const sim::SchedulerEvent& event) {
       event);
 }
 
-int FlowTimeScheduler::seconds_to_release_slot(double seconds) const {
-  return static_cast<int>(
-      std::floor(seconds / config_.cluster.slot_seconds + kTol));
-}
-
-int FlowTimeScheduler::seconds_to_deadline_slot(double seconds) const {
-  // Last slot fully inside [0, seconds): slot t covers [tS, (t+1)S).
-  return static_cast<int>(
-             std::ceil(seconds / config_.cluster.slot_seconds - kTol)) -
-         1;
-}
-
-int FlowTimeScheduler::min_slots_needed(const DeadlineJobState& job) const {
-  int needed = 1;
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    if (job.remaining[r] > kTol && job.width[r] > kTol) {
-      needed = std::max(
-          needed,
-          static_cast<int>(std::ceil(job.remaining[r] / job.width[r] - kTol)));
-    }
-  }
-  return needed;
-}
-
 void FlowTimeScheduler::handle_workflow_arrival(
     const workload::Workflow& workflow,
     const std::vector<sim::JobUid>& node_uids, double now_s) {
@@ -118,10 +105,6 @@ void FlowTimeScheduler::handle_workflow_arrival(
   decomposition_config.mode = config_.decomposition_mode;
   const DeadlineDecomposer decomposer(decomposition_config);
   DecompositionResult decomposition = decomposer.decompose(workflow);
-  if (decomposition.used_fallback &&
-      config_.decomposition_mode != DecompositionMode::kCriticalPath) {
-    ++decomposition_fallbacks_;
-  }
   if (obs::enabled()) {
     obs::registry().counter("core.workflow_arrivals").add();
     if (decomposition.used_fallback) {
@@ -155,8 +138,9 @@ void FlowTimeScheduler::handle_workflow_arrival(
     obs::deadline_monitor().track_workflow(workflow.id, workflow.start_s,
                                            workflow.deadline_s);
   }
-  const int slack_slots = static_cast<int>(
-      std::round(config_.deadline_slack_s / config_.cluster.slot_seconds));
+  const double slot_s = config_.cluster.slot_seconds;
+  const int slack_slots =
+      static_cast<int>(std::round(config_.deadline_slack_s / slot_s));
   for (dag::NodeId v = 0; v < workflow.dag.num_nodes(); ++v) {
     const JobWindow& window =
         decomposition.windows[static_cast<std::size_t>(v)];
@@ -165,18 +149,17 @@ void FlowTimeScheduler::handle_workflow_arrival(
     DeadlineJobState job;
     job.uid = node_uids[static_cast<std::size_t>(v)];
     job.ref = workload::WorkflowJobRef{workflow.id, v};
-    job.release_slot = seconds_to_release_slot(window.start_s);
-    const int deadline_slot = seconds_to_deadline_slot(window.deadline_s);
+    job.release_slot = release_slot_of(window.start_s, slot_s);
+    const int deadline_slot = deadline_slot_of(window.deadline_s, slot_s);
     // Slack must not erase the window entirely.
     job.lp_deadline_slot =
         std::max(job.release_slot, deadline_slot - slack_slots);
-    job.width = workload::scale(spec.max_parallel_demand(),
-                                config_.cluster.slot_seconds);
+    job.width = workload::scale(spec.max_parallel_demand(), slot_s);
     job.remaining = spec.total_demand();
     if (obs::enabled()) {
       obs::deadline_monitor().track_job(
           workflow.id, v, window.start_s, window.deadline_s,
-          min_slots_needed(job) * config_.cluster.slot_seconds);
+          min_slots(job.remaining, job.width) * slot_s);
     }
     deadline_jobs_[job.uid] = job;
     job_deadlines_[job.ref] = window.deadline_s;
@@ -191,8 +174,7 @@ void FlowTimeScheduler::handle_job_complete(sim::JobUid uid, double now_s) {
   if (it == deadline_jobs_.end()) {
     return;  // ad-hoc completion frees leftover capacity only; no plan impact
   }
-  DeadlineJobState& job = it->second;
-  job.complete = true;
+  const DeadlineJobState& job = it->second;
   // A deadline job leaving the planning set changes what the next solve
   // sees, whether or not it triggers one: any in-flight solve is now stale.
   ++planner_epoch_;
@@ -200,16 +182,18 @@ void FlowTimeScheduler::handle_job_complete(sim::JobUid uid, double now_s) {
     obs::deadline_monitor().complete_job(job.ref.workflow_id, job.ref.node,
                                          now_s);
   }
+  // The slot that just ended.
   const int completion_slot =
-      seconds_to_deadline_slot(now_s);  // slot that just ended
+      deadline_slot_of(now_s, config_.cluster.slot_seconds);
   if (job.planned_last_slot >= 0 &&
       std::abs(completion_slot - job.planned_last_slot) >=
-          config_.replan_deviation_slots) {
+          kReplanDeviationSlots) {
     // Early or late versus the plan: capacity freed up or borrowed;
     // re-flatten the remainder.
     mark_dirty(ReplanCause::kDeviation);
   }
   plan_.erase(uid);
+  deadline_jobs_.erase(it);
 }
 
 void FlowTimeScheduler::handle_capacity_change() {
@@ -245,8 +229,8 @@ void FlowTimeScheduler::handle_task_failure(
   // re-plan extends windows minimally and the deadline monitor reports the
   // breach — renegotiation, not silent failure.
   const double slot_s = config_.cluster.slot_seconds;
-  const double earliest_end =
-      std::max(now_s, retry_at_s) + min_slots_needed(job) * slot_s;
+  const double earliest_end = std::max(now_s, retry_at_s) +
+                              min_slots(job.remaining, job.width) * slot_s;
   if (earliest_end <= (job.lp_deadline_slot + 1) * slot_s + kTol) return;
   const auto wf_it = workflows_.find(job.ref.workflow_id);
   if (wf_it == workflows_.end()) return;
@@ -265,12 +249,10 @@ void FlowTimeScheduler::handle_task_failure(
   int relaxed = 0;
   for (auto& [other_uid, other] : deadline_jobs_) {
     (void)other_uid;
-    if (other.complete || other.ref.workflow_id != job.ref.workflow_id) {
-      continue;
-    }
+    if (other.ref.workflow_id != job.ref.workflow_id) continue;
     const JobWindow& window =
         fallback.windows[static_cast<std::size_t>(other.ref.node)];
-    const int deadline_slot = seconds_to_deadline_slot(window.deadline_s);
+    const int deadline_slot = deadline_slot_of(window.deadline_s, slot_s);
     const int lp_slot =
         std::max(other.release_slot, deadline_slot - slack_slots);
     if (lp_slot > other.lp_deadline_slot) {
@@ -321,7 +303,7 @@ int FlowTimeScheduler::forget_workflow(int workflow_id) {
       ++it;
       continue;
     }
-    if (!it->second.complete) ++dropped;
+    ++dropped;
     plan_.erase(it->first);
     it = deadline_jobs_.erase(it);
   }
@@ -362,8 +344,7 @@ PendingReplan FlowTimeScheduler::begin_replan(const sim::ClusterState& state) {
   dirty_ = false;
 
   int horizon_last_slot = state.slot;
-  for (auto& [uid, job] : deadline_jobs_) {
-    if (job.complete) continue;
+  for (const auto& [uid, job] : deadline_jobs_) {
     LpJob lp_job;
     lp_job.uid = uid;
     lp_job.width = job.width;
@@ -386,25 +367,21 @@ PendingReplan FlowTimeScheduler::begin_replan(const sim::ClusterState& state) {
       int parent_slots = 0;
       for (const auto& [puid, parent] : deadline_jobs_) {
         (void)puid;
-        if (parent.complete || parent.ref.workflow_id != job.ref.workflow_id)
-          continue;
+        if (parent.ref.workflow_id != job.ref.workflow_id) continue;
         if (parent.release_slot < job.release_slot &&
             parent.lp_deadline_slot <= job.lp_deadline_slot) {
           // Heuristic: any unfinished earlier-level job of this workflow.
-          parent_slots = std::max(parent_slots, min_slots_needed(parent));
+          parent_slots = std::max(parent_slots,
+                                  min_slots(parent.remaining, parent.width));
         }
       }
       lp_job.release_slot = std::max(lp_job.release_slot,
                                      state.slot + std::max(parent_slots, 1));
     }
     lp_job.deadline_slot = job.lp_deadline_slot;
-    if (lp_job.deadline_slot < lp_job.release_slot + min_slots_needed(job) - 1) {
-      // Late (or about to be): extend to the minimal feasible window. The
-      // deadline metrics will record the miss; the LP stays feasible.
-      lp_job.deadline_slot =
-          lp_job.release_slot + min_slots_needed(job) - 1;
-      ++pending.record.late_extensions;
-    }
+    // Late (or about to be): extend to the minimal feasible window. The
+    // deadline metrics will record the miss; the LP stays feasible.
+    if (widen_to_min_slots(lp_job)) ++pending.record.late_extensions;
     horizon_last_slot = std::max(horizon_last_slot, lp_job.deadline_slot);
     pending.lp_jobs.push_back(lp_job);
     pending.lp_uids.push_back(uid);
@@ -412,24 +389,18 @@ PendingReplan FlowTimeScheduler::begin_replan(const sim::ClusterState& state) {
   pending.horizon_last_slot = horizon_last_slot;
   pending.record.planned_jobs = static_cast<int>(pending.lp_jobs.size());
 
-  // Merged solver budget: the config's knobs and any chaos-injected
-  // sabotage, tightest limit winning. Snapshotted here so the solve can
-  // run on another thread without reading live sabotage state.
-  {
-    double wall_ms = config_.solver_budget_ms;
-    if (sabotage_budget_ms_ >= 0.0) {
-      wall_ms = wall_ms > 0.0 ? std::min(wall_ms, sabotage_budget_ms_)
-                              : sabotage_budget_ms_;
-    }
-    std::int64_t pivot_cap = config_.solver_pivot_budget;
-    if (sabotage_pivot_cap_ > 0) {
-      pivot_cap = pivot_cap > 0 ? std::min(pivot_cap, sabotage_pivot_cap_)
-                                : sabotage_pivot_cap_;
-    }
-    pending.budget_wall_ms = wall_ms;
-    pending.budget_pivot_cap = pivot_cap;
-    pending.force_numerical = sabotage_force_numerical_;
+  // Merged solver budget: the configured wall clock and any chaos-injected
+  // sabotage (`fault_solver`), tightest limit winning. Snapshotted here so
+  // the solve can run on another thread without reading live sabotage
+  // state.
+  double wall_ms = config_.solver_budget_ms;
+  if (sabotage_budget_ms_ >= 0.0) {
+    wall_ms = wall_ms > 0.0 ? std::min(wall_ms, sabotage_budget_ms_)
+                            : sabotage_budget_ms_;
   }
+  pending.budget_wall_ms = wall_ms;
+  pending.budget_pivot_cap = sabotage_pivot_cap_;
+  pending.force_numerical = sabotage_force_numerical_;
   return pending;
 }
 
@@ -459,13 +430,11 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
   plan_first_slot_ = pending.state.slot;
   for (auto& [uid, job] : deadline_jobs_) {
     (void)uid;
-    if (!job.complete) job.planned_last_slot = -1;
+    job.planned_last_slot = -1;
   }
   for (const auto& [uid, last] : solved.planned_last_slot) {
     const auto it = deadline_jobs_.find(uid);
-    if (it != deadline_jobs_.end() && !it->second.complete) {
-      it->second.planned_last_slot = last;
-    }
+    if (it != deadline_jobs_.end()) it->second.planned_last_slot = last;
   }
   if (record.lexmin_truncated) {
     ++truncated_replans_;
@@ -480,8 +449,8 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
   replan_log_.push_back(record);
 
   // Degraded-mode state machine (hysteresis; DESIGN.md §10). Every re-plan
-  // re-attempts the full LP, so recovery needs no special trigger — just
-  // `degrade_recovery_replans` consecutive clean rung-0 plans.
+  // re-attempts the flow lexmin, so recovery needs no special trigger —
+  // just kDegradeRecoveryReplans consecutive clean rung-0 plans.
   if (record.degrade_rung > 0) {
     ++degraded_replans_;
     clean_replans_ = 0;
@@ -506,7 +475,7 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
     }
   } else if (degraded_mode_) {
     ++clean_replans_;
-    if (clean_replans_ >= std::max(config_.degrade_recovery_replans, 1)) {
+    if (clean_replans_ >= kDegradeRecoveryReplans) {
       degraded_mode_ = false;
       clean_replans_ = 0;
       FT_LOG(kInfo) << "FlowTime: leaving degraded mode at slot "
@@ -514,8 +483,7 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
       if (obs::enabled()) {
         obs::emit(obs::TraceEvent("degrade_exit")
                       .field("slot", record.slot)
-                      .field("clean_replans",
-                             std::max(config_.degrade_recovery_replans, 1)));
+                      .field("clean_replans", kDegradeRecoveryReplans));
         obs::end_span(degraded_span_, now_s);
         degraded_span_ = obs::kNoSpan;
       }
@@ -623,30 +591,20 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
   // planning slot so the LP's load-row count stays bounded for day-scale
   // horizons. Windows round conservatively (release up, deadline down);
   // bucket allocations are spread evenly over their slots at issue time.
-  const int bucket =
-      (num_slots + config.max_planning_slots - 1) /
-      std::max(config.max_planning_slots, 1);
+  const int bucket = (num_slots + kMaxPlanningSlots - 1) / kMaxPlanningSlots;
   int coarse_horizon = 1;
   if (bucket > 1) {
     for (LpJob& job : lp_jobs) {
       const int rel_release = job.release_slot - state.slot;
       const int rel_deadline = job.deadline_slot - state.slot;
-      int release = (rel_release + bucket - 1) / bucket;
-      int deadline = (rel_deadline + 1) / bucket - 1;
-      if (deadline < release) deadline = release;
+      job.release_slot = (rel_release + bucket - 1) / bucket;
+      job.deadline_slot =
+          std::max((rel_deadline + 1) / bucket - 1, job.release_slot);
       job.width = workload::scale(job.width, bucket);
       // Conservative rounding may have shrunk the window below the job's
       // need; extend minimally (the fine-grained pass did the same).
-      for (int r = 0; r < workload::kNumResources; ++r) {
-        if (job.demand[r] > 1e-9 && job.width[r] > 1e-9) {
-          const int needed = static_cast<int>(
-              std::ceil(job.demand[r] / job.width[r] - 1e-9));
-          deadline = std::max(deadline, release + needed - 1);
-        }
-      }
-      job.release_slot = release;
-      job.deadline_slot = deadline;
-      coarse_horizon = std::max(coarse_horizon, deadline + 1);
+      widen_to_min_slots(job);
+      coarse_horizon = std::max(coarse_horizon, job.deadline_slot + 1);
     }
   } else {
     coarse_horizon = num_slots;
@@ -698,16 +656,14 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
     // greedy rung is exercised end to end.
     schedule.status = lp::SolveStatus::kNumericalFailure;
   } else {
-    schedule = solve_placement(lp_jobs, caps, lp_first_slot, config.lp,
-                               solve_budget);
+    schedule = solve_placement(lp_jobs, caps, lp_first_slot, solve_budget);
     if (cap_fraction < 1.0 &&
         (!schedule.ok() || schedule.capacity_exceeded)) {
       // The reserved headroom is a preference, not a mandate: retry at the
       // full cluster before conceding any deadline.
       caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
       const std::int64_t prior = schedule.pivots;
-      schedule = solve_placement(lp_jobs, caps, lp_first_slot, config.lp,
-                                 solve_budget);
+      schedule = solve_placement(lp_jobs, caps, lp_first_slot, solve_budget);
       schedule.pivots += prior;
     }
   }
@@ -850,8 +806,8 @@ std::vector<sim::Allocation> FlowTimeScheduler::serve(
     const double slot_s = config_.cluster.slot_seconds;
     for (const auto& [uid, job] : deadline_jobs_) {
       (void)uid;
-      if (job.complete) continue;
-      double projected = state.now_s + min_slots_needed(job) * slot_s;
+      double projected =
+          state.now_s + min_slots(job.remaining, job.width) * slot_s;
       if (job.planned_last_slot >= 0) {
         const double planned_end = (job.planned_last_slot + 1) * slot_s;
         const auto deadline_it = job_deadlines_.find(job.ref);

@@ -42,9 +42,6 @@ struct FlowTimeConfig {
   /// (paper Fig. 5; 0 disables the feature — the FlowTime_no_ds variant).
   double deadline_slack_s = 60.0;
   DecompositionMode decomposition_mode = DecompositionMode::kResourceDemand;
-  LpScheduleOptions lp;
-  /// A completion this many slots away from the plan triggers a re-plan.
-  int replan_deviation_slots = 2;
   /// Fraction of the cluster the deadline plan may use (paper Fig. 1(b)
   /// draws the deadline workload under a "Resource Cap" below the full
   /// cluster, and SV notes C_t^r may vary to provide flexibility). Values
@@ -58,28 +55,14 @@ struct FlowTimeConfig {
   /// grants quantize to zero containers and starve; harmless but
   /// unnecessary on the fluid substrate.
   bool round_to_containers = false;
-  /// Plan-ahead coarsening: when the planning horizon exceeds this many
-  /// slots, consecutive slots are bucketed so the LP never sees more than
-  /// this many load rows. Windows round conservatively (release up,
-  /// deadline down), and a bucket's allocation is spread evenly over its
-  /// slots. Keeps re-plan latency bounded for day-scale deadlines.
-  int max_planning_slots = 360;
   /// Wall-clock allowance for ALL LP solving of one re-plan (both resources
   /// and the headroom retry share it); <= 0 = unlimited. Enforced by a
   /// monotonic-clock watchdog between augmenting paths, so placements under
-  /// a wall budget are machine-dependent — use solver_pivot_budget for
-  /// reproducible runs.
+  /// a wall budget are machine-dependent. A reproducible cap counts
+  /// augmenting paths instead: the scenario directive
+  /// `fault_solver slot=0 pivots=N` caps every re-plan at N, merged into
+  /// the same budget (DESIGN.md §10).
   double solver_budget_ms = 0.0;
-  /// Total solver work one re-plan may spend across every solve, counted
-  /// in flow augmenting paths; <= 0 = unlimited. Deterministic, unlike the
-  /// wall clock: the same scenario and cap degrade at the same path and
-  /// produce byte-identical placements.
-  std::int64_t solver_pivot_budget = 0;
-  /// Consecutive clean full-LP re-plans required before degraded mode ends
-  /// (hysteresis; see DESIGN.md §10). Every re-plan re-attempts the full
-  /// LP regardless — this only delays *reporting* recovery, so one lucky
-  /// solve amid a numerical storm does not flap the mode.
-  int degrade_recovery_replans = 3;
   /// Cell this scheduler serves when it runs as one shard of a federated
   /// cluster (cluster::FederatedScheduler, DESIGN.md §13); -1 = the whole
   /// cluster. Purely observational: a cell-aware scheduler stamps `cell` on
@@ -178,7 +161,8 @@ struct PendingReplan {
   std::vector<sim::JobUid> lp_uids;
   int horizon_last_slot = 0;
   std::uint64_t epoch = 0;      // planner-state version at build time
-  // Merged solver budget (config knobs + active sabotage, tightest wins).
+  // Merged solver budget (solver_budget_ms + active sabotage, tightest
+  // wins).
   double budget_wall_ms = 0.0;
   std::int64_t budget_pivot_cap = 0;
   bool force_numerical = false;
@@ -334,10 +318,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// causes without parsing JSONL.
   const std::vector<ReplanRecord>& replan_log() const { return replan_log_; }
 
-  /// Workflows whose decomposition fell back to critical-path splitting
-  /// (negative slack) since construction.
-  int decomposition_fallbacks() const { return decomposition_fallbacks_; }
-
   /// Re-plans whose lexmin solve a solver budget truncated (see
   /// ReplanRecord::lexmin_truncated) since construction.
   int truncated_replans() const { return truncated_replans_; }
@@ -348,8 +328,8 @@ class FlowTimeScheduler : public sim::Scheduler {
   int fault_redecompositions() const { return fault_redecompositions_; }
 
   /// True while the scheduler is in degraded mode: some recent re-plan fell
-  /// back to greedy and fewer than `degrade_recovery_replans` clean
-  /// full-LP re-plans have happened since.
+  /// back to greedy and fewer than 3 clean flow-lexmin re-plans have
+  /// happened since (DESIGN.md §10).
   bool degraded_mode() const { return degraded_mode_; }
 
   /// Re-plans that fell back to greedy (rung > 0) since construction.
@@ -365,7 +345,6 @@ class FlowTimeScheduler : public sim::Scheduler {
     workload::ResourceVec remaining{};  // estimate, synced from the view
     bool ready = true;
     bool overrun = false;
-    bool complete = false;
     int planned_last_slot = -1;  // last slot with planned allocation
   };
 
@@ -398,10 +377,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   }
   /// Once per run: compare config_.cluster against the simulator's view.
   void check_cluster_skew(const sim::ClusterState& state);
-  int seconds_to_release_slot(double seconds) const;
-  int seconds_to_deadline_slot(double seconds) const;
-  /// Minimum slots this job needs at full width.
-  int min_slots_needed(const DeadlineJobState& job) const;
 
   FlowTimeConfig config_;
   /// This planner's cross-replan solver state (empty today). Only
@@ -419,15 +394,14 @@ class FlowTimeScheduler : public sim::Scheduler {
   int replans_ = 0;            // adopted plans only
   int replans_discarded_ = 0;  // stale/preempted solves, never adopted
   std::int64_t total_pivots_ = 0;
-  int decomposition_fallbacks_ = 0;
   int truncated_replans_ = 0;
   int fault_redecompositions_ = 0;
   std::vector<ReplanRecord> replan_log_;
   obs::SpanId plan_span_ = obs::kNoSpan;  // current re-plan epoch
 
   // Degraded-mode state machine (DESIGN.md §10): entered when a re-plan
-  // falls back to greedy, left after `degrade_recovery_replans`
-  // consecutive clean full-LP re-plans.
+  // falls back to greedy, left after kDegradeRecoveryReplans (3)
+  // consecutive clean flow-lexmin re-plans.
   bool degraded_mode_ = false;
   int clean_replans_ = 0;       // consecutive rung-0 re-plans while degraded
   int degraded_replans_ = 0;    // lifetime count of rung > 0 re-plans
@@ -439,6 +413,8 @@ class FlowTimeScheduler : public sim::Scheduler {
   std::int64_t sabotage_pivot_cap_ = 0;
   bool sabotage_force_numerical_ = false;
 
+  /// The planning set: arrived deadline jobs that have not completed
+  /// (handle_job_complete erases a job).
   std::map<sim::JobUid, DeadlineJobState> deadline_jobs_;
   std::map<workload::WorkflowJobRef, double> job_deadlines_;
   std::map<int, DecompositionResult> decompositions_;  // by workflow id

@@ -1,7 +1,6 @@
 #include "core/greedy_placement.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <numeric>
 
@@ -83,19 +82,13 @@ LpSchedule greedy_placement(
     hi = std::clamp(hi, lo, num_slots - 1);
     const int window = hi - lo + 1;
 
-    // Minimum occupied slots, per the binding resource.
-    int needed = 1;
     bool any_demand = false;
     for (int r = 0; r < workload::kNumResources; ++r) {
-      if (job.demand[r] <= kTol) continue;
-      any_demand = true;
-      if (job.width[r] <= kTol) continue;  // degenerate: no per-slot width
-      const int n_r =
-          static_cast<int>(std::ceil(job.demand[r] / job.width[r] - kTol));
-      needed = std::max(needed, n_r);
+      any_demand = any_demand || job.demand[r] > kTol;
     }
     if (!any_demand) continue;
-    const int n = std::min(needed, window);
+    // Minimum occupied slots, per the binding resource.
+    const int n = std::min(min_slots(job.demand, job.width), window);
 
     // Water filling: occupy the n least-loaded window slots (ties toward
     // earlier slots), splitting the demand evenly across them. The width

@@ -1,6 +1,7 @@
 #include "core/lp_formulation.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/flow_placement.h"
 #include "obs/metrics.h"
@@ -8,6 +9,8 @@
 namespace flowtime::core {
 
 namespace {
+
+constexpr double kSlotTol = 1e-9;
 
 // An ok, all-zero schedule over the horizon, ready to be filled in.
 LpSchedule empty_schedule(std::size_t jobs, int num_slots, int first_slot) {
@@ -25,11 +28,37 @@ LpSchedule empty_schedule(std::size_t jobs, int num_slots, int first_slot) {
 
 }  // namespace
 
+int release_slot_of(double seconds, double slot_seconds) {
+  return static_cast<int>(std::floor(seconds / slot_seconds + kSlotTol));
+}
+
+int deadline_slot_of(double seconds, double slot_seconds) {
+  return static_cast<int>(std::ceil(seconds / slot_seconds - kSlotTol)) - 1;
+}
+
+int min_slots(const workload::ResourceVec& demand,
+              const workload::ResourceVec& width) {
+  int needed = 1;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    if (demand[r] > kSlotTol && width[r] > kSlotTol) {
+      needed = std::max(
+          needed, static_cast<int>(std::ceil(demand[r] / width[r] - kSlotTol)));
+    }
+  }
+  return needed;
+}
+
+bool widen_to_min_slots(LpJob& job) {
+  const int last = job.release_slot + min_slots(job.demand, job.width) - 1;
+  if (job.deadline_slot >= last) return false;
+  job.deadline_slot = last;
+  return true;
+}
+
 LpSchedule solve_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, const LpScheduleOptions& options,
-    lp::SolveBudget* budget) {
+    int first_slot, lp::SolveBudget* budget) {
   LpSchedule schedule =
       empty_schedule(jobs.size(), static_cast<int>(capacity_per_slot.size()),
                      first_slot);
@@ -37,8 +66,7 @@ LpSchedule solve_placement(
   // flow lexmin (core/flow_placement.h) in augmenting paths.
   for (int r = 0; r < workload::kNumResources; ++r) {
     const ResourceFlowLexmin flow = solve_resource_flow_lexmin(
-        jobs, capacity_per_slot, first_slot, r, budget,
-        options.integral_extraction);
+        jobs, capacity_per_slot, first_slot, r, budget);
     if (!flow.any_demand) continue;
     schedule.flow_fast_path = true;
     schedule.pivots += flow.augmentations;

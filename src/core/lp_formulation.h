@@ -44,20 +44,34 @@ struct LpJob {
   workload::ResourceVec width{};   // W_i^r, resource-seconds per slot
 };
 
+// The slot-window rule every module that builds an LpJob shares. Slot t
+// covers [tS, (t+1)S); each conversion carries a 1e-9 guard so a time that
+// float noise puts a hair off a slot boundary lands on the boundary.
+
+/// The slot containing `seconds`: a window's release slot (a_i), or the
+/// current slot. floor(t/S + 1e-9).
+int release_slot_of(double seconds, double slot_seconds);
+
+/// The last slot that ends by `seconds`: a window's deadline slot (d_i).
+/// ceil(t/S - 1e-9) - 1.
+int deadline_slot_of(double seconds, double slot_seconds);
+
+/// Fewest slots `demand` needs at `width` per slot: the maximum over
+/// resources of ceil(demand / width - 1e-9), and at least 1. A resource
+/// whose demand or width is at most 1e-9 does not bind.
+int min_slots(const workload::ResourceVec& demand,
+              const workload::ResourceVec& width);
+
+/// Widens `job`'s window to its minimum slots: moves deadline_slot out to
+/// release_slot + min_slots(demand, width) - 1 when it ends sooner.
+/// Returns whether it moved.
+bool widen_to_min_slots(LpJob& job);
+
 /// Cross-replan solver state, owned by the caller (one per planner, see
 /// FlowTimeScheduler::solve_replan). The flow lexmin starts every solve
 /// from zero flow today, so the cache is empty; it is where a warm start
 /// across replans would keep the previous flow.
 struct PlacementWarmCache {};
-
-struct LpScheduleOptions {
-  /// Round the placement to integers (DESIGN.md §5 item 4): one last max
-  /// flow per resource, in resource-seconds, with every slot capped at
-  /// ceil(z_t) of its lexmin load. Integer demands and widths then give an
-  /// integral flow. Off by default because the simulator's demands are
-  /// fractional resource-seconds.
-  bool integral_extraction = false;
-};
 
 /// The planned allocation: x[job_index][slot - first_slot] per resource.
 struct LpSchedule {
@@ -109,7 +123,6 @@ struct LpSchedule {
 LpSchedule solve_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, const LpScheduleOptions& options = {},
-    lp::SolveBudget* budget = nullptr);
+    int first_slot, lp::SolveBudget* budget = nullptr);
 
 }  // namespace flowtime::core

@@ -15,8 +15,10 @@
 // Determinism: the pivot cap and the cancel token are deterministic given a
 // deterministic pivot sequence; the wall-clock limit is not (it depends on
 // machine speed). Tests that assert byte-identical degraded placements must
-// therefore drive the ladder with the pivot cap, never the wall clock —
-// see FlowTimeConfig::solver_pivot_budget.
+// therefore drive the ladder with the pivot cap, never the wall clock. The
+// scheduler takes its pivot cap from solver sabotage only: the scenario
+// directive `fault_solver slot=0 pivots=N` caps every re-plan from slot 0
+// on (FlowTimeScheduler::begin_replan merges it into the budget).
 //
 // Non-owning by design: solve_placement takes a `SolveBudget*`; a null
 // pointer (the default everywhere) means unlimited and costs nothing on the

@@ -9,6 +9,9 @@ namespace flowtime::obs {
 
 namespace {
 constexpr double kTol = 1e-9;
+// A job warns once its laxity falls below this fraction of its remaining
+// window (deadline - now).
+constexpr double kWarnFraction = 0.1;
 
 int severity(RiskLevel level) { return static_cast<int>(level); }
 }  // namespace
@@ -25,17 +28,14 @@ const char* to_string(RiskLevel level) {
   return "ok";
 }
 
-DeadlineMonitor::DeadlineMonitor(DeadlineMonitorConfig config)
-    : config_(config) {}
-
 RiskLevel DeadlineMonitor::classify(const JobState& job, double now_s,
                                     double projected_s) const {
   const double laxity = job.deadline_s - projected_s;
   if (laxity < -kTol) return RiskLevel::kBreach;
   const double remaining_window = std::max(job.deadline_s - now_s, 0.0);
-  const double threshold = std::max(
-      config_.warn_fraction * remaining_window, config_.warn_floor_s);
-  if (laxity < threshold - kTol) return RiskLevel::kWarn;
+  if (laxity < kWarnFraction * remaining_window - kTol) {
+    return RiskLevel::kWarn;
+  }
   return RiskLevel::kOk;
 }
 

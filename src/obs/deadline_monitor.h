@@ -19,12 +19,16 @@
 //     `obs.deadline.*` gauges current.
 //
 // "warn" means the remaining laxity is small relative to the remaining
-// window (laxity < warn_fraction x (deadline - now), or below an absolute
-// floor) — i.e. the projection is approaching infeasibility, not merely
-// that the plan deferred work; "breach" means the projection — or the
-// actual completion — is past the Stage-1 deadline. Workflow-level risk is derived from the jobs: the
-// workflow projection is the latest projection/completion among its jobs,
-// compared against the workflow deadline.
+// window (laxity < 10% of deadline - now) — i.e. the projection is
+// approaching infeasibility, not merely that the plan deferred work. The
+// threshold is relative to *remaining* time, not the laxity at
+// registration: FlowTime defers work toward the deadline on purpose, so
+// any threshold anchored to the initial margin would eventually fire on
+// every healthy just-in-time job. "breach" means the projection — or the
+// actual completion — is past the Stage-1 deadline. Workflow-level risk is
+// derived from the jobs: the workflow projection is the latest
+// projection/completion among its jobs, compared against the workflow
+// deadline.
 //
 // Like the rest of obs the monitor is passive bookkeeping: events and
 // gauges are only produced while a trace sink / the enabled flag is on,
@@ -43,23 +47,10 @@ enum class RiskLevel { kOk, kWarn, kBreach };
 /// "ok" / "warn" / "breach".
 const char* to_string(RiskLevel level);
 
-struct DeadlineMonitorConfig {
-  /// Enter warn when remaining laxity falls below this fraction of the
-  /// remaining window (deadline - now). Relative to *remaining* time, not
-  /// the laxity at registration: FlowTime defers work toward the deadline
-  /// on purpose, so any threshold anchored to the initial margin would
-  /// eventually fire on every healthy just-in-time job.
-  double warn_fraction = 0.1;
-  /// ...or below this many seconds, whichever threshold is larger.
-  double warn_floor_s = 0.0;
-};
-
 /// Tracks in-flight deadline entities and their slack. Thread-safe; one
 /// instance per process via deadline_monitor(), or standalone in tests.
 class DeadlineMonitor {
  public:
-  explicit DeadlineMonitor(DeadlineMonitorConfig config = {});
-
   /// Registers a workflow released at `release_s` with absolute deadline
   /// `deadline_s`. Call before track_job for its nodes.
   void track_workflow(int workflow_id, double release_s, double deadline_s);
@@ -123,7 +114,6 @@ class DeadlineMonitor {
   void emit_transition(const char* entity, int workflow_id, int node,
                        double now_s, const JobState& job) const;
 
-  DeadlineMonitorConfig config_;
   mutable std::mutex mu_;
   std::map<JobKey, JobState> jobs_;
   std::map<int, WorkflowState> workflows_;

@@ -101,10 +101,9 @@ bool is_instant_type(const std::string& type) {
   return type == "replan" || type == "deadline_risk" ||
          type == "workflow_arrival" || type == "admission" ||
          type == "config_skew" || type == "migration" ||
-         type == "cell_overload" || type == "quota_deferral" ||
-         type == "route_infeasible" || type == "workflow_forgotten" ||
-         type == "cell_failed" || type == "cell_recovered" ||
-         type == "failover";
+         type == "cell_overload" || type == "route_infeasible" ||
+         type == "workflow_forgotten" || type == "cell_failed" ||
+         type == "cell_recovered" || type == "failover";
 }
 
 // Track label for an instant event: events stamped with a federation cell

@@ -1,9 +1,9 @@
 #include "sched/rayon.h"
 
 #include <algorithm>
-#include <cmath>
 #include <variant>
 
+#include "core/lp_formulation.h"
 #include "sched/allocation_util.h"
 #include "util/logging.h"
 
@@ -66,8 +66,7 @@ void RayonScheduler::on_event(const sim::SchedulerEvent& event) {
   const workload::Workflow& workflow = *arrival->workflow;
   const std::vector<sim::JobUid>& node_uids = arrival->node_uids;
   const auto decomposition = decomposer_.decompose(workflow);
-  const int now_slot =
-      static_cast<int>(std::floor(arrival->now_s / slot_seconds_ + kTol));
+  const int now_slot = core::release_slot_of(arrival->now_s, slot_seconds_);
   for (dag::NodeId v = 0; v < workflow.dag.num_nodes(); ++v) {
     const workload::JobSpec& spec = workflow.jobs[static_cast<std::size_t>(v)];
     double release_s = workflow.start_s;
@@ -77,11 +76,9 @@ void RayonScheduler::on_event(const sim::SchedulerEvent& event) {
       deadline_s =
           decomposition.windows[static_cast<std::size_t>(v)].deadline_s;
     }
-    const int release_slot = std::max(
-        now_slot,
-        static_cast<int>(std::floor(release_s / slot_seconds_ + kTol)));
-    const int deadline_slot = static_cast<int>(
-        std::ceil(deadline_s / slot_seconds_ - kTol)) - 1;
+    const int release_slot =
+        std::max(now_slot, core::release_slot_of(release_s, slot_seconds_));
+    const int deadline_slot = core::deadline_slot_of(deadline_s, slot_seconds_);
     book(node_uids[static_cast<std::size_t>(v)], release_slot, deadline_slot,
          spec.total_demand(),
          workload::scale(spec.max_parallel_demand(), slot_seconds_));

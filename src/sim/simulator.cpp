@@ -254,12 +254,9 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     std::sort(released, live.end());
     std::inplace_merge(live.begin(), released, live.end());
 
-    // Effective capacity this slot: base, then per-slot overrides, then
-    // injected machine churn on top.
+    // Effective capacity this slot: the base, less injected machine churn
+    // (the time-varying C_t^r of the paper's §V).
     ResourceVec capacity_units = config_.cluster.capacity;
-    for (const auto& [override_slot, cap] : config_.capacity_overrides) {
-      if (override_slot == slot) capacity_units = cap;
-    }
     if (injector.active()) {
       bool capacity_changed = false;
       capacity_units = injector.capacity_for_slot(slot, now, capacity_units,

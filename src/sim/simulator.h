@@ -40,9 +40,6 @@ struct SimConfig {
   /// start; mismatches are reported as config skew.
   workload::ClusterSpec cluster;        // Fig. 7 cluster, 10 s slots (§VI)
   double max_horizon_s = 48.0 * 3600.0; // safety stop
-  /// Per-slot capacity override hook: slots listed here replace the base
-  /// capacity (the paper allows time-varying caps C_t^r).
-  std::vector<std::pair<int, ResourceVec>> capacity_overrides;
   /// Node-granular (YARN-like) execution: when > 0 the cluster is
   /// `num_nodes` identical machines and every grant is realized as whole
   /// task containers placed first-fit onto nodes; work that does not pack

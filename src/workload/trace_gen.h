@@ -126,8 +126,8 @@ std::vector<AdhocJob> make_production_adhoc_stream(
 
 struct ProductionScenarioConfig {
   int num_workflows = 20;
-  /// Workflows are tagged round-robin-free: each draws a uniform tenant in
-  /// [0, num_tenants) for multi-tenant quota scenarios.
+  /// Workflows are tagged round-robin-free: each draws a uniform tenant tag
+  /// in [0, num_tenants) (Workflow::tenant; carried, not enforced).
   int num_tenants = 4;
   double horizon_s = 4.0 * 3600.0;
   /// Workflow releases follow the same diurnal intensity as the ad-hoc

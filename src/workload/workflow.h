@@ -20,9 +20,9 @@ struct Workflow {
   double deadline_s = 0.0;  // wd_i: absolute deadline
   dag::Dag dag;             // P_i: inter-job dependencies, node = job index
   std::vector<JobSpec> jobs;  // Q_i, indexed by DAG node id
-  /// Owning tenant for multi-tenant quota accounting (federated scheduling,
-  /// DESIGN.md §13). Tenant 0 is the default single-tenant world; the
-  /// scheduling pipeline itself ignores this field.
+  /// Owning tenant (scenario field `tenant=`). A tag, not a policy: no
+  /// scheduler enforces per-tenant shares, and the scheduling pipeline
+  /// ignores it. Tenant 0 is the default single-tenant world.
   int tenant = 0;
 
   /// Structural sanity: one job per node, acyclic, deadline after start,

@@ -48,8 +48,8 @@ class DeadlineMonitorTest : public ::testing::Test {
   MemorySink* sink_ = nullptr;
 };
 
-// Job: deadline 100. The default warn_fraction of 0.1 means warn fires
-// when laxity drops below a tenth of the remaining window (deadline - now):
+// Job: deadline 100. The monitor warns once laxity drops below a tenth of
+// the remaining window (deadline - now):
 // at now = 20 that threshold is 8 s.
 TEST_F(DeadlineMonitorTest, EmitsEventsOnlyOnLevelTransitions) {
   DeadlineMonitor monitor;

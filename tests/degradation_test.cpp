@@ -246,6 +246,11 @@ end
 adhoc id=0 arrival=30 tasks=4 runtime=30 cores=1 mem=1
 )";
 
+// kBaseScenario with every re-plan capped at one augmenting path from slot
+// 0 on: a deterministic cap that exhausts inside rung 0.
+const std::string kPivotCappedScenario =
+    std::string(kBaseScenario) + "fault_solver slot=0 pivots=1\n";
+
 workload::ParsedScenario parse(const std::string& text) {
   workload::ParseError error;
   const auto parsed = workload::parse_scenario(text, &error);
@@ -268,11 +273,9 @@ core::FlowTimeConfig flowtime_config(const sim::SimConfig& sim) {
 }
 
 TEST(DegradationLadder, PivotBudgetOfOneFallsThroughToGreedy) {
-  auto parsed = parse(kBaseScenario);
+  auto parsed = parse(kPivotCappedScenario);
   const sim::SimConfig config = sim_config(parsed);
-  core::FlowTimeConfig ft = flowtime_config(config);
-  ft.solver_pivot_budget = 1;  // deterministic: exhausts inside rung 0
-  core::FlowTimeScheduler scheduler(ft);
+  core::FlowTimeScheduler scheduler(flowtime_config(config));
   const sim::SimResult result =
       sim::Simulator(config).run(parsed.scenario, scheduler);
 
@@ -303,11 +306,9 @@ TEST(DegradationLadder, PivotBudgetOfOneFallsThroughToGreedy) {
 
 TEST(DegradationLadder, PivotCappedDegradedRunsAreBitIdentical) {
   auto run_once = [&]() {
-    auto parsed = parse(kBaseScenario);
+    auto parsed = parse(kPivotCappedScenario);
     const sim::SimConfig config = sim_config(parsed);
-    core::FlowTimeConfig ft = flowtime_config(config);
-    ft.solver_pivot_budget = 1;
-    core::FlowTimeScheduler scheduler(ft);
+    core::FlowTimeScheduler scheduler(flowtime_config(config));
     return sim::Simulator(config).run(parsed.scenario, scheduler);
   };
   const sim::SimResult a = run_once();
@@ -350,11 +351,9 @@ TEST(DegradationLadder, EscalationsAreTracedWithReasons) {
   auto* sink = new obs::MemorySink();
   obs::set_trace_sink(std::unique_ptr<obs::TraceSink>(sink));
 
-  auto parsed = parse(kBaseScenario);
+  auto parsed = parse(kPivotCappedScenario);
   const sim::SimConfig config = sim_config(parsed);
-  core::FlowTimeConfig ft = flowtime_config(config);
-  ft.solver_pivot_budget = 1;
-  core::FlowTimeScheduler scheduler(ft);
+  core::FlowTimeScheduler scheduler(flowtime_config(config));
   const sim::SimResult result =
       sim::Simulator(config).run(parsed.scenario, scheduler);
   EXPECT_TRUE(result.all_completed);
@@ -393,9 +392,9 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
 
   // The sabotage window covers slot 0 only: the arrival re-plan is forced
   // into a numerical failure and falls straight to greedy (rung 1) without
-  // running the flow solve. The second workflow arrives long after the
-  // window lifts, giving the hysteresis a clean full-LP re-plan to recover
-  // on.
+  // running the flow solve. Three more workflows arrive long after the
+  // window lifts, giving the hysteresis the three clean flow-lexmin
+  // re-plans it needs to recover.
   auto parsed = parse(
       "cluster cores=100 mem_gb=256 slot_seconds=10\n"
       "workflow id=0 name=wf start=0 deadline=600\n"
@@ -404,19 +403,23 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
       "workflow id=1 name=late start=200 deadline=900\n"
       "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
       "end\n"
+      "workflow id=2 name=later start=300 deadline=1000\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
+      "workflow id=3 name=last start=400 deadline=1100\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
       "fault seed=1\n"
       "fault_solver slot=0 until=1 fail=1\n");
   const sim::SimConfig config = sim_config(parsed);
-  core::FlowTimeConfig ft = flowtime_config(config);
-  ft.degrade_recovery_replans = 1;
-  core::FlowTimeScheduler scheduler(ft);
+  core::FlowTimeScheduler scheduler(flowtime_config(config));
   const sim::SimResult result =
       sim::Simulator(config).run(parsed.scenario, scheduler);
 
   EXPECT_TRUE(result.all_completed);
   EXPECT_GE(scheduler.degraded_replans(), 1);
   EXPECT_FALSE(scheduler.degraded_mode())
-      << "one clean re-plan after the window must recover the mode";
+      << "three clean re-plans after the window must recover the mode";
 
   ASSERT_FALSE(scheduler.replan_log().empty());
   const core::ReplanRecord& first = scheduler.replan_log().front();
@@ -429,17 +432,33 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
   int exits = 0;
   int escalations = 0;
   int sabotage_events = 0;
+  // degraded_mode as each re-plan after the greedy one left it.
+  std::vector<std::string> degraded_after;
+  bool first_replan = true;
   for (const std::string& line : sink->lines()) {
     std::map<std::string, std::string> record;
     ASSERT_TRUE(obs::parse_flat_json(line, &record)) << line;
     const std::string type = record["type"];
     if (type == "degrade_enter") ++enters;
-    if (type == "degrade_exit") ++exits;
+    if (type == "degrade_exit") {
+      ++exits;
+      EXPECT_EQ(record["clean_replans"], "3") << line;
+    }
     if (type == "solver_escalation") ++escalations;
     if (type == "fault_injected" && record["kind"] == "solver_sabotage") {
       ++sabotage_events;
     }
+    if (type == "replan") {
+      if (!first_replan) degraded_after.push_back(record["degraded_mode"]);
+      first_replan = false;
+    }
   }
+  // Hysteresis: the mode survives the first and second clean re-plans and
+  // ends on the third.
+  ASSERT_GE(degraded_after.size(), 3u);
+  EXPECT_EQ(degraded_after[0], "true");
+  EXPECT_EQ(degraded_after[1], "true");
+  EXPECT_EQ(degraded_after[2], "false");
   EXPECT_EQ(enters, 1);
   EXPECT_EQ(exits, 1);
   EXPECT_EQ(escalations, 1);

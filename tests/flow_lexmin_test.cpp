@@ -80,7 +80,7 @@ using test::sorted_loads;
 
 LpSchedule solve_flow(const Instance& inst,
                       lp::SolveBudget* budget = nullptr) {
-  return solve_placement(inst.jobs, inst.caps, inst.first_slot, {}, budget);
+  return solve_placement(inst.jobs, inst.caps, inst.first_slot, budget);
 }
 
 LpSchedule solve_dual_test(const Instance& inst) {
@@ -223,7 +223,7 @@ TEST(FlowLexminBudget, OneUnitCapStopsBeforeTheFirstLevel) {
   lp::SolveBudget budget;
   budget.set_pivot_cap(1);
   const LpSchedule s =
-      solve_placement(two_level_jobs(), flat_caps(4), 0, {}, &budget);
+      solve_placement(two_level_jobs(), flat_caps(4), 0, &budget);
   EXPECT_EQ(s.status, lp::SolveStatus::kIterationLimit);
   EXPECT_TRUE(s.budget_exhausted);
   EXPECT_TRUE(s.flow_fast_path);
@@ -235,7 +235,7 @@ TEST(FlowLexminBudget, PresetCancelTokenTimesOut) {
   lp::SolveBudget budget;
   budget.set_cancel_token(&cancel);
   const LpSchedule s =
-      solve_placement(two_level_jobs(), flat_caps(4), 0, {}, &budget);
+      solve_placement(two_level_jobs(), flat_caps(4), 0, &budget);
   EXPECT_EQ(s.status, lp::SolveStatus::kTimeout);
   EXPECT_TRUE(s.budget_exhausted);
   EXPECT_EQ(s.pivots, 0) << "no path may be searched once cancelled";

@@ -40,14 +40,19 @@ workload::Scenario chain_scenario(double deadline) {
   return scenario;
 }
 
+// The planner buckets consecutive slots once a re-plan's horizon passes 360
+// slots. These tests reach that with long deadlines on short slots.
+
 TEST(PlanCoarsening, CoarsePlansStillMeetDeadlines) {
   sim::SimConfig sim_config;
   sim_config.cluster.capacity = ResourceVec{50.0, 100.0};
+  // 4000 s of 1 s slots: the first re-plan's horizon is about 3,940 slots,
+  // so the planner buckets them 11 to a planning slot.
+  sim_config.cluster.slot_seconds = 1.0;
   sim_config.max_horizon_s = 3.0 * 3600.0;
   core::FlowTimeConfig config;
   config.cluster.capacity = sim_config.cluster.capacity;
   config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  config.max_planning_slots = 16;  // force aggressive bucketing
 
   const workload::Scenario scenario = chain_scenario(4000.0);
   sim::Simulator sim(sim_config);
@@ -69,11 +74,11 @@ TEST(PlanCoarsening, MatchesFineGrainedOutcomeOnLooseDeadlines) {
   sim_config.max_horizon_s = 3.0 * 3600.0;
   const workload::Scenario scenario = chain_scenario(6000.0);
 
-  auto run_with = [&](int max_slots) {
+  auto run_with = [&](double slot_seconds) {
+    sim_config.cluster.slot_seconds = slot_seconds;
     core::FlowTimeConfig config;
     config.cluster.capacity = sim_config.cluster.capacity;
     config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-    config.max_planning_slots = max_slots;
     sim::Simulator sim(sim_config);
     core::FlowTimeScheduler scheduler(config);
     const sim::SimResult result = sim.run(scenario, scheduler);
@@ -83,8 +88,10 @@ TEST(PlanCoarsening, MatchesFineGrainedOutcomeOnLooseDeadlines) {
                           scheduler.job_deadlines().end()));
     return report.jobs_missed;
   };
-  EXPECT_EQ(run_with(10000), 0);  // fine grained
-  EXPECT_EQ(run_with(32), 0);     // heavily coarsened
+  // 6000 s is 300 slots of 20 s (fine grained) or 3,000 slots of 2 s,
+  // which the planner buckets 9 to a planning slot (heavily coarsened).
+  EXPECT_EQ(run_with(20.0), 0);
+  EXPECT_EQ(run_with(2.0), 0);
 }
 
 TEST(EdfStrictness, StrictVariantStarvesAdhocLonger) {

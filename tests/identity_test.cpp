@@ -38,9 +38,9 @@ struct DriverRun {
   sim::SimResult result;
   /// Every planner the driver owns, in cell order.
   std::vector<const core::FlowTimeScheduler*> planners;
-  /// Coordinator decisions: migrations, overload events, quota deferrals
-  /// (all zero without a coordinator).
-  std::vector<int> coordinator = {0, 0, 0};
+  /// Coordinator decisions: migrations and overload events (both zero
+  /// without a coordinator).
+  std::vector<int> coordinator = {0, 0};
   std::int64_t stale_solves = 0;
 };
 
@@ -83,8 +83,7 @@ DriverRun drive(Driver driver) {
     for (int c = 0; c < federated->num_cells(); ++c) {
       out.planners.push_back(&federated->cell(c).scheduler());
     }
-    out.coordinator = {federated->migrations(), federated->overload_events(),
-                       federated->quota_deferrals()};
+    out.coordinator = {federated->migrations(), federated->overload_events()};
   } else if (concurrent != nullptr) {
     concurrent->drain_events();  // apply post-run completion events
     // The solves really ran on the solver thread, or the identity would

@@ -1,6 +1,7 @@
 // Tests for the scheduling LP builder/solver (paper §V): demand
 // satisfaction, window and width respect, load flattening, infeasibility
-// signalling and integral extraction.
+// signalling, and integral extraction of its plans (the paper's Lemma 2,
+// through the test-side checker lp/integral_extraction.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/lp_formulation.h"
+#include "lp/integral_extraction.h"
 #include "util/rng.h"
 
 namespace flowtime::core {
@@ -176,10 +178,10 @@ TEST(LpFormulation, IntegralExtractionYieldsIntegersOnIntegerData) {
   // 10 units over 3 slots: fractional lexmin gives 3.33 each; integral
   // extraction must give integers summing to 10 with max 4.
   std::vector<LpJob> jobs = {make_job(0, 0, 2, 10.0, 0.0, 10.0, 0.0)};
-  LpScheduleOptions options;
-  options.integral_extraction = true;
-  const LpSchedule s =
-      solve_placement(jobs, uniform_caps(3, 10.0, 10.0), 0, options);
+  const auto caps = uniform_caps(3, 10.0, 10.0);
+  const LpSchedule fractional = solve_placement(jobs, caps, 0);
+  ASSERT_TRUE(fractional.ok());
+  const LpSchedule s = lp::extract_integral_placement(jobs, caps, fractional);
   ASSERT_TRUE(s.ok());
   double total = 0.0;
   for (int t = 0; t < 3; ++t) {
@@ -271,9 +273,7 @@ TEST_P(IntegralExtractionProperty, IntegerDataGiveIntegerPlansUnderCeilCaps) {
   }
   const LpSchedule fractional = solve_placement(jobs, caps, 0);
   ASSERT_TRUE(fractional.ok());
-  LpScheduleOptions options;
-  options.integral_extraction = true;
-  const LpSchedule s = solve_placement(jobs, caps, 0, options);
+  const LpSchedule s = lp::extract_integral_placement(jobs, caps, fractional);
   ASSERT_TRUE(s.ok());
   for (int r = 0; r < workload::kNumResources; ++r) {
     for (int t = 0; t < slots; ++t) {

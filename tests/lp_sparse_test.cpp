@@ -173,7 +173,7 @@ TEST(SparseDifferential, BudgetExhaustionAgrees) {
   simplex_budget.set_pivot_cap(1);
   lp::LexMinMaxOptions simplex_options;
   simplex_options.lp_options.budget = &simplex_budget;
-  const LpSchedule flow = solve_placement(jobs, caps, 0, {}, &flow_budget);
+  const LpSchedule flow = solve_placement(jobs, caps, 0, &flow_budget);
   const LpSchedule simplex =
       solve_placement_simplex(jobs, caps, 0, simplex_options);
   EXPECT_EQ(flow.status, lp::SolveStatus::kIterationLimit);

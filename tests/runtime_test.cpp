@@ -375,14 +375,17 @@ TEST(ConcurrentScheduler, DiscardedSolveReassertsItsTrigger) {
   runtime::RuntimeConfig rt;
   rt.flowtime.cluster.capacity = ResourceVec{100.0, 200.0};
   rt.flowtime.cluster.slot_seconds = slot_s;
-  // Every completion counts as on-time, so none marks kDeviation.
-  rt.flowtime.replan_deviation_slots = 1000;
   rt.solve_started_hook = [&gate](const core::PendingReplan&) {
     gate.acquire();
   };
   runtime::ConcurrentScheduler sched(rt);
 
-  const workload::Workflow wf_a = single_job_workflow(0, 600.0);
+  // A's completion at the end of slot 1 must count as on-time, so it marks
+  // no kDeviation: that needs a plan ending within two slots of slot 1. A
+  // 90 s deadline less the 60 s slack gives A an LP window of slots 0-2,
+  // and 10 tasks of 20 s fit it, so A's plan ends at slot 2.
+  workload::Workflow wf_a = single_job_workflow(0, 90.0);
+  wf_a.jobs = {simple_job(10, 20.0)};
   const workload::Workflow wf_b = single_job_workflow(1, 900.0);
   const auto alias = [](const workload::Workflow& w) {
     return std::shared_ptr<const workload::Workflow>(
@@ -440,6 +443,8 @@ TEST(ConcurrentScheduler, DiscardedSolveReassertsItsTrigger) {
   EXPECT_TRUE(core::has_cause(log[2].causes,
                               core::ReplanCause::kWorkflowArrival))
       << "the re-based solve carries the discarded solve's causes";
+  EXPECT_FALSE(core::has_cause(log[2].causes, core::ReplanCause::kDeviation))
+      << "A completed on time: only the discard can re-assert the trigger";
   EXPECT_EQ(log[2].planned_jobs, 1) << "only B is left to plan";
 
   // With the re-based plan adopted, B is actually served.
@@ -454,7 +459,8 @@ TEST(ConcurrentScheduler, DiscardedSolveReassertsItsTrigger) {
 TEST(ConcurrentRuntimeChaos, SabotageCancellationAndLadderUnderAsync) {
   // fault_solver forces the rung-0 solve into a numerical failure while the
   // async runtime drives the ladder from a background thread; the run must
-  // complete, degrade exactly as the sync path would, and recover.
+  // complete, degrade exactly as the sync path would, and recover. The
+  // late arrivals give the hysteresis its three clean re-plans.
   workload::ParseError error;
   auto parsed = workload::parse_scenario(
       "cluster cores=100 mem_gb=256 slot_seconds=10\n"
@@ -462,6 +468,12 @@ TEST(ConcurrentRuntimeChaos, SabotageCancellationAndLadderUnderAsync) {
       "job node=0 name=crunch tasks=40 runtime=100 cores=1 mem=2\n"
       "end\n"
       "workflow id=1 name=late start=200 deadline=900\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
+      "workflow id=2 name=later start=300 deadline=1000\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
+      "workflow id=3 name=last start=400 deadline=1100\n"
       "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
       "end\n"
       "fault seed=1\n"
@@ -476,7 +488,6 @@ TEST(ConcurrentRuntimeChaos, SabotageCancellationAndLadderUnderAsync) {
 
   runtime::RuntimeConfig rt;
   rt.flowtime = flowtime_config(sim_config);
-  rt.flowtime.degrade_recovery_replans = 1;
   rt.barrier_mode = true;
   runtime::ConcurrentScheduler sched(rt);
   const sim::SimResult result =

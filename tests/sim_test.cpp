@@ -316,9 +316,12 @@ TEST(Simulator, UnderEstimatedJobRunsLongerAndFlagsOverrun) {
 }
 
 TEST(Simulator, CapacityOverridesApply) {
+  // Time-varying capacity comes from machine churn: one fault takes the
+  // whole cluster down for slot 0.
   SimConfig config;
   config.cluster.capacity = ResourceVec{100.0, 200.0};
-  config.capacity_overrides = {{0, ResourceVec{0.0, 0.0}}};  // slot 0 dark
+  config.fault_plan.machines.push_back(
+      fault::MachineFault{0, 1, ResourceVec{100.0, 200.0}});  // slot 0 dark
   Simulator sim(config);
   FullWidthScheduler scheduler;
   const SimResult result = sim.run(single_chain_scenario(), scheduler);

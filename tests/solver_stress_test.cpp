@@ -166,8 +166,9 @@ TEST(IterationLimitEndToEnd, ExhaustedPivotCapYieldsDeterministicFallback) {
   // Eight identical jobs sharing one window make the placement LP highly
   // degenerate — plenty of tied pivots to chew through a tiny cap. The cap
   // must surface as kIterationLimit (never a crash or an unplaced job), and
-  // because the pivot budget is deterministic, two runs must be
-  // byte-identical.
+  // because the pivot cap is deterministic, two runs must be
+  // byte-identical. The cap (5 paths, far below what 8 demand rows need)
+  // holds for every re-plan from slot 0 on.
   const char* scenario_text =
       "cluster cores=64 mem_gb=128 slot_seconds=10\n"
       "workflow id=0 name=degenerate start=0 deadline=500\n"
@@ -179,16 +180,17 @@ TEST(IterationLimitEndToEnd, ExhaustedPivotCapYieldsDeterministicFallback) {
       "job node=5 name=f tasks=8 runtime=80 cores=1 mem=2\n"
       "job node=6 name=g tasks=8 runtime=80 cores=1 mem=2\n"
       "job node=7 name=h tasks=8 runtime=80 cores=1 mem=2\n"
-      "end\n";
+      "end\n"
+      "fault_solver slot=0 pivots=5\n";
   auto run_once = [&]() {
     workload::ParseError error;
     const auto parsed = workload::parse_scenario(scenario_text, &error);
     EXPECT_TRUE(parsed.has_value()) << error.message;
     sim::SimConfig config;
     if (parsed->cluster) config.cluster = *parsed->cluster;
+    config.fault_plan = parsed->fault_plan;
     core::FlowTimeConfig ft;
     ft.cluster = config.cluster;
-    ft.solver_pivot_budget = 5;  // far below what 8 demand rows need
     core::FlowTimeScheduler scheduler(ft);
     sim::Simulator simulator(config);
     sim::SimResult result = simulator.run(parsed->scenario, scheduler);
