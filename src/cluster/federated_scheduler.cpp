@@ -543,8 +543,8 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
         best_peak = decision.peak_load;
       }
       // `fallback < 0` seeds the first live candidate even when its peak is
-      // infinite (width-limited), matching the pre-health-filter behavior of
-      // defaulting to cell 0.
+      // infinite (width-limited or not decomposable), matching the
+      // pre-health-filter behavior of defaulting to cell 0.
       if (fallback < 0 || decision.peak_load < fallback_peak - 1e-12) {
         fallback = i;
         fallback_peak = decision.peak_load;
@@ -586,7 +586,8 @@ void FederatedScheduler::place_workflow(int workflow_id, int cell,
   }
   // Commit the demand to the cell's admission view even when routing
   // placed it past the feasibility gate — the routing oracle must keep
-  // seeing it.
+  // seeing it. Routing or the migration scan has just computed the verdict,
+  // so the commit computes none.
   target.admission.force_admit(*info.workflow, now_s);
 }
 

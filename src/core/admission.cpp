@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "obs/metrics.h"
@@ -70,15 +71,16 @@ AdmissionController::decompose_to_jobs(const workload::Workflow& workflow,
   return jobs;
 }
 
-AdmissionDecision AdmissionController::evaluate(
-    const workload::Workflow& candidate, double now_s) const {
+AdmissionDecision AdmissionController::decide(
+    const std::optional<std::vector<AdmittedJob>>& candidate_jobs,
+    DecomposeStatus status, double now_s) const {
   AdmissionDecision decision;
-  DecomposeStatus status = DecomposeStatus::kOk;
-  const auto candidate_jobs = decompose_to_jobs(candidate, &status);
   if (!candidate_jobs) {
+    // Not an idle cluster's peak of 0: a federation cell that cannot even
+    // decompose the workflow must never look like the best target.
+    decision.peak_load = std::numeric_limits<double>::infinity();
     decision.reason =
         std::string("decomposition failed: ") + to_string(status);
-    trace_decision("evaluate", candidate, now_s, decision);
     return decision;
   }
 
@@ -117,23 +119,19 @@ AdmissionDecision AdmissionController::evaluate(
   if (std::isinf(placement.min_max_level)) {
     decision.reason =
         "a job cannot fit its window at any load (width-limited)";
-    trace_decision("evaluate", candidate, now_s, decision);
     return decision;
   }
   decision.admitted = placement.feasible;
   decision.reason = placement.feasible
                         ? "fits within the deadline capacity"
                         : "would overload the deadline capacity";
-  trace_decision("evaluate", candidate, now_s, decision);
   return decision;
 }
 
-AdmissionDecision AdmissionController::force_admit(
-    const workload::Workflow& candidate, double now_s) {
-  AdmissionDecision decision = evaluate(candidate, now_s);
-  auto jobs = decompose_to_jobs(candidate, nullptr);
-  if (!jobs) return decision;
-  for (AdmittedJob& job : *jobs) admitted_.push_back(std::move(job));
+void AdmissionController::commit(const workload::Workflow& candidate,
+                                 std::vector<AdmittedJob> jobs,
+                                 double now_s) {
+  for (AdmittedJob& job : jobs) admitted_.push_back(std::move(job));
   if (obs::enabled()) {
     obs::SpanMeta meta;
     meta.workflow_id = candidate.id;
@@ -141,25 +139,31 @@ AdmissionDecision AdmissionController::force_admit(
     admitted_spans_[candidate.id] =
         obs::begin_span("admitted", candidate.name, obs::kNoSpan, now_s, meta);
   }
-  trace_decision("force_admit", candidate, now_s, decision);
+}
+
+AdmissionDecision AdmissionController::evaluate(
+    const workload::Workflow& candidate, double now_s) const {
+  DecomposeStatus status = DecomposeStatus::kOk;
+  const auto jobs = decompose_to_jobs(candidate, &status);
+  const AdmissionDecision decision = decide(jobs, status, now_s);
+  trace_decision("evaluate", candidate, now_s, decision);
   return decision;
 }
 
 AdmissionDecision AdmissionController::admit(
     const workload::Workflow& candidate, double now_s) {
-  AdmissionDecision decision = evaluate(candidate, now_s);
-  if (!decision.admitted) return decision;
-  auto jobs = decompose_to_jobs(candidate, nullptr);
-  for (AdmittedJob& job : *jobs) admitted_.push_back(std::move(job));
-  if (obs::enabled()) {
-    obs::SpanMeta meta;
-    meta.workflow_id = candidate.id;
-    meta.deadline_s = candidate.deadline_s;
-    admitted_spans_[candidate.id] =
-        obs::begin_span("admitted", candidate.name, obs::kNoSpan, now_s, meta);
-  }
+  DecomposeStatus status = DecomposeStatus::kOk;
+  auto jobs = decompose_to_jobs(candidate, &status);
+  const AdmissionDecision decision = decide(jobs, status, now_s);
+  if (decision.admitted) commit(candidate, std::move(*jobs), now_s);
   trace_decision("admit", candidate, now_s, decision);
   return decision;
+}
+
+void AdmissionController::force_admit(const workload::Workflow& candidate,
+                                      double now_s) {
+  auto jobs = decompose_to_jobs(candidate, nullptr);
+  if (jobs) commit(candidate, std::move(*jobs), now_s);
 }
 
 void AdmissionController::complete_job(int workflow_id, dag::NodeId node,

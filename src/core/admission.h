@@ -33,7 +33,9 @@ struct AdmissionConfig {
 struct AdmissionDecision {
   bool admitted = false;
   /// Peak normalized load of the flattest placement including the
-  /// candidate (relative to the reduced cap). <= 1 means admissible.
+  /// candidate (relative to the reduced cap). <= 1 means admissible; +inf
+  /// when no load fits some job's window (width-limited) or the candidate
+  /// cannot be decomposed.
   double peak_load = 0.0;
   std::string reason;
 };
@@ -46,21 +48,22 @@ class AdmissionController {
   explicit AdmissionController(AdmissionConfig config = {});
 
   /// Would admitting `candidate` at time `now_s` keep every admitted
-  /// deadline feasible? Does not mutate state.
+  /// deadline feasible? Does not mutate state. A candidate that cannot be
+  /// decomposed is rejected with an infinite peak load.
   AdmissionDecision evaluate(const workload::Workflow& candidate,
                              double now_s) const;
 
-  /// evaluate() + commit on success.
+  /// evaluate() + commit on success, decomposing the candidate once.
   AdmissionDecision admit(const workload::Workflow& candidate, double now_s);
 
-  /// Commits the candidate regardless of feasibility (the returned decision
-  /// still reports the honest evaluate() verdict). The federation
-  /// coordinator uses this when it places a workflow on a cell that did not
-  /// pass the feasibility check — every cell rejected it, or a hotspot
-  /// migration forced the move — so the cell's future admission queries
-  /// still see the demand. No-op commit when decomposition itself fails.
-  AdmissionDecision force_admit(const workload::Workflow& candidate,
-                                double now_s);
+  /// Commits the candidate without deciding anything: no verdict is
+  /// computed and no `admission` event is emitted. The federation
+  /// coordinator uses this when it places a workflow whose verdict it has
+  /// just computed — including on a cell that rejected it (every cell
+  /// rejected it, or a hotspot migration forced the move) — so the cell's
+  /// future admission queries still see the demand. No-op when
+  /// decomposition fails.
+  void force_admit(const workload::Workflow& candidate, double now_s);
 
   /// Marks one admitted workflow's job complete (frees its demand). The
   /// optional timestamp closes the workflow's `admitted` span when its last
@@ -100,6 +103,14 @@ class AdmissionController {
   /// reason.
   std::optional<std::vector<AdmittedJob>> decompose_to_jobs(
       const workload::Workflow& workflow, DecomposeStatus* status) const;
+  /// The verdict on a decomposed candidate (nullopt: decomposition failed
+  /// with `status`) next to every admitted job.
+  AdmissionDecision decide(
+      const std::optional<std::vector<AdmittedJob>>& candidate_jobs,
+      DecomposeStatus status, double now_s) const;
+  /// Adds the jobs to the ledger and opens the workflow's `admitted` span.
+  void commit(const workload::Workflow& candidate,
+              std::vector<AdmittedJob> jobs, double now_s);
 
   AdmissionConfig config_;
   std::vector<AdmittedJob> admitted_;

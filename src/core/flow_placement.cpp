@@ -19,12 +19,64 @@ constexpr double kTinyCapacity = 1e-9;
 // fraction of it. The network works in units of the largest slot capacity,
 // so this sits far above rounding noise and far below any level gap.
 constexpr double kRouteTol = 1e-9;
+// solve_flow_placement answers a resource without a solve only when its
+// width bound falls short of the demand by more than this fraction of
+// max(scale, D): 1000x kRouteTol, so the bound never answers a shortfall
+// the level solve would excuse.
+constexpr double kWidthBoundTol = 1e-6;
 
 // A job's bound on one job->slot arc. An infinite width binds no tighter
 // than the demand itself: a job never places more than its demand in one
 // slot.
 double arc_width(const LpJob& job, int r) {
   return std::isinf(job.width[r]) ? job.demand[r] : job.width[r];
+}
+
+// What makes a job with nonzero demand unplaceable for resource r before
+// any flow is routed, or null. [begin, end] is its clipped window.
+const char* job_defect(const LpJob& job, int r, int begin, int end) {
+  if (!(job.demand[r] > 0.0) || std::isinf(job.demand[r])) {
+    return "a NaN, infinite or negative demand";
+  }
+  if (!(job.width[r] >= 0.0)) return "a NaN or negative width";
+  if (begin > end) return "an empty window";
+  return nullptr;
+}
+
+// The width bound: with unbounded slot capacity the jobs route at most
+// R = sum_j min(d_j, w_j * n_j) of a resource's demand D, n_j being the
+// slots of job j's clipped window. True when D - R exceeds kWidthBoundTol *
+// max(scale, D) for some resource: the level solve then never routes D and
+// reports kInfeasible or kNumericalFailure. False when any job has a defect,
+// so the level solve reports it (and logs it) as before.
+bool exceeds_width_bound(
+    const std::vector<LpJob>& jobs,
+    const std::vector<workload::ResourceVec>& capacity_per_slot,
+    int first_slot) {
+  const int last_slot =
+      first_slot + static_cast<int>(capacity_per_slot.size()) - 1;
+  bool exceeded = false;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    double scale = kTinyCapacity;
+    for (const workload::ResourceVec& cap : capacity_per_slot) {
+      scale = std::max(scale, cap[r]);
+    }
+    double demand = 0.0;
+    double routable = 0.0;
+    for (const LpJob& job : jobs) {
+      if (job.demand[r] == 0.0) continue;
+      const int begin = std::max(job.release_slot, first_slot);
+      const int end = std::min(job.deadline_slot, last_slot);
+      if (job_defect(job, r, begin, end) != nullptr) return false;
+      demand += job.demand[r];
+      routable +=
+          std::min(job.demand[r], arc_width(job, r) * (end - begin + 1));
+    }
+    if (demand - routable > kWidthBoundTol * std::max(scale, demand)) {
+      exceeded = true;
+    }
+  }
+  return exceeded;
 }
 
 ResourceFlowLexmin solve_flow_lexmin(
@@ -68,14 +120,7 @@ ResourceFlowLexmin solve_flow_lexmin(
     result.any_demand = true;
     const int begin = std::max(job.release_slot, first_slot) - first_slot;
     const int end = std::min(job.deadline_slot, last_slot) - first_slot;
-    const char* defect = nullptr;
-    if (!(job.demand[r] > 0.0) || std::isinf(job.demand[r])) {
-      defect = "a NaN, infinite or negative demand";
-    } else if (!(job.width[r] >= 0.0)) {
-      defect = "a NaN or negative width";
-    } else if (begin > end) {
-      defect = "an empty window";
-    }
+    const char* defect = job_defect(job, r, begin, end);
     if (defect != nullptr) {
       FT_LOG(kInfo) << "flow placement: job uid=" << job.uid << " has "
                     << defect << " for resource " << r;
@@ -268,6 +313,13 @@ FlowPlacementResult solve_flow_placement(
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot) {
   FlowPlacementResult result;
+  if (exceeds_width_bound(jobs, capacity_per_slot, first_slot)) {
+    if (obs::enabled()) {
+      obs::registry().counter("core.admission.width_limited").add();
+    }
+    result.min_max_level = std::numeric_limits<double>::infinity();
+    return result;
+  }
   const int num_slots = static_cast<int>(capacity_per_slot.size());
   result.allocation.assign(
       jobs.size(),

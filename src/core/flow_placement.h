@@ -39,6 +39,14 @@
 //
 // The first level alone is the cheap feasibility primitive: admission
 // checks and capacity what-if queries (solve_flow_placement) stop there.
+// Before any network is built, solve_flow_placement checks each resource's
+// width bound, the demand its jobs could route with unbounded slot
+// capacity: R = sum_j min(d_j, w_j * n_j) over each job's clipped window.
+// When the demand D exceeds R by far more than the level solve's routing
+// tolerance, no level routes D, so it answers infeasible at once. This is
+// DCoflow's early rejection on a necessary condition; closer cases, and
+// jobs with the defects above, go to the exact solve, so no verdict
+// changes.
 #pragma once
 
 #include <cstdint>
@@ -105,13 +113,15 @@ struct FlowPlacementResult {
   double min_max_level = 0.0;   // smallest uniform load bound u (max over
                                 // resources); > 1 means windows exceed caps
   /// allocation[j][t][r] achieving min_max_level (valid when demands were
-  /// placeable at that level).
+  /// placeable at that level; empty when the width bound answered).
   std::vector<std::vector<workload::ResourceVec>> allocation;
 };
 
 /// First-level placement of every resource (solve_resource_flow_level):
 /// the admission / what-if check "does this fit, and at what peak load?".
-/// Inputs match solve_placement.
+/// Inputs match solve_placement. A width bound that rules the jobs out
+/// answers without a solve (header comment) and counts
+/// `core.admission.width_limited` when observability is on.
 FlowPlacementResult solve_flow_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,

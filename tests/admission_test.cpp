@@ -1,9 +1,17 @@
 // Tests for the admission controller and the DOT exporters.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/admission.h"
 #include "dag/dot.h"
 #include "dag/generators.h"
+#include "obs/testing.h"
+#include "obs/trace.h"
 #include "workload/dot.h"
 
 namespace flowtime {
@@ -112,9 +120,8 @@ TEST(Admission, RejectsMalformedWorkflow) {
   EXPECT_NE(decision.reason.find("invalid"), std::string::npos);
 }
 
-TEST(Admission, WidthLimitedWorkflowReportsReason) {
-  core::AdmissionController controller(small_cluster());
-  // One task of 100 s with a 50 s window can never fit regardless of load.
+// One task of 100 s with a 50 s window can never fit regardless of load.
+workload::Workflow width_limited_workflow() {
   workload::Workflow w;
   w.id = 0;
   w.name = "w";
@@ -122,8 +129,102 @@ TEST(Admission, WidthLimitedWorkflowReportsReason) {
   w.deadline_s = 50.0;
   w.dag = dag::make_chain(1);
   w.jobs = {simple_job(1, 100.0, 1.0, 1.0)};
-  const auto decision = controller.admit(w, 0.0);
+  return w;
+}
+
+TEST(Admission, WidthLimitedWorkflowReportsReason) {
+  core::AdmissionController controller(small_cluster());
+  const auto decision = controller.admit(width_limited_workflow(), 0.0);
   EXPECT_FALSE(decision.admitted);
+  EXPECT_TRUE(std::isinf(decision.peak_load)) << decision.peak_load;
+  EXPECT_NE(decision.reason.find("width-limited"), std::string::npos)
+      << decision.reason;
+  EXPECT_EQ(controller.pending_jobs(), 0);
+}
+
+TEST(Admission, DecompositionFailureIsNotAnEmptyCell) {
+  // A 30-core task cannot run on 20 cores at any parallelism. The verdict
+  // must not read as an idle cell (peak 0), or routing would prefer it.
+  core::AdmissionController controller(small_cluster());
+  workload::Workflow w = heavy_workflow(0, 0.0, 1000.0);
+  w.jobs[0] = simple_job(1, 100.0, 30.0, 1.0);
+  const auto decision = controller.evaluate(w, 0.0);
+  EXPECT_FALSE(decision.admitted);
+  EXPECT_TRUE(std::isinf(decision.peak_load)) << decision.peak_load;
+  EXPECT_EQ(decision.reason, "decomposition failed: job_exceeds_capacity");
+}
+
+// ---------------------------------------------------------------------------
+// Verdicts computed and events emitted
+
+class AdmissionTrace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto sink = std::make_unique<obs::MemorySink>();
+    sink_ = sink.get();
+    obs::set_trace_sink(std::move(sink));
+  }
+
+  static std::int64_t count(const std::string& name) {
+    return obs::registry().counter(name).value();
+  }
+
+  /// The `op` field of every `admission` event so far.
+  std::vector<std::string> admission_ops() const {
+    std::vector<std::string> ops;
+    for (const std::string& line : sink_->lines()) {
+      std::map<std::string, std::string> fields;
+      if (!obs::parse_flat_json(line, &fields)) continue;
+      if (fields["type"] == "admission") ops.push_back(fields["op"]);
+    }
+    return ops;
+  }
+
+  obs::testing::ScopedRegistryReset reset_;
+  obs::MemorySink* sink_ = nullptr;
+};
+
+TEST_F(AdmissionTrace, AdmitComputesOneVerdictAndCommitsWhatItEvaluated) {
+  core::AdmissionController controller(small_cluster());
+  const auto decision = controller.admit(heavy_workflow(0, 0.0, 1000.0), 0.0);
+  ASSERT_TRUE(decision.admitted) << decision.reason;
+  EXPECT_EQ(controller.pending_jobs(), 2);
+  EXPECT_EQ(count("core.admission.evaluations"), 1);
+  EXPECT_EQ(count("core.admission.admitted"), 1);
+  EXPECT_EQ(admission_ops(), std::vector<std::string>{"admit"});
+
+  // A rejected admit computes one verdict too, and commits nothing.
+  const auto rejected = controller.admit(width_limited_workflow(), 0.0);
+  EXPECT_FALSE(rejected.admitted);
+  EXPECT_EQ(controller.pending_jobs(), 2);
+  EXPECT_EQ(count("core.admission.evaluations"), 2);
+  EXPECT_EQ(count("core.admission.rejected"), 1);
+}
+
+TEST_F(AdmissionTrace, ForceAdmitCommitsWithoutAVerdict) {
+  core::AdmissionController controller(small_cluster());
+  controller.force_admit(width_limited_workflow(), 0.0);
+  EXPECT_EQ(controller.admitted_workflows(), 1);
+  EXPECT_EQ(controller.pending_jobs(), 1);
+  EXPECT_EQ(count("core.admission.evaluations"), 0);
+  EXPECT_TRUE(admission_ops().empty());
+
+  // Nothing to commit when the candidate cannot be decomposed.
+  workload::Workflow broken = heavy_workflow(1, 0.0, 1000.0);
+  broken.jobs[0].num_tasks = 0;
+  controller.force_admit(broken, 0.0);
+  EXPECT_EQ(controller.admitted_workflows(), 1);
+}
+
+TEST_F(AdmissionTrace, WidthBoundAnswersAreCounted) {
+  core::AdmissionController controller(small_cluster());
+  controller.evaluate(heavy_workflow(0, 0.0, 1000.0), 0.0);
+  EXPECT_EQ(count("core.admission.width_limited"), 0);
+  controller.evaluate(width_limited_workflow(), 0.0);
+  EXPECT_EQ(count("core.admission.width_limited"), 1);
+  EXPECT_EQ(count("core.admission.evaluations"), 2);
+  EXPECT_EQ(admission_ops(),
+            (std::vector<std::string>{"evaluate", "evaluate"}));
 }
 
 TEST(Dot, DagExportContainsNodesAndEdges) {

@@ -1,11 +1,13 @@
 // Federated scheduling tests (DESIGN.md §13): partitioner determinism
 // under a seed, the 1-cell pass-through identity against a plain
-// FlowTimeScheduler on the Fig. 4 workload, and hotspot migration
-// preserving re-credited work without stranding tasks. The 1-cell
-// serial/pooled and 2-cell pooled identities live in identity_test.cpp.
+// FlowTimeScheduler on the Fig. 4 workload, routing through the cells'
+// admission controllers, and hotspot migration preserving re-credited
+// work without stranding tasks. The 1-cell serial/pooled and 2-cell pooled
+// identities live in identity_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "cluster/federated_scheduler.h"
 #include "cluster/partition.h"
 #include "core/flowtime_scheduler.h"
+#include "obs/testing.h"
+#include "obs/trace.h"
 #include "sched/experiment.h"
 #include "sim/simulator.h"
 #include "test_support.h"
@@ -160,6 +164,67 @@ TEST(FederatedScheduler, TwoCellsPartitionWorkAndComplete) {
   EXPECT_GT(fed.cell(1).scheduler().replans(), 0);
   EXPECT_EQ(fed.replans(), fed.cell(0).scheduler().replans() +
                                fed.cell(1).scheduler().replans());
+}
+
+// ---------------------------------------------------------------------------
+// Routing through the cells' admission controllers
+
+void arrive(cluster::FederatedScheduler& fed, const workload::Workflow& w) {
+  std::vector<sim::JobUid> uids(w.jobs.size());
+  for (std::size_t node = 0; node < uids.size(); ++node) {
+    uids[node] = static_cast<sim::JobUid>(node);
+  }
+  fed.on_event(sim::SchedulerEvent{sim::WorkflowArrivalEvent{
+      std::make_shared<const workload::Workflow>(w), uids, w.start_s}});
+}
+
+TEST(FederatedScheduler, PlacementDoesNotReEvaluate) {
+  // Routing computes one verdict per cell; committing the workflow to the
+  // chosen cell's admission ledger computes none.
+  obs::testing::ScopedRegistryReset reset;
+  obs::set_trace_sink(std::make_unique<obs::MemorySink>());
+  cluster::FederatedConfig federated;
+  federated.flowtime = flowtime_config(small_cluster());
+  federated.partition.cells = 4;
+  cluster::FederatedScheduler fed(federated);
+  arrive(fed, chain_workflow(0, 0.0, 2400.0));
+
+  EXPECT_EQ(obs::registry().counter("core.admission.evaluations").value(), 4);
+  int ledgers = 0;
+  for (int i = 0; i < fed.num_cells(); ++i) {
+    ledgers += fed.cell(i).admission.admitted_workflows();
+  }
+  EXPECT_EQ(ledgers, 1);
+}
+
+TEST(FederatedScheduler, AllRejectFallbackSkipsCellThatCannotDecompose) {
+  // Three one-core machines dealt round-robin to two cells: one cell gets
+  // two cores, the other one. A 1.5-core task cannot run on the one-core
+  // cell at all, so its decomposition fails there; four of them (600
+  // core-seconds before t = 200 s) overload the two-core cell 1.5x. Every
+  // cell rejects, and the fallback must be the overloaded cell, not the
+  // one that cannot even decompose the workflow.
+  cluster::FederatedConfig federated;
+  federated.flowtime.cluster.capacity = ResourceVec{3.0, 6.0};
+  federated.partition.cells = 2;
+  federated.partition.policy = cluster::CellPolicy::kRoundRobin;
+  cluster::FederatedScheduler fed(federated);
+  const int big = fed.cell(0).spec.fraction > 0.5 ? 0 : 1;
+  ASSERT_NEAR(fed.cell(big).spec.cluster.capacity[workload::kCpu], 2.0,
+              1e-9);
+
+  workload::Workflow w = chain_workflow(0, 0.0, 200.0);
+  w.dag = dag::make_chain(1);
+  w.jobs = {simple_job(4, 100.0)};
+  w.jobs[0].task.demand = ResourceVec{1.5, 1.0};
+  const core::AdmissionDecision on_big =
+      fed.cell(big).admission.evaluate(w, 0.0);
+  ASSERT_FALSE(on_big.admitted);
+  ASSERT_NEAR(on_big.peak_load, 1.5, 1e-6);
+
+  arrive(fed, w);
+  EXPECT_EQ(fed.cell(big).admission.admitted_workflows(), 1);
+  EXPECT_EQ(fed.cell(1 - big).admission.admitted_workflows(), 0);
 }
 
 // ---------------------------------------------------------------------------

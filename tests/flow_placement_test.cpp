@@ -3,11 +3,14 @@
 // first lexmin level).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/flow_placement.h"
 #include "core/lp_formulation.h"
 #include "lp/maxflow.h"
+#include "obs/testing.h"
 #include "util/rng.h"
 
 namespace flowtime {
@@ -115,6 +118,143 @@ TEST(FlowPlacement, EmptyWindowAfterClippingIsInfeasible) {
   const auto result = core::solve_flow_placement(
       jobs, uniform_caps(5, 100.0, 100.0), /*first_slot=*/3);
   EXPECT_FALSE(result.feasible);
+}
+
+TEST(FlowPlacement, DefectsAreLeftToTheLevelSolve) {
+  // Resource 0 is width-limited far past the bound, but a NaN demand on
+  // resource 1 means the bound is skipped: the level solve of resource 0
+  // answers, as it did before the bound existed.
+  obs::testing::ScopedRegistryReset reset;
+  obs::set_enabled(true);
+  std::vector<LpJob> jobs = {make_job(0, 0, 4, 100.0, 1.0, 10.0, 1.0),
+                             make_job(1, 0, 4, 1.0, 1.0, 1.0, 1.0)};
+  jobs[1].demand[workload::kMemory] = std::nan("");
+  const auto result =
+      core::solve_flow_placement(jobs, uniform_caps(5, 1000.0, 1000.0), 0);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_TRUE(std::isinf(result.min_max_level));
+  EXPECT_EQ(obs::registry().counter("core.admission.width_limited").value(),
+            0);
+}
+
+// solve_flow_placement without the width bound: every resource's level
+// solve, merged the way solve_flow_placement merges them.
+core::FlowPlacementResult level_reference(
+    const std::vector<LpJob>& jobs, const std::vector<ResourceVec>& caps,
+    int first_slot) {
+  core::FlowPlacementResult reference;
+  reference.feasible = true;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    const core::ResourceFlowLexmin level =
+        core::solve_resource_flow_level(jobs, caps, first_slot, r);
+    if (!level.any_demand) continue;
+    if (!level.ok()) {
+      reference.feasible = false;
+      reference.min_max_level = std::numeric_limits<double>::infinity();
+      return reference;
+    }
+    reference.min_max_level =
+        std::max(reference.min_max_level, level.max_level());
+    if (level.max_level() > 1.0 + 1e-6) reference.feasible = false;
+  }
+  return reference;
+}
+
+int clipped_slots(const LpJob& job, int first_slot, int last_slot) {
+  return std::min(job.deadline_slot, last_slot) -
+         std::max(job.release_slot, first_slot) + 1;
+}
+
+TEST(FlowPlacementWidthBound, NeverChangesAVerdict) {
+  obs::testing::ScopedRegistryReset reset;
+  obs::set_enabled(true);
+  const obs::Counter& answered_by_bound =
+      obs::registry().counter("core.admission.width_limited");
+  // One job's demand exceeds its width times its clipped window by a
+  // multiple of the bound's tolerance, 1e-6 * max(scale, D). 1e-4x is below
+  // the level solve's own routing tolerance (1e-9 of the same), so the
+  // solve excuses it; 0.1x is left to the solve, which finds no level; 1x
+  // sits on the boundary; 10x is answered by the bound.
+  const double kShortfalls[] = {0.0, 1e-4, 0.1, 1.0, 10.0};
+  const double kInf = std::numeric_limits<double>::infinity();
+  int by_bound = 0;
+  int infeasible_by_solve = 0;
+  int finite = 0;
+  for (int seed = 1; seed <= 300; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed));
+    const int slots = static_cast<int>(rng.uniform_int(3, 12));
+    const int first_slot = static_cast<int>(rng.uniform_int(0, 3));
+    const int last_slot = first_slot + slots - 1;
+    std::vector<ResourceVec> caps(static_cast<std::size_t>(slots));
+    for (ResourceVec& cap : caps) {
+      cap = ResourceVec{rng.uniform_real(20.0, 200.0),
+                        rng.uniform_real(40.0, 400.0)};
+    }
+    std::vector<LpJob> jobs(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      LpJob& job = jobs[j];
+      job.uid = static_cast<int>(j);
+      job.release_slot =
+          static_cast<int>(rng.uniform_int(first_slot - 2, last_slot));
+      job.deadline_slot = static_cast<int>(rng.uniform_int(
+          std::max(job.release_slot, first_slot), last_slot + 2));
+      const int window = clipped_slots(job, first_slot, last_slot);
+      for (int r = 0; r < workload::kNumResources; ++r) {
+        job.width[r] = rng.uniform_real(5.0, 60.0);
+        switch (rng.uniform_int(0, 4)) {
+          case 0:  // no demand
+            job.demand[r] = 0.0;
+            break;
+          case 1:  // infinite width: binds at the demand
+            job.width[r] = kInf;
+            job.demand[r] = rng.uniform_real(1.0, 200.0);
+            break;
+          case 2:  // zero width, rarely with demand it can never place
+            job.width[r] = 0.0;
+            job.demand[r] =
+                rng.uniform_int(0, 4) == 0 ? rng.uniform_real(1.0, 10.0) : 0.0;
+            break;
+          default:  // fits its window at some load
+            job.demand[r] = rng.uniform_real(0.05, 1.0) * job.width[r] *
+                            window;
+        }
+      }
+    }
+    const double shortfall = kShortfalls[seed % 5];
+    const int r = static_cast<int>(rng.uniform_int(0, 1));
+    LpJob& tight =
+        jobs[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(jobs.size()) - 1))];
+    tight.width[r] = rng.uniform_real(5.0, 60.0);
+    tight.demand[r] =
+        tight.width[r] * clipped_slots(tight, first_slot, last_slot);
+    double scale = 1e-9;
+    for (const ResourceVec& cap : caps) scale = std::max(scale, cap[r]);
+    double demand = 0.0;
+    for (const LpJob& job : jobs) demand += job.demand[r];
+    tight.demand[r] += shortfall * 1e-6 * std::max(scale, demand);
+
+    const std::int64_t before = answered_by_bound.value();
+    const auto result = core::solve_flow_placement(jobs, caps, first_slot);
+    const bool answered = answered_by_bound.value() > before;
+    const auto reference = level_reference(jobs, caps, first_slot);
+    EXPECT_EQ(result.feasible, reference.feasible) << "seed " << seed;
+    if (std::isinf(reference.min_max_level)) {
+      EXPECT_TRUE(std::isinf(result.min_max_level)) << "seed " << seed;
+      ++(answered ? by_bound : infeasible_by_solve);
+    } else {
+      EXPECT_EQ(result.min_max_level, reference.min_max_level)
+          << "seed " << seed;
+      EXPECT_FALSE(answered) << "seed " << seed;
+      ++finite;
+    }
+    if (shortfall == 10.0) {
+      EXPECT_TRUE(answered) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(by_bound, 0);
+  EXPECT_GT(infeasible_by_solve, 0);
+  EXPECT_GT(finite, 0);
 }
 
 class FlowVsLpProperty : public ::testing::TestWithParam<int> {};
