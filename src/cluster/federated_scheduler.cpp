@@ -38,7 +38,6 @@ core::AdmissionConfig admission_config_for(
     const CellSpec& spec, const core::FlowTimeConfig& flowtime) {
   core::AdmissionConfig config;
   config.cluster = spec.cluster;
-  config.deadline_cap_fraction = flowtime.deadline_cap_fraction;
   config.decomposition_mode = flowtime.decomposition_mode;
   return config;
 }

@@ -8,16 +8,6 @@
 
 namespace flowtime::cluster {
 
-const char* to_string(CellPolicy policy) {
-  switch (policy) {
-    case CellPolicy::kRoundRobin:
-      return "round_robin";
-    case CellPolicy::kCapacityBalanced:
-      return "balanced";
-  }
-  return "?";
-}
-
 bool parse_cell_policy(const std::string& name, CellPolicy* out) {
   if (name == "round_robin" || name == "rr") {
     *out = CellPolicy::kRoundRobin;

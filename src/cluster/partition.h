@@ -28,7 +28,6 @@ enum class CellPolicy {
   kCapacityBalanced,
 };
 
-const char* to_string(CellPolicy policy);
 /// Parses "round_robin" / "balanced" (aliases "rr", "capacity_balanced").
 /// Returns false and leaves `out` untouched on unknown names.
 bool parse_cell_policy(const std::string& name, CellPolicy* out);

@@ -74,7 +74,9 @@ DecompositionResult DeadlineDecomposer::decompose(
           workflow.jobs[static_cast<std::size_t>(v)];
       const double runtime = job.min_runtime_s(config_.cluster.capacity);
       if (!std::isfinite(runtime)) {
-        FT_LOG(kWarn) << "job " << job.name
+        // Expected under admission (a candidate wider than one cell is
+        // decomposed once per verdict), so INFO: the status carries it.
+        FT_LOG(kInfo) << "job " << job.name
                       << " cannot fit the cluster at any parallelism";
         return failure(DecomposeStatus::kJobExceedsCapacity);
       }

@@ -262,7 +262,7 @@ void FlowTimeScheduler::handle_task_failure(
   }
   ++fault_redecompositions_;
   decompositions_[job.ref.workflow_id] = std::move(fallback);
-  FT_LOG(kWarn) << "FlowTime: fault on workflow " << job.ref.workflow_id
+  FT_LOG(kInfo) << "FlowTime: fault on workflow " << job.ref.workflow_id
                 << " job " << job.ref.node
                 << " left its window infeasible; re-decomposed on the "
                    "critical path ("
@@ -288,12 +288,6 @@ void FlowTimeScheduler::handle_solver_sabotage(double budget_ms,
   sabotage_budget_ms_ = budget_ms;
   sabotage_pivot_cap_ = pivot_cap > 0 ? pivot_cap : 0;
   sabotage_force_numerical_ = force_numerical_failure;
-}
-
-const DecompositionResult* FlowTimeScheduler::decomposition(
-    int workflow_id) const {
-  const auto it = decompositions_.find(workflow_id);
-  return it == decompositions_.end() ? nullptr : &it->second;
 }
 
 int FlowTimeScheduler::forget_workflow(int workflow_id) {
@@ -438,7 +432,7 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
   }
   if (record.lexmin_truncated) {
     ++truncated_replans_;
-    FT_LOG(kWarn) << "FlowTime replan: the solver budget cut the lexmin; "
+    FT_LOG(kInfo) << "FlowTime replan: the solver budget cut the lexmin; "
                      "the plan's load profile tail is unrefined";
   }
   if (record.capacity_exceeded) {
@@ -573,7 +567,7 @@ void FlowTimeScheduler::abandon_replan(const PendingReplan& pending,
 }
 
 PlanSolveResult FlowTimeScheduler::solve_replan(
-    const FlowTimeConfig& config, PlacementWarmCache* /*warm_cache*/,
+    const FlowTimeConfig& /*config*/, PlacementWarmCache* /*warm_cache*/,
     PendingReplan& pending) {
   std::optional<obs::ScopedTimer> timer;
   if (obs::enabled()) timer.emplace(&pending.record.wall_s);
@@ -609,13 +603,9 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
   } else {
     coarse_horizon = num_slots;
   }
-  const workload::ResourceVec full_cap =
-      workload::scale(state.capacity, bucket > 1 ? bucket : 1);
-  const double cap_fraction =
-      std::clamp(config.deadline_cap_fraction, 0.05, 1.0);
-  std::vector<workload::ResourceVec> caps(
+  const std::vector<workload::ResourceVec> caps(
       static_cast<std::size_t>(coarse_horizon),
-      workload::scale(full_cap, cap_fraction));
+      workload::scale(state.capacity, bucket > 1 ? bucket : 1));
   const int lp_first_slot = bucket > 1 ? 0 : state.slot;
 
   // --- Escalation ladder (DESIGN.md §10) ---------------------------------
@@ -649,7 +639,7 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
     }
   };
 
-  // Rung 0: the flow lexmin (with the headroom retry).
+  // Rung 0: the flow lexmin.
   LpSchedule schedule;
   if (pending.force_numerical) {
     // Chaos injection: pretend the flow solve lost its numerics so the
@@ -657,15 +647,6 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
     schedule.status = lp::SolveStatus::kNumericalFailure;
   } else {
     schedule = solve_placement(lp_jobs, caps, lp_first_slot, solve_budget);
-    if (cap_fraction < 1.0 &&
-        (!schedule.ok() || schedule.capacity_exceeded)) {
-      // The reserved headroom is a preference, not a mandate: retry at the
-      // full cluster before conceding any deadline.
-      caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
-      const std::int64_t prior = schedule.pivots;
-      schedule = solve_placement(lp_jobs, caps, lp_first_slot, solve_budget);
-      schedule.pivots += prior;
-    }
   }
   out.pivots += schedule.pivots;
 
@@ -676,16 +657,16 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
     return out;
   }
   if (!schedule.ok()) {
-    // Rung 1: the LP-free guaranteed fallback, at the full cluster. Cannot
-    // itself fail; the plan may be less flat and may oversubscribe
-    // (capacity_exceeded), which the allocator's proportional shrink
-    // absorbs. Re-running the deterministic flow solve would fail the same
-    // way, so there is no retry rung.
+    // Rung 1: the LP-free guaranteed fallback. Cannot itself fail; the
+    // plan may be less flat and may oversubscribe (capacity_exceeded),
+    // which the allocator's proportional shrink absorbs. Re-running the
+    // deterministic flow solve would fail the same way, so there is no
+    // retry rung.
     const DegradeReason reason = classify(schedule.status);
     record.degrade_rung = 1;
     record.degrade_reason = reason;
     record.lp_failed = true;
-    FT_LOG(kWarn) << "FlowTime replan: solver rung 0 failed ("
+    FT_LOG(kInfo) << "FlowTime replan: solver rung 0 failed ("
                   << to_string(reason) << "); greedy fallback (rung 1) for "
                   << lp_jobs.size() << " jobs";
     if (obs::enabled()) {
@@ -697,7 +678,6 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
                     .field("reason", to_string(reason))
                     .field("budget_pivots", budget.pivots_used()));
     }
-    caps.assign(static_cast<std::size_t>(coarse_horizon), full_cap);
     schedule = greedy_placement(lp_jobs, caps, lp_first_slot);
   }
 

@@ -42,13 +42,6 @@ struct FlowTimeConfig {
   /// (paper Fig. 5; 0 disables the feature — the FlowTime_no_ds variant).
   double deadline_slack_s = 60.0;
   DecompositionMode decomposition_mode = DecompositionMode::kResourceDemand;
-  /// Fraction of the cluster the deadline plan may use (paper Fig. 1(b)
-  /// draws the deadline workload under a "Resource Cap" below the full
-  /// cluster, and SV notes C_t^r may vary to provide flexibility). Values
-  /// < 1 reserve guaranteed headroom for ad-hoc jobs; if the reduced cap
-  /// cannot fit the deadline windows the re-plan falls back to the full
-  /// cluster rather than missing deadlines for the sake of headroom.
-  double deadline_cap_fraction = 1.0;
   /// Issue planned allocations as whole task containers (rounding each
   /// slot's grant up to the next container multiple, bounded by width and
   /// free capacity). Required for node-granular clusters, where fractional
@@ -56,12 +49,11 @@ struct FlowTimeConfig {
   /// unnecessary on the fluid substrate.
   bool round_to_containers = false;
   /// Wall-clock allowance for ALL LP solving of one re-plan (both resources
-  /// and the headroom retry share it); <= 0 = unlimited. Enforced by a
-  /// monotonic-clock watchdog between augmenting paths, so placements under
-  /// a wall budget are machine-dependent. A reproducible cap counts
-  /// augmenting paths instead: the scenario directive
-  /// `fault_solver slot=0 pivots=N` caps every re-plan at N, merged into
-  /// the same budget (DESIGN.md §10).
+  /// share it); <= 0 = unlimited. Enforced by a monotonic-clock watchdog
+  /// between augmenting paths, so placements under a wall budget are
+  /// machine-dependent. A reproducible cap counts augmenting paths instead:
+  /// the scenario directive `fault_solver slot=0 pivots=N` caps every
+  /// re-plan at N, merged into the same budget (DESIGN.md §10).
   double solver_budget_ms = 0.0;
   /// Cell this scheduler serves when it runs as one shard of a federated
   /// cluster (cluster::FederatedScheduler, DESIGN.md §13); -1 = the whole
@@ -207,8 +199,6 @@ class FlowTimeScheduler : public sim::Scheduler {
     return &config_.cluster;
   }
 
-  /// FlowTime consumes the typed event API natively (the legacy virtuals
-  /// are bypassed entirely).
   void on_event(const sim::SchedulerEvent& event) override;
   std::vector<sim::Allocation> allocate(
       const sim::ClusterState& state) override;
@@ -240,9 +230,10 @@ class FlowTimeScheduler : public sim::Scheduler {
     return solve_replan(config_, &warm_cache_, pending);
   }
   /// The same step as a free function of its arguments: bucketing,
-  /// escalation ladder, LP solves. `warm_cache` is the planner's
-  /// cross-replan solver state (empty today, see PlacementWarmCache) and
-  /// must not be shared with a concurrent solve. Updates pending.record in
+  /// escalation ladder, LP solves. Everything it reads is in `pending`
+  /// today: `config` is unread, and `warm_cache` is the planner's
+  /// cross-replan solver state (empty, see PlacementWarmCache), which must
+  /// not be shared with a concurrent solve. Updates pending.record in
   /// place, including its wall time (measured only while obs is enabled).
   static PlanSolveResult solve_replan(const FlowTimeConfig& config,
                                       PlacementWarmCache* warm_cache,
@@ -281,9 +272,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   const std::map<workload::WorkflowJobRef, double>& job_deadlines() const {
     return job_deadlines_;
   }
-
-  /// Decomposition of one arrived workflow (for tests and examples).
-  const DecompositionResult* decomposition(int workflow_id) const;
 
   /// Drops one workflow's incomplete deadline jobs from the planning set
   /// (plan rows included) and marks the planner dirty with kMigration. The
@@ -348,7 +336,7 @@ class FlowTimeScheduler : public sim::Scheduler {
     int planned_last_slot = -1;  // last slot with planned allocation
   };
 
-  // Event handlers behind on_event (the former legacy virtuals).
+  // Event handlers behind on_event.
   void handle_workflow_arrival(const workload::Workflow& workflow,
                                const std::vector<sim::JobUid>& node_uids,
                                double now_s);
@@ -417,7 +405,13 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// (handle_job_complete erases a job).
   std::map<sim::JobUid, DeadlineJobState> deadline_jobs_;
   std::map<workload::WorkflowJobRef, double> job_deadlines_;
-  std::map<int, DecompositionResult> decompositions_;  // by workflow id
+  /// Per arrived workflow, the decomposition its windows came from (the
+  /// arrival's, or a fault's critical-path re-decomposition). Only
+  /// `used_fallback` is read: a workflow on fallback windows is not
+  /// re-decomposed again. The whole result is kept because freeing it at
+  /// arrival moves the heap layout enough to make bench_e2e adhoc_flood's
+  /// peak RSS bimodal (70 or 81 MB at seed 101).
+  std::map<int, DecompositionResult> decompositions_;
   /// Arrived workflows, kept so a fault can re-decompose them (the arrival
   /// callback only borrows its Workflow reference).
   std::map<int, workload::Workflow> workflows_;

@@ -8,12 +8,6 @@ Dag::Dag(int num_nodes)
     : children_(static_cast<std::size_t>(num_nodes)),
       parents_(static_cast<std::size_t>(num_nodes)) {}
 
-NodeId Dag::add_node() {
-  children_.emplace_back();
-  parents_.emplace_back();
-  return num_nodes() - 1;
-}
-
 bool Dag::add_edge(NodeId from, NodeId to) {
   if (from == to) return false;
   if (from < 0 || to < 0 || from >= num_nodes() || to >= num_nodes()) {
@@ -30,22 +24,6 @@ bool Dag::has_edge(NodeId from, NodeId to) const {
   if (from < 0 || from >= num_nodes()) return false;
   const auto& c = children_[static_cast<std::size_t>(from)];
   return std::find(c.begin(), c.end(), to) != c.end();
-}
-
-std::vector<NodeId> Dag::sources() const {
-  std::vector<NodeId> result;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (in_degree(v) == 0) result.push_back(v);
-  }
-  return result;
-}
-
-std::vector<NodeId> Dag::sinks() const {
-  std::vector<NodeId> result;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (out_degree(v) == 0) result.push_back(v);
-  }
-  return result;
 }
 
 bool Dag::is_acyclic() const {

@@ -20,9 +20,6 @@ class Dag {
   Dag() = default;
   explicit Dag(int num_nodes);
 
-  /// Appends an isolated node; returns its id.
-  NodeId add_node();
-
   /// Adds the dependency edge `from -> to` (to depends on from).
   /// Returns false (and changes nothing) for self-loops, out-of-range ids
   /// or duplicate edges.
@@ -39,10 +36,6 @@ class Dag {
   }
 
   bool has_edge(NodeId from, NodeId to) const;
-
-  /// Nodes with no parents / no children.
-  std::vector<NodeId> sources() const;
-  std::vector<NodeId> sinks() const;
 
   /// True when the edge set has no directed cycle.
   bool is_acyclic() const;

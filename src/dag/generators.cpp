@@ -153,34 +153,4 @@ Dag make_cybershake_like(int width) {
   return dag;
 }
 
-Dag make_ligo_like(int groups, int width) {
-  assert(groups >= 1 && width >= 1);
-  Dag dag(1 + groups * (width + 2) + 1);
-  const NodeId sink = dag.num_nodes() - 1;
-  for (int g = 0; g < groups; ++g) {
-    const NodeId splitter = 1 + g * (width + 2);
-    const NodeId coalesce = splitter + width + 1;
-    dag.add_edge(0, splitter);
-    for (int k = 1; k <= width; ++k) {
-      dag.add_edge(splitter, splitter + k);
-      dag.add_edge(splitter + k, coalesce);
-    }
-    dag.add_edge(coalesce, sink);
-  }
-  return dag;
-}
-
-Dag make_sipht_like(int branches) {
-  assert(branches >= 1);
-  Dag dag(1 + 2 * branches + 1);
-  const NodeId sink = dag.num_nodes() - 1;
-  for (int b = 0; b < branches; ++b) {
-    const NodeId first = 1 + 2 * b;
-    dag.add_edge(0, first);
-    dag.add_edge(first, first + 1);
-    dag.add_edge(first + 1, sink);
-  }
-  return dag;
-}
-
 }  // namespace flowtime::dag

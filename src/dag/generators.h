@@ -41,14 +41,4 @@ Dag make_epigenomics_like(int lanes, int depth);
 /// merge into two aggregators and one sink.
 Dag make_cybershake_like(int width);
 
-/// LIGO-inspiral-like: `groups` independent template banks, each fanning a
-/// splitter out to `width` inspiral jobs and coalescing, all merging into
-/// one final sink. Nodes: 1 + groups*(width+2) + 1.
-Dag make_ligo_like(int groups, int width);
-
-/// SIPHT-like: `branches` independent two-stage searches (pair of chained
-/// jobs) converging on a single final annotation job, plus a common source.
-/// Nodes: 1 + 2*branches + 1.
-Dag make_sipht_like(int branches);
-
 }  // namespace flowtime::dag

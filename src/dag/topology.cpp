@@ -76,12 +76,4 @@ bool reachable(const Dag& dag, NodeId ancestor, NodeId descendant) {
   return false;
 }
 
-bool edge_is_transitive(const Dag& dag, NodeId from, NodeId to) {
-  if (!dag.has_edge(from, to)) return false;
-  for (NodeId mid : dag.children(from)) {
-    if (mid != to && reachable(dag, mid, to)) return true;
-  }
-  return false;
-}
-
 }  // namespace flowtime::dag

@@ -30,8 +30,4 @@ std::optional<std::vector<int>> node_levels(const Dag& dag);
 /// True if `descendant` is reachable from `ancestor` by directed edges.
 bool reachable(const Dag& dag, NodeId ancestor, NodeId descendant);
 
-/// Transitive reduction check helper: true when edge (u, v) is redundant,
-/// i.e. v is reachable from u through some longer path.
-bool edge_is_transitive(const Dag& dag, NodeId from, NodeId to);
-
 }  // namespace flowtime::dag

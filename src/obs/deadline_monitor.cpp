@@ -193,15 +193,6 @@ void DeadlineMonitor::refresh_workflow(int workflow_id, double now_s) {
   }
 }
 
-void DeadlineMonitor::forget_workflow(int workflow_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  workflows_.erase(workflow_id);
-  std::erase_if(jobs_, [workflow_id](const auto& entry) {
-    return entry.first.first == workflow_id;
-  });
-  publish_gauges();
-}
-
 RiskLevel DeadlineMonitor::job_level(int workflow_id, int node) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(JobKey{workflow_id, node});

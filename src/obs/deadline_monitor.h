@@ -73,9 +73,6 @@ class DeadlineMonitor {
   /// job of a workflow completes the workflow is finalized too.
   void complete_job(int workflow_id, int node, double completion_s);
 
-  /// Drops a workflow and its jobs without finalizing (cancellation).
-  void forget_workflow(int workflow_id);
-
   /// Current level of one tracked job / workflow; kOk for unknown ids.
   RiskLevel job_level(int workflow_id, int node) const;
   RiskLevel workflow_level(int workflow_id) const;

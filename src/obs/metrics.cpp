@@ -74,10 +74,6 @@ std::vector<double> Histogram::samples() const {
   return samples_;
 }
 
-std::string Histogram::render(const util::HistogramOptions& options) const {
-  return util::render_histogram(samples(), options);
-}
-
 void Histogram::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   samples_.clear();

@@ -23,8 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/histogram.h"
-
 namespace flowtime::obs {
 
 namespace detail {
@@ -86,8 +84,6 @@ class Histogram {
   /// sort per histogram instead of one per quantile.
   std::vector<double> quantiles(const std::vector<double>& qs) const;
   std::vector<double> samples() const;
-  /// Text rendering via util::render_histogram.
-  std::string render(const util::HistogramOptions& options = {}) const;
   void reset();
 
  private:

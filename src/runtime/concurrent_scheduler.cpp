@@ -9,22 +9,10 @@
 
 namespace flowtime::runtime {
 
-namespace {
-
-/// EventQueue bound: producers on other threads block (back-pressure) when
-/// it fills. Pushes from the serving thread itself never block — they
-/// exceed the bound instead (see EventQueue's deadlock guard).
-constexpr std::size_t kQueueCapacity = 4096;
-
-}  // namespace
-
 ConcurrentScheduler::ConcurrentScheduler(RuntimeConfig config)
-    : config_(std::move(config)),
-      inner_(config_.flowtime),
-      queue_(kQueueCapacity) {}
+    : config_(std::move(config)), inner_(config_.flowtime) {}
 
 ConcurrentScheduler::~ConcurrentScheduler() {
-  queue_.close();
   if (!inflight_) return;
   // The run ended with a solve still in flight: stop it, let the solver
   // thread finish with it, and account its pivots as a discarded attempt

@@ -1,15 +1,15 @@
 #include "runtime/event_queue.h"
 
+#include <iterator>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 
 namespace flowtime::runtime {
 
-bool EventQueue::push(sim::SchedulerEvent event) {
+void EventQueue::push(sim::SchedulerEvent event) {
   StampedEvent item{std::move(event)};
   const bool traced = obs::enabled();
   std::string name;
@@ -26,33 +26,13 @@ bool EventQueue::push(sim::SchedulerEvent event) {
   const double enqueue_wall_s = item.enqueue_wall_s;
   std::size_t depth_after = 0;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (std::this_thread::get_id() == consumer_) {
-      // The consumer pushing into its own queue: waiting for a drain that
-      // only this thread can perform would deadlock, so exceed the bound
-      // instead (the very next drain takes everything anyway).
-      if (!closed_ && items_.size() >= capacity_) {
-        ++overflows_;
-        if (overflows_ == 1) {
-          FT_LOG(kWarn) << "EventQueue: consumer-thread push overflowed the "
-                           "capacity of " << capacity_
-                        << "; growing past the bound instead of blocking";
-        }
-        if (obs::enabled()) {
-          obs::registry().counter("runtime.queue_overflows").add();
-        }
-      }
-    } else {
-      not_full_.wait(lock,
-                     [this] { return closed_ || items_.size() < capacity_; });
-    }
-    if (closed_) return false;
+    std::lock_guard<std::mutex> lock(mu_);
     items_.push_back(std::move(item));
     depth_after = items_.size();
     if (obs::enabled()) {
       obs::registry().counter("runtime.events_enqueued").add();
       obs::registry().gauge("runtime.queue_depth").set(
-          static_cast<double>(items_.size()));
+          static_cast<double>(depth_after));
     }
   }
   if (traced) {
@@ -68,47 +48,21 @@ bool EventQueue::push(sim::SchedulerEvent event) {
                   .field("lane", obs::thread_lane())
                   .field("depth", depth_after));
   }
-  return true;
-}
-
-std::size_t EventQueue::drain(std::vector<sim::SchedulerEvent>& out) {
-  std::vector<StampedEvent> taken;
-  const std::size_t n = drain(taken);
-  for (StampedEvent& e : taken) out.push_back(std::move(e.event));
-  return n;
 }
 
 std::size_t EventQueue::drain(std::vector<StampedEvent>& out) {
-  std::deque<StampedEvent> taken;
+  std::size_t taken = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    consumer_ = std::this_thread::get_id();
-    taken.swap(items_);
+    taken = items_.size();
+    out.insert(out.end(), std::make_move_iterator(items_.begin()),
+               std::make_move_iterator(items_.end()));
+    items_.clear();
   }
-  not_full_.notify_all();
-  if (obs::enabled() && !taken.empty()) {
+  if (obs::enabled() && taken > 0) {
     obs::registry().gauge("runtime.queue_depth").set(0.0);
   }
-  for (StampedEvent& e : taken) out.push_back(std::move(e));
-  return taken.size();
-}
-
-std::size_t EventQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
-}
-
-std::int64_t EventQueue::overflows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return overflows_;
-}
-
-void EventQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
+  return taken;
 }
 
 }  // namespace flowtime::runtime

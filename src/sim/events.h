@@ -5,8 +5,7 @@
 // Events are plain values — copyable, self-contained, carrying no borrowed
 // references with narrower lifetime than the scenario — so they can cross
 // thread boundaries: the concurrent runtime (src/runtime) enqueues them
-// into a bounded MPSC queue and applies them on the serving side, which is
-// impossible with the legacy callback-per-event interface.
+// into an MPSC queue and applies them on the serving side.
 //
 // The one non-trivial payload is the workflow DAG on arrival. It travels as
 // a shared_ptr<const Workflow> so that enqueueing stays O(1): the simulator

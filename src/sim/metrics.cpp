@@ -87,20 +87,4 @@ AdhocReport evaluate_adhoc(const SimResult& result) {
   return report;
 }
 
-workload::ResourceVec mean_utilization(const SimResult& result,
-                                       const ResourceVec& capacity_per_slot) {
-  workload::ResourceVec total{};
-  for (const auto& used : result.used_per_slot) {
-    total = workload::add(total, used);
-  }
-  workload::ResourceVec out{};
-  const double slots = static_cast<double>(result.used_per_slot.size());
-  for (int r = 0; r < workload::kNumResources; ++r) {
-    out[r] = slots > 0.0 && capacity_per_slot[r] > 0.0
-                 ? total[r] / (slots * capacity_per_slot[r])
-                 : 0.0;
-  }
-  return out;
-}
-
 }  // namespace flowtime::sim

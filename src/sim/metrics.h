@@ -69,9 +69,4 @@ struct AdhocReport {
 /// cut off are counted in `total` but not in the turnaround stats.
 AdhocReport evaluate_adhoc(const SimResult& result);
 
-/// Mean cluster utilization (delivered work / capacity) over the busy
-/// period, per resource.
-workload::ResourceVec mean_utilization(const SimResult& result,
-                                       const ResourceVec& capacity_per_slot);
-
 }  // namespace flowtime::sim

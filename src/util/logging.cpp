@@ -33,10 +33,6 @@ void set_log_level(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 namespace detail {
 
 bool level_enabled(LogLevel level) {

@@ -16,9 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Thread-safe; defaults to kWarn so tests and benches stay quiet.
 void set_log_level(LogLevel level);
 
-/// Returns the current process-wide log level.
-LogLevel log_level();
-
 namespace detail {
 
 // Stream-collecting helper behind the FT_LOG macro. Emits on destruction.

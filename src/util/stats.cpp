@@ -34,40 +34,9 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
-double min_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
 double max_of(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return *std::max_element(values.begin(), values.end());
 }
-
-double sum_of(const std::vector<double>& values) {
-  return std::accumulate(values.begin(), values.end(), 0.0);
-}
-
-void RunningStat::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double RunningStat::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace flowtime::util

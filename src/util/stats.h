@@ -1,7 +1,6 @@
 // Small statistics helpers used by the simulator metrics and the benches.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace flowtime::util {
@@ -24,29 +23,7 @@ double quantile(std::vector<double> values, double q);
 /// and read many quantiles. `q` in [0, 1] (clamped); 0 for an empty input.
 double sorted_quantile(const std::vector<double>& sorted, double q);
 
-double min_of(const std::vector<double>& values);
+/// Largest value; returns 0 for an empty input.
 double max_of(const std::vector<double>& values);
-double sum_of(const std::vector<double>& values);
-
-/// Streaming accumulator when the full vector is not worth keeping.
-class RunningStat {
- public:
-  void add(double x);
-  std::size_t count() const { return count_; }
-  double mean() const;
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 }  // namespace flowtime::util

@@ -31,14 +31,4 @@ bool starts_with(std::string_view input, std::string_view prefix) {
          input.substr(0, prefix.size()) == prefix;
 }
 
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += separator;
-    out += parts[i];
-  }
-  return out;
-}
-
 }  // namespace flowtime::util

@@ -16,8 +16,4 @@ std::string_view trim(std::string_view input);
 /// True if `input` starts with `prefix`.
 bool starts_with(std::string_view input, std::string_view prefix);
 
-/// Joins elements with a separator.
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view separator);
-
 }  // namespace flowtime::util

@@ -60,20 +60,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ",";
-      out << row[c];
-    }
-    out << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string format_double(double value, int precision) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);

@@ -1,4 +1,4 @@
-// Console table and CSV rendering shared by the bench harnesses.
+// Console table rendering shared by the bench harnesses.
 //
 // Every bench binary prints the rows/series of the paper figure it
 // regenerates; this keeps that output uniform and grep-friendly.
@@ -30,9 +30,6 @@ class Table {
   ///   -----------+--------+-------------
   ///   FlowTime   |      0 |       522.50
   std::string to_string() const;
-
-  /// Comma-separated rendering (header + rows), for machine consumption.
-  std::string to_csv() const;
 
   std::size_t row_count() const { return rows_.size(); }
 

@@ -1,9 +1,5 @@
 #include "workload/profiles.h"
 
-#include <cstdlib>
-
-#include "util/logging.h"
-
 namespace flowtime::workload {
 
 const std::vector<JobProfile>& puma_profiles() {
@@ -38,14 +34,6 @@ JobSpec sample_any_job(util::Rng& rng) {
   const auto index = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<int>(profiles.size()) - 1));
   return sample_job(profiles[index], rng);
-}
-
-const JobProfile& profile_by_name(const std::string& name) {
-  for (const JobProfile& profile : puma_profiles()) {
-    if (profile.name == name) return profile;
-  }
-  FT_LOG(kError) << "unknown job profile: " << name;
-  std::abort();
 }
 
 }  // namespace flowtime::workload

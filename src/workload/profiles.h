@@ -35,7 +35,4 @@ JobSpec sample_job(const JobProfile& profile, util::Rng& rng);
 /// Draws a job from a uniformly chosen family.
 JobSpec sample_any_job(util::Rng& rng);
 
-/// Finds a profile by name; terminates on unknown names (programmer error).
-const JobProfile& profile_by_name(const std::string& name);
-
 }  // namespace flowtime::workload

@@ -21,12 +21,6 @@ bool Workflow::valid() const {
   return true;
 }
 
-ResourceVec Workflow::total_demand() const {
-  ResourceVec total{};
-  for (const JobSpec& job : jobs) total = add(total, job.total_demand());
-  return total;
-}
-
 double Workflow::min_makespan_s(const ResourceVec& capacity) const {
   std::vector<double> weight;
   weight.reserve(jobs.size());

@@ -29,9 +29,6 @@ struct Workflow {
   /// positive job sizes.
   bool valid() const;
 
-  /// Sum of estimated total demand over all jobs.
-  ResourceVec total_demand() const;
-
   /// Lower bound on the makespan on a cluster with `capacity`: critical path
   /// weighted by each job's minimum runtime. The decomposer needs slack =
   /// (deadline - start) - this.

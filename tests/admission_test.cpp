@@ -1,4 +1,4 @@
-// Tests for the admission controller and the DOT exporters.
+// Tests for the admission controller and the workflow DOT exporter.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/admission.h"
-#include "dag/dot.h"
 #include "dag/generators.h"
 #include "obs/testing.h"
 #include "obs/trace.h"
@@ -154,6 +153,22 @@ TEST(Admission, DecompositionFailureIsNotAnEmptyCell) {
   EXPECT_EQ(decision.reason, "decomposition failed: job_exceeds_capacity");
 }
 
+TEST(Admission, RepeatedVerdictsOnAnOversizedWorkflowLogNoWarning) {
+  // Routing and the migration scan ask for a verdict on the same candidate
+  // once per cell and slot. A job no cell can hold is an expected answer,
+  // carried by the reason, not a warning on every evaluation.
+  core::AdmissionController controller(small_cluster());
+  workload::Workflow w = heavy_workflow(0, 0.0, 1000.0);
+  w.jobs[0] = simple_job(1, 100.0, 30.0, 1.0);
+  ::testing::internal::CaptureStderr();
+  for (int i = 0; i < 10; ++i) {
+    const auto decision = controller.evaluate(w, 10.0 * i);
+    EXPECT_EQ(decision.reason, "decomposition failed: job_exceeds_capacity");
+  }
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(logged.find("WARN"), std::string::npos) << logged;
+}
+
 // ---------------------------------------------------------------------------
 // Verdicts computed and events emitted
 
@@ -225,14 +240,6 @@ TEST_F(AdmissionTrace, WidthBoundAnswersAreCounted) {
   EXPECT_EQ(count("core.admission.evaluations"), 2);
   EXPECT_EQ(admission_ops(),
             (std::vector<std::string>{"evaluate", "evaluate"}));
-}
-
-TEST(Dot, DagExportContainsNodesAndEdges) {
-  const dag::Dag dag = dag::make_fork_join(2);
-  const std::string dot = dag::to_dot(dag, "g");
-  EXPECT_NE(dot.find("digraph g"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(dot.find("n2 -> n3"), std::string::npos);
 }
 
 TEST(Dot, WorkflowExportHasLabelsAndRanks) {

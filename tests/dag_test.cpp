@@ -14,6 +14,18 @@
 namespace flowtime::dag {
 namespace {
 
+/// Nodes with no parents / no children.
+int count_sources(const Dag& dag) {
+  int n = 0;
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) n += dag.in_degree(v) == 0;
+  return n;
+}
+int count_sinks(const Dag& dag) {
+  int n = 0;
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) n += dag.out_degree(v) == 0;
+  return n;
+}
+
 TEST(Dag, AddNodesAndEdges) {
   Dag dag(3);
   EXPECT_EQ(dag.num_nodes(), 3);
@@ -34,16 +46,6 @@ TEST(Dag, RejectsSelfLoopsAndDuplicatesAndOutOfRange) {
   EXPECT_FALSE(dag.add_edge(0, 5));
   EXPECT_FALSE(dag.add_edge(-1, 1));
   EXPECT_EQ(dag.num_edges(), 1);
-}
-
-TEST(Dag, SourcesAndSinks) {
-  Dag dag = make_fork_join(3);
-  const auto sources = dag.sources();
-  const auto sinks = dag.sinks();
-  ASSERT_EQ(sources.size(), 1u);
-  ASSERT_EQ(sinks.size(), 1u);
-  EXPECT_EQ(sources[0], 0);
-  EXPECT_EQ(sinks[0], 4);
 }
 
 TEST(Dag, AcyclicityDetection) {
@@ -131,9 +133,6 @@ TEST(Topology, ReachabilityAndTransitiveEdges) {
   EXPECT_TRUE(reachable(dag, 0, 3));
   EXPECT_FALSE(reachable(dag, 3, 0));
   EXPECT_TRUE(reachable(dag, 1, 1));
-  EXPECT_TRUE(edge_is_transitive(dag, 0, 2));
-  EXPECT_FALSE(edge_is_transitive(dag, 0, 1));
-  EXPECT_FALSE(edge_is_transitive(dag, 1, 3));  // no such edge
 }
 
 TEST(CriticalPath, ChainSumsAllWeights) {
@@ -184,8 +183,8 @@ TEST(Generators, ChainShape) {
   EXPECT_EQ(dag.num_nodes(), 5);
   EXPECT_EQ(dag.num_edges(), 4);
   EXPECT_TRUE(dag.is_acyclic());
-  EXPECT_EQ(dag.sources().size(), 1u);
-  EXPECT_EQ(dag.sinks().size(), 1u);
+  EXPECT_EQ(count_sources(dag), 1);
+  EXPECT_EQ(count_sinks(dag), 1);
 }
 
 TEST(Generators, ForkJoinShape) {
@@ -199,16 +198,16 @@ TEST(Generators, DiamondShape) {
   const Dag dag = make_diamond(3, 2);
   EXPECT_EQ(dag.num_nodes(), 7);
   EXPECT_TRUE(dag.is_acyclic());
-  EXPECT_EQ(dag.sources().size(), 1u);
-  EXPECT_EQ(dag.sinks().size(), 1u);
+  EXPECT_EQ(count_sources(dag), 1);
+  EXPECT_EQ(count_sinks(dag), 1);
 }
 
 TEST(Generators, MontageShape) {
   const Dag dag = make_montage_like(6);
   EXPECT_EQ(dag.num_nodes(), 15);
   EXPECT_TRUE(dag.is_acyclic());
-  EXPECT_EQ(dag.sources().size(), 1u);
-  EXPECT_EQ(dag.sinks().size(), 1u);
+  EXPECT_EQ(count_sources(dag), 1);
+  EXPECT_EQ(count_sinks(dag), 1);
 }
 
 TEST(Generators, EpigenomicsShape) {
@@ -218,27 +217,6 @@ TEST(Generators, EpigenomicsShape) {
   const auto groups = level_groups(dag);
   ASSERT_TRUE(groups.has_value());
   EXPECT_EQ(groups->size(), 6u);  // split, 4 pipeline stages, merge
-}
-
-TEST(Generators, LigoShape) {
-  const Dag dag = make_ligo_like(3, 4);
-  EXPECT_EQ(dag.num_nodes(), 1 + 3 * 6 + 1);
-  EXPECT_TRUE(dag.is_acyclic());
-  EXPECT_EQ(dag.sources().size(), 1u);
-  EXPECT_EQ(dag.sinks().size(), 1u);
-  const auto groups = level_groups(dag);
-  ASSERT_TRUE(groups.has_value());
-  EXPECT_EQ(groups->size(), 5u);  // source, splitters, inspirals, coalesce, sink
-}
-
-TEST(Generators, SiphtShape) {
-  const Dag dag = make_sipht_like(5);
-  EXPECT_EQ(dag.num_nodes(), 12);
-  EXPECT_TRUE(dag.is_acyclic());
-  const auto groups = level_groups(dag);
-  ASSERT_TRUE(groups.has_value());
-  EXPECT_EQ(groups->size(), 4u);  // source, stage-1, stage-2, final
-  EXPECT_EQ((*groups)[1].size(), 5u);
 }
 
 TEST(Generators, CybershakeShape) {

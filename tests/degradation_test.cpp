@@ -466,6 +466,42 @@ TEST(DegradationLadder, SolverSabotageEntersAndHysteresisExits) {
   EXPECT_EQ(result.faults.solver_sabotages, 1);
 }
 
+TEST(DegradationLadder, SabotageWindowWarnsOnceOnEnteringDegradedMode) {
+  // The sabotage window spans three arrival re-plans, and each escalates
+  // to greedy. The counters and `solver_escalation` events record every
+  // escalation; the log warns once per episode, on entering degraded mode.
+  auto parsed = parse(
+      "cluster cores=100 mem_gb=256 slot_seconds=10\n"
+      "workflow id=0 name=wf start=0 deadline=900\n"
+      "job node=0 name=crunch tasks=40 runtime=100 cores=1 mem=2\n"
+      "end\n"
+      "workflow id=1 name=mid start=100 deadline=1000\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
+      "workflow id=2 name=late start=200 deadline=1100\n"
+      "job node=0 name=tail tasks=10 runtime=60 cores=1 mem=2\n"
+      "end\n"
+      "fault seed=1\n"
+      "fault_solver slot=0 until=30 fail=1\n");
+  const sim::SimConfig config = sim_config(parsed);
+  core::FlowTimeScheduler scheduler(flowtime_config(config));
+  ::testing::internal::CaptureStderr();
+  const sim::SimResult result =
+      sim::Simulator(config).run(parsed.scenario, scheduler);
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_TRUE(result.all_completed);
+  EXPECT_GE(scheduler.degraded_replans(), 3);
+  int warnings = 0;
+  for (std::size_t at = logged.find("[WARN "); at != std::string::npos;
+       at = logged.find("[WARN ", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1) << logged;
+  EXPECT_NE(logged.find("entering degraded mode"), std::string::npos)
+      << logged;
+}
+
 TEST(DegradationLadder, OneMillisecondWallBudgetSurvivesChaosSuite) {
   // The wall clock is machine-dependent, so this test asserts the safety
   // contract, not which rung fired: under a 1 ms budget plus task-failure

@@ -202,61 +202,6 @@ TEST(ReadySince, ViewReportsFirstRunnableInstant) {
                    result.jobs[1].completion_s.value());
 }
 
-TEST(DeadlineCapFraction, ReservesHeadroomWhenFeasible) {
-  // With cap fraction 0.5 the deadline plan must stay below half the
-  // cluster whenever that is feasible, leaving guaranteed ad-hoc headroom.
-  sim::SimConfig sim_config;
-  sim_config.cluster.capacity = ResourceVec{50.0, 100.0};
-  sim_config.max_horizon_s = 2.0 * 3600.0;
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  config.deadline_cap_fraction = 0.5;
-
-  const workload::Scenario scenario = chain_scenario(4000.0);
-  sim::Simulator sim(sim_config);
-  core::FlowTimeScheduler scheduler(config);
-  const sim::SimResult result = sim.run(scenario, scheduler);
-  ASSERT_TRUE(result.all_completed);
-  const sim::DeadlineReport report = sim::evaluate_deadlines(
-      result, scenario.workflows,
-      sim::JobDeadlines(scheduler.job_deadlines().begin(),
-                        scheduler.job_deadlines().end()));
-  EXPECT_EQ(report.jobs_missed, 0);
-  // No slot's usage exceeds half the cluster (no ad-hoc jobs are present,
-  // so all usage is deadline work).
-  for (const auto& used : result.used_per_slot) {
-    EXPECT_LE(used[0], 0.5 * 50.0 * 10.0 + 1e-6);
-  }
-}
-
-TEST(DeadlineCapFraction, FallsBackToFullClusterWhenTight) {
-  // A deadline tight enough that half the cluster cannot meet it: the
-  // scheduler must abandon the headroom rather than the deadline.
-  sim::SimConfig sim_config;
-  sim_config.cluster.capacity = ResourceVec{50.0, 100.0};
-  sim_config.max_horizon_s = 2.0 * 3600.0;
-  core::FlowTimeConfig config;
-  config.cluster.capacity = sim_config.cluster.capacity;
-  config.cluster.slot_seconds = sim_config.cluster.slot_seconds;
-  config.deadline_cap_fraction = 0.5;
-  config.deadline_slack_s = 0.0;
-
-  // Chain min makespan: job0 400/100=40s? (10 tasks x 40 s at width 100:
-  // 4 slots) + job1 600/200: 3 slots + job2 300/50: 6 slots = 130 s.
-  // Deadline 300 s is meetable at full width but not at half.
-  const workload::Scenario scenario = chain_scenario(300.0);
-  sim::Simulator sim(sim_config);
-  core::FlowTimeScheduler scheduler(config);
-  const sim::SimResult result = sim.run(scenario, scheduler);
-  ASSERT_TRUE(result.all_completed);
-  const sim::DeadlineReport report = sim::evaluate_deadlines(
-      result, scenario.workflows,
-      sim::JobDeadlines(scheduler.job_deadlines().begin(),
-                        scheduler.job_deadlines().end()));
-  EXPECT_EQ(report.workflows_missed, 0);
-}
-
 class SchedulerContractSweep
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 

@@ -91,10 +91,6 @@ TEST(FlowTimeScheduler, ExposesDecompositionAndDeadlines) {
   const workload::Scenario scenario = chain_scenario();
   sim.run(scenario, scheduler);
   EXPECT_EQ(scheduler.job_deadlines().size(), 3u);
-  const DecompositionResult* decomposition = scheduler.decomposition(0);
-  ASSERT_NE(decomposition, nullptr);
-  EXPECT_EQ(decomposition->levels.size(), 3u);
-  EXPECT_EQ(scheduler.decomposition(42), nullptr);
   // Final job's decomposed deadline is the workflow deadline.
   EXPECT_NEAR(scheduler.job_deadlines().at(workload::WorkflowJobRef{0, 2}),
               2000.0, 1e-9);

@@ -1,5 +1,5 @@
 // Concurrent runtime tests (DESIGN.md §11): event-queue ordering and
-// back-pressure, solver-pool futures, burst coalescing, stale-solve discard
+// unbounded bursts, solver-pool futures, burst coalescing, stale-solve discard
 // with cancel-token preemption, and chaos sabotage under the async runtime.
 // The async+barrier identity against the synchronous path lives with the
 // other replan-driver identities in identity_test.cpp.
@@ -10,15 +10,17 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/flowtime_scheduler.h"
 #include "dag/generators.h"
 #include "obs/metrics.h"
 #include "obs/testing.h"
+#include "obs/trace.h"
 #include "runtime/concurrent_scheduler.h"
 #include "runtime/event_queue.h"
 #include "runtime/solver_pool.h"
@@ -41,89 +43,20 @@ sim::SchedulerEvent adhoc(sim::JobUid uid, double now_s) {
 }
 
 TEST(EventQueue, DrainPreservesFifoOrderAcrossKinds) {
-  runtime::EventQueue queue(8);
-  ASSERT_TRUE(queue.push(adhoc(7, 0.0)));
-  ASSERT_TRUE(queue.push(sim::JobCompleteEvent{3, 10.0}));
-  ASSERT_TRUE(queue.push(
-      sim::CapacityChangeEvent{20.0, ResourceVec{100.0, 200.0}}));
-  EXPECT_EQ(queue.depth(), 3u);
+  runtime::EventQueue queue;
+  queue.push(adhoc(7, 0.0));
+  queue.push(sim::JobCompleteEvent{3, 10.0});
+  queue.push(sim::CapacityChangeEvent{20.0, ResourceVec{100.0, 200.0}});
 
-  std::vector<sim::SchedulerEvent> out;
+  std::vector<runtime::StampedEvent> out;
   EXPECT_EQ(queue.drain(out), 3u);
-  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(queue.drain(out), 0u) << "the first drain took everything";
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_STREQ(sim::event_name(out[0]), "adhoc_arrival");
-  EXPECT_STREQ(sim::event_name(out[1]), "job_complete");
-  EXPECT_STREQ(sim::event_name(out[2]), "capacity_change");
-  EXPECT_DOUBLE_EQ(sim::event_time(out[0]), 0.0);
-  EXPECT_DOUBLE_EQ(sim::event_time(out[2]), 20.0);
-}
-
-TEST(EventQueue, FullQueueBlocksUntilDrained) {
-  runtime::EventQueue queue(1);
-  ASSERT_TRUE(queue.push(adhoc(0, 0.0)));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(adhoc(1, 1.0)));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::vector<sim::SchedulerEvent> out;
-  // Drain until both events came through; the producer unblocks on the
-  // first drain's not_full notification.
-  while (out.size() < 2u) queue.drain(out);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(sim::event_time(out[0]), 0.0);
-  EXPECT_DOUBLE_EQ(sim::event_time(out[1]), 1.0);
-}
-
-TEST(EventQueue, ConsumerThreadPushGrowsPastCapacityInsteadOfBlocking) {
-  // The standard single-threaded setup makes the simulator thread both
-  // sole producer and sole consumer; a blocking push from it could never
-  // be drained. The constructing thread counts as the consumer, so these
-  // pushes must exceed the bound rather than deadlock.
-  runtime::EventQueue queue(2);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(adhoc(i, static_cast<double>(i))));
-  }
-  EXPECT_EQ(queue.depth(), 5u);
-  EXPECT_EQ(queue.overflows(), 3);
-
-  std::vector<sim::SchedulerEvent> out;
-  EXPECT_EQ(queue.drain(out), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(sim::event_time(out[static_cast<std::size_t>(i)]),
-                     static_cast<double>(i));
-  }
-  // Draining re-binds the consumer to the draining thread: a push from a
-  // different thread is back-pressured (blocks) once the queue refills.
-  std::atomic<bool> pushed{false};
-  ASSERT_TRUE(queue.push(adhoc(10, 10.0)));
-  ASSERT_TRUE(queue.push(adhoc(11, 11.0)));
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(adhoc(12, 12.0)));  // blocks until the drain
-    pushed.store(true);
-  });
-  out.clear();
-  while (out.size() < 3u) queue.drain(out);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.overflows(), 3) << "cross-thread pushes never overflow";
-}
-
-TEST(EventQueue, CloseUnblocksProducersAndRejectsPushes) {
-  runtime::EventQueue queue(1);
-  ASSERT_TRUE(queue.push(adhoc(0, 0.0)));
-  std::thread producer([&] {
-    EXPECT_FALSE(queue.push(adhoc(1, 1.0)));  // blocked, then released
-  });
-  queue.close();
-  producer.join();
-  EXPECT_FALSE(queue.push(adhoc(2, 2.0)));
-  // Already-queued events stay drainable after close.
-  std::vector<sim::SchedulerEvent> out;
-  EXPECT_EQ(queue.drain(out), 1u);
+  EXPECT_STREQ(sim::event_name(out[0].event), "adhoc_arrival");
+  EXPECT_STREQ(sim::event_name(out[1].event), "job_complete");
+  EXPECT_STREQ(sim::event_name(out[2].event), "capacity_change");
+  EXPECT_DOUBLE_EQ(sim::event_time(out[0].event), 0.0);
+  EXPECT_DOUBLE_EQ(sim::event_time(out[2].event), 20.0);
 }
 
 TEST(SolverPool, ShutdownRunsQueuedTasks) {
@@ -220,6 +153,58 @@ TEST(ConcurrentScheduler, CoalescesArrivalBursts) {
   EXPECT_GT(obs::registry().counter("runtime.events_enqueued").value(), 0);
   EXPECT_EQ(obs::registry().counter("runtime.async_solves").value(),
             wrapped.async_solves());
+}
+
+TEST(ConcurrentScheduler, BurstFromTheServingThreadDrainsAsOneBatch) {
+  // The queue has no bound: 5,000 events pushed by the serving thread
+  // between two slots drain into the next slot's single batch, in push
+  // order, with nothing logged.
+  obs::testing::ScopedRegistryReset reset;
+  auto owned = std::make_unique<obs::MemorySink>();
+  obs::MemorySink* sink = owned.get();
+  obs::set_trace_sink(std::move(owned));
+
+  const double slot_s = 10.0;
+  runtime::RuntimeConfig rt;
+  rt.flowtime.cluster.capacity = ResourceVec{100.0, 200.0};
+  rt.flowtime.cluster.slot_seconds = slot_s;
+  rt.barrier_mode = true;
+  sim::ClusterState state;
+  state.slot_seconds = slot_s;
+  state.capacity = workload::scale(rt.flowtime.cluster.capacity, slot_s);
+
+  constexpr int kEvents = 5000;
+  ::testing::internal::CaptureStderr();
+  {
+    runtime::ConcurrentScheduler sched(rt);
+    sched.allocate(state);
+    for (int i = 0; i < kEvents; ++i) sched.on_event(adhoc(i, 0.0));
+    state.slot = 1;
+    state.now_s = slot_s;
+    sched.allocate(state);
+  }
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(logged.find("WARN"), std::string::npos) << logged;
+
+  std::vector<std::int64_t> enqueued;
+  std::vector<std::int64_t> dequeued;
+  std::vector<std::string> batch_sizes;
+  for (const std::string& line : sink->lines()) {
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(obs::parse_flat_json(line, &fields)) << line;
+    const std::string& type = fields["type"];
+    if (type == "event_enqueued") {
+      enqueued.push_back(std::strtoll(fields["trace"].c_str(), nullptr, 10));
+    } else if (type == "event_dequeued") {
+      dequeued.push_back(std::strtoll(fields["trace"].c_str(), nullptr, 10));
+    } else if (type == "batch_formed") {
+      batch_sizes.push_back(fields["events"]);
+    }
+  }
+  obs::clear_trace_sink();
+  EXPECT_EQ(batch_sizes, std::vector<std::string>{"5000"});
+  ASSERT_EQ(enqueued.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(dequeued, enqueued) << "drained in push order";
 }
 
 TEST(ExperimentHarness, AsyncBarrierComparisonMatchesSync) {

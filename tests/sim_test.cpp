@@ -386,15 +386,5 @@ TEST(Metrics, AdhocTurnaroundStats) {
   EXPECT_GE(report.max_turnaround_s, report.p95_turnaround_s);
 }
 
-TEST(Metrics, UtilizationReflectsDeliveredWork) {
-  Simulator sim(SimConfig{});
-  FullWidthScheduler scheduler;
-  const SimResult result = sim.run(single_chain_scenario(), scheduler);
-  const ResourceVec util = mean_utilization(
-      result, workload::scale(ResourceVec{500.0, 1024.0}, 10.0));
-  EXPECT_GT(util[kCpu], 0.0);
-  EXPECT_LE(util[kCpu], 1.0);
-}
-
 }  // namespace
 }  // namespace flowtime::sim

