@@ -29,6 +29,29 @@ constexpr int kMaxPlanningSlots = 360;
 // lexmin regardless — this only delays *reporting* recovery, so one lucky
 // solve amid a numerical storm does not flap the mode.
 constexpr int kDegradeRecoveryReplans = 3;
+
+enum class Round { kUp, kDown };
+
+// `amount` in whole containers: rounded up to the most any resource needs,
+// or down to the fewest any resource holds. A job without a container
+// keeps `amount`.
+workload::ResourceVec to_containers(const workload::ResourceVec& amount,
+                                    const workload::ResourceVec& container,
+                                    Round round) {
+  double containers = round == Round::kUp
+                          ? 0.0
+                          : std::numeric_limits<double>::infinity();
+  bool sized = false;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    if (container[r] <= kTol) continue;
+    const double ratio = amount[r] / container[r];
+    containers = round == Round::kUp
+                     ? std::max(containers, std::ceil(ratio - kTol))
+                     : std::min(containers, std::floor(ratio + kTol));
+    sized = true;
+  }
+  return sized ? workload::scale(container, containers) : amount;
+}
 }
 
 std::string to_string(ReplanCause causes) {
@@ -305,8 +328,9 @@ int FlowTimeScheduler::forget_workflow(int workflow_id) {
   workflows_.erase(workflow_id);
   if (dropped == 0) return 0;
   // The deadline monitor keeps its entries: the coordinator re-delivers the
-  // workflow to its new cell, whose arrival handler re-tracks (overwrites)
-  // the same workflow id — dropping and re-adding would only churn gauges.
+  // workflow to its new cell, whose arrival handler registers the same
+  // workflow id again, and the monitor keeps its state — finished jobs keep
+  // their verdicts when their completions are re-delivered.
   mark_dirty(ReplanCause::kMigration);
   if (obs::enabled()) {
     obs::registry().counter("core.workflows_forgotten").add();
@@ -836,19 +860,8 @@ std::vector<sim::Allocation> FlowTimeScheduler::serve(
     if (config_.round_to_containers) {
       // Round up to whole containers so node-granular execution never
       // quantizes a thin planned slice down to nothing; width still caps.
-      double containers = 0.0;
-      bool sized = false;
-      for (int r = 0; r < workload::kNumResources; ++r) {
-        if (view.container[r] > kTol) {
-          containers = std::max(
-              containers, std::ceil(amount[r] / view.container[r] - kTol));
-          sized = true;
-        }
-      }
-      if (sized) {
-        amount = workload::elementwise_min(
-            workload::scale(view.container, containers), view.width);
-      }
+      amount = workload::elementwise_min(
+          to_containers(amount, view.container, Round::kUp), view.width);
     }
     planned_total = workload::add(planned_total, amount);
     planned.emplace_back(&view, amount);
@@ -864,16 +877,7 @@ std::vector<sim::Allocation> FlowTimeScheduler::serve(
     if (config_.round_to_containers && shrink < 1.0 - kTol) {
       // Shrinking broke the container multiples; round back down so the
       // grant still materializes as whole containers.
-      double containers = std::numeric_limits<double>::infinity();
-      bool sized = false;
-      for (int r = 0; r < workload::kNumResources; ++r) {
-        if (view->container[r] > kTol) {
-          containers = std::min(
-              containers, std::floor(scaled[r] / view->container[r] + kTol));
-          sized = true;
-        }
-      }
-      if (sized) scaled = workload::scale(view->container, containers);
+      scaled = to_containers(scaled, view->container, Round::kDown);
     }
     issued = workload::add(issued, scaled);
     result.push_back(sim::Allocation{view->uid, scaled});
@@ -915,20 +919,8 @@ std::vector<sim::Allocation> FlowTimeScheduler::serve(
     }
     for (std::size_t i = 0; i < adhoc_views.size(); ++i) {
       if (config_.round_to_containers) {
-        double containers = std::numeric_limits<double>::infinity();
-        bool sized = false;
-        for (int r = 0; r < workload::kNumResources; ++r) {
-          if (adhoc_views[i]->container[r] > kTol) {
-            containers = std::min(
-                containers,
-                std::floor(grants[i][r] / adhoc_views[i]->container[r] +
-                           kTol));
-            sized = true;
-          }
-        }
-        if (sized) {
-          grants[i] = workload::scale(adhoc_views[i]->container, containers);
-        }
+        grants[i] =
+            to_containers(grants[i], adhoc_views[i]->container, Round::kDown);
       }
       if (!workload::is_zero(grants[i], kTol)) {
         result.push_back(sim::Allocation{adhoc_views[i]->uid, grants[i]});

@@ -95,12 +95,12 @@ void DeadlineMonitor::publish_gauges() const {
 void DeadlineMonitor::track_workflow(int workflow_id, double release_s,
                                      double deadline_s) {
   std::lock_guard<std::mutex> lock(mu_);
-  WorkflowState& workflow = workflows_[workflow_id];
+  const auto [it, added] = workflows_.try_emplace(workflow_id);
+  if (!added) return;  // registered again after a move: keep its state
+  WorkflowState& workflow = it->second;
   workflow.release_s = release_s;
   workflow.deadline_s = deadline_s;
   workflow.latest_s = release_s;
-  workflow.level = RiskLevel::kOk;
-  workflow.inflight = 0;
   publish_gauges();
 }
 
@@ -114,16 +114,15 @@ void DeadlineMonitor::track_job(int workflow_id, int node, double release_s,
     workflow.deadline_s = deadline_s;
     workflow.latest_s = release_s;
   }
-  JobState job;
+  const auto [it, added] = jobs_.try_emplace(JobKey{workflow_id, node});
+  if (!added) return;  // likewise; a finished job keeps its verdict
+  JobState& job = it->second;
   job.release_s = release_s;
   job.deadline_s = deadline_s;
   job.projected_s = release_s + min_runtime_s;
   job.laxity_s = deadline_s - job.projected_s;
   job.initial_laxity_s = job.laxity_s;
-  job.level = RiskLevel::kOk;
-  const JobKey key{workflow_id, node};
-  if (!jobs_.count(key)) ++workflows_[workflow_id].inflight;
-  jobs_[key] = job;
+  ++workflows_[workflow_id].inflight;
   publish_gauges();
 }
 

@@ -52,13 +52,17 @@ const char* to_string(RiskLevel level);
 class DeadlineMonitor {
  public:
   /// Registers a workflow released at `release_s` with absolute deadline
-  /// `deadline_s`. Call before track_job for its nodes.
+  /// `deadline_s`. Call before track_job for its nodes. Registering a
+  /// tracked workflow again (it moved to another planner) keeps its state;
+  /// reset() between runs that reuse workflow ids.
   void track_workflow(int workflow_id, double release_s, double deadline_s);
 
   /// Registers one decomposed job. `deadline_s` is the Stage-1 per-job
   /// deadline (without scheduler slack); `min_runtime_s` the width-limited
   /// minimum runtime estimate at release — together they fix the job's
-  /// initial laxity, the yardstick for the warn threshold.
+  /// initial laxity, the yardstick for the warn threshold. Registering a
+  /// tracked job again keeps its state: a finished job keeps its verdict
+  /// and the workflow's in-flight count stays its unfinished jobs.
   void track_job(int workflow_id, int node, double release_s,
                  double deadline_s, double min_runtime_s);
 
@@ -80,7 +84,7 @@ class DeadlineMonitor {
   int inflight_jobs() const;
   int inflight_workflows() const;
 
-  /// Drops all state (tests; paired with registry().reset()).
+  /// Drops all state. Every simulator run starts with it.
   void reset();
 
  private:

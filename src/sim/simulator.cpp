@@ -1,14 +1,15 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "sim/job_table.h"
 #include "util/logging.h"
 
 namespace flowtime::sim {
@@ -17,19 +18,11 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
-// Ground-truth execution state of one job.
-struct LiveJob {
-  JobRecord record;
+// Fluid execution state of one job, parallel to the job table's uids.
+struct FluidJob {
   ResourceVec remaining_actual{};
   ResourceVec remaining_estimate{};
-  ResourceVec estimate_total{};  // for computing fault progress loss
-  ResourceVec width{};
-  ResourceVec container{};  // one task's per-slot footprint (node mode)
-  std::vector<JobUid> parent_uids;  // empty for ad-hoc jobs
-  int adhoc_id = -1;        // scenario AdhocJob::id (fault-plan selector)
-  bool arrived = false;
-  bool complete = false;
-  double ready_since_s = -1.0;  // first instant the job was runnable
+  int adhoc_id = -1;  // scenario AdhocJob::id (fault-plan selector)
   // Fault state: a failed job sits out until backoff_until_slot, then its
   // retry is released (pending_retry drives the task_retry event).
   int retries = 0;
@@ -44,23 +37,6 @@ struct LiveJob {
   int grant_slot = -1;
   std::size_t grant_index = 0;
   int granted_slot = -1;
-
-  bool ready(const std::vector<LiveJob>& all) const {
-    for (JobUid p : parent_uids) {
-      if (!all[static_cast<std::size_t>(p)].complete) return false;
-    }
-    return true;
-  }
-
-  /// Runnable = DAG-ready and not sitting out a fault backoff.
-  bool runnable(const std::vector<LiveJob>& all, int slot) const {
-    return slot >= backoff_until_slot && ready(all);
-  }
-};
-
-struct PendingWorkflow {
-  const workload::Workflow* workflow = nullptr;
-  std::vector<JobUid> node_uids;
 };
 
 }  // namespace
@@ -94,165 +70,78 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     }
   }
 
-  std::size_t num_jobs = scenario.adhoc_jobs.size();
-  for (const workload::Workflow& w : scenario.workflows) {
-    num_jobs += static_cast<std::size_t>(w.dag.num_nodes());
-  }
-  std::vector<LiveJob> jobs;
-  jobs.reserve(num_jobs);
-
-  // Lay out uids: workflow jobs first (in workflow order), then ad-hoc.
-  std::vector<PendingWorkflow> workflow_arrivals;
-  for (const workload::Workflow& w : scenario.workflows) {
-    assert(w.valid());
-    PendingWorkflow pending;
-    pending.workflow = &w;
-    for (dag::NodeId v = 0; v < w.dag.num_nodes(); ++v) {
-      const workload::JobSpec& spec = w.jobs[static_cast<std::size_t>(v)];
-      LiveJob job;
-      job.record.uid = static_cast<JobUid>(jobs.size());
-      job.record.kind = JobKind::kDeadline;
-      job.record.name = w.name + "/" + spec.name + "#" + std::to_string(v);
-      job.record.workflow_id = w.id;
-      job.record.node = v;
-      job.record.arrival_s = w.start_s;
-      job.record.actual_demand = spec.actual_total_demand();
-      if (injector.active()) {
-        // Estimate noise perturbs only the hidden ground truth; the
-        // estimates handed to schedulers stay what prior runs "measured".
-        job.record.actual_demand = workload::scale(
-            job.record.actual_demand, injector.noise_factor(w.id, v));
-      }
-      job.remaining_actual = job.record.actual_demand;
-      job.remaining_estimate = spec.total_demand();
-      job.estimate_total = job.remaining_estimate;
-      job.width = workload::scale(spec.max_parallel_demand(),
-                                  config_.cluster.slot_seconds);
-      job.container = workload::scale(spec.task.demand, config_.cluster.slot_seconds);
-      pending.node_uids.push_back(job.record.uid);
-      jobs.push_back(std::move(job));
+  // A job's width is its full parallelism over one slot.
+  JobTable table(scenario, config_.cluster.slot_seconds,
+                 [](const workload::JobSpec& spec, double slot_s) {
+                   return workload::scale(spec.max_parallel_demand(), slot_s);
+                 });
+  std::vector<FluidJob> jobs(table.size());
+  std::size_t adhoc = 0;  // ad-hoc jobs hold the last uids, in scenario order
+  for (JobUid uid = 0; uid < static_cast<JobUid>(jobs.size()); ++uid) {
+    JobRecord& record = table.record(uid);
+    FluidJob& job = jobs[static_cast<std::size_t>(uid)];
+    if (record.kind == JobKind::kAdhoc) {
+      job.adhoc_id = scenario.adhoc_jobs[adhoc++].id;
+    } else if (injector.active()) {
+      // Estimate noise perturbs only the hidden ground truth; the
+      // estimates handed to schedulers stay what prior runs "measured".
+      record.actual_demand = workload::scale(
+          record.actual_demand,
+          injector.noise_factor(record.workflow_id, record.node));
     }
-    // Parent uids need the whole workflow laid out first.
-    for (dag::NodeId v = 0; v < w.dag.num_nodes(); ++v) {
-      LiveJob& job = jobs[static_cast<std::size_t>(
-          pending.node_uids[static_cast<std::size_t>(v)])];
-      for (dag::NodeId p : w.dag.parents(v)) {
-        job.parent_uids.push_back(
-            pending.node_uids[static_cast<std::size_t>(p)]);
-      }
-    }
-    workflow_arrivals.push_back(std::move(pending));
+    job.remaining_actual = record.actual_demand;
+    job.remaining_estimate = table.job(uid).spec->total_demand();
   }
-  for (const workload::AdhocJob& a : scenario.adhoc_jobs) {
-    LiveJob job;
-    job.record.uid = static_cast<JobUid>(jobs.size());
-    job.record.kind = JobKind::kAdhoc;
-    job.record.name = a.spec.name;
-    job.record.arrival_s = a.arrival_s;
-    job.record.actual_demand = a.spec.actual_total_demand();
-    job.remaining_actual = job.record.actual_demand;
-    job.remaining_estimate = a.spec.total_demand();
-    job.estimate_total = job.remaining_estimate;
-    job.adhoc_id = a.id;
-    job.width =
-        workload::scale(a.spec.max_parallel_demand(), config_.cluster.slot_seconds);
-    job.container =
-        workload::scale(a.spec.task.demand, config_.cluster.slot_seconds);
-    jobs.push_back(std::move(job));
-  }
-
-  // Arrival queues sorted by time. std::sort is not stable: the order is
-  // deterministic, but ties do not keep their input order.
-  std::sort(workflow_arrivals.begin(), workflow_arrivals.end(),
-            [](const PendingWorkflow& a, const PendingWorkflow& b) {
-              return a.workflow->start_s < b.workflow->start_s;
-            });
-  std::vector<JobUid> adhoc_queue;
-  for (const LiveJob& job : jobs) {
-    if (job.record.kind == JobKind::kAdhoc) adhoc_queue.push_back(job.record.uid);
-  }
-  std::sort(adhoc_queue.begin(), adhoc_queue.end(), [&](JobUid a, JobUid b) {
-    return jobs[static_cast<std::size_t>(a)].record.arrival_s <
-           jobs[static_cast<std::size_t>(b)].record.arrival_s;
-  });
+  const auto job_of = [&](JobUid uid) -> FluidJob& {
+    return jobs[static_cast<std::size_t>(uid)];
+  };
+  /// Runnable = DAG-ready and not sitting out a fault backoff.
+  const auto runnable = [&](JobUid uid, int slot) {
+    return slot >= job_of(uid).backoff_until_slot && table.ready(uid);
+  };
 
   // Lifecycle spans: workflow span + remaining-job count, closed when the
   // last job of the workflow completes.
   std::map<int, std::pair<obs::SpanId, int>> workflow_spans;
+  const auto job_meta = [&](JobUid uid) {
+    obs::SpanMeta meta;  // an ad-hoc job has no workflow or node (-1)
+    meta.workflow_id = table.record(uid).workflow_id;
+    meta.node = table.record(uid).node;
+    meta.uid = uid;
+    return meta;
+  };
+  // Each released workflow's and job's spans open before the scheduler
+  // sees the arrival.
+  const auto open_spans = [&](const SchedulerEvent& event) {
+    if (!obs::enabled()) return;
+    const double now = event_time(event);
+    if (const auto* e = std::get_if<WorkflowArrivalEvent>(&event)) {
+      const workload::Workflow& w = *e->workflow;
+      obs::SpanMeta wf_meta;
+      wf_meta.workflow_id = w.id;
+      wf_meta.deadline_s = w.deadline_s;
+      const obs::SpanId wf_span =
+          obs::begin_span("workflow", w.name, obs::kNoSpan, now, wf_meta);
+      workflow_spans[w.id] = {wf_span, static_cast<int>(e->node_uids.size())};
+      for (JobUid uid : e->node_uids) {
+        job_of(uid).job_span = obs::begin_span(
+            "job", table.record(uid).name, wf_span, now, job_meta(uid));
+      }
+    } else if (const auto* e = std::get_if<AdhocArrivalEvent>(&event)) {
+      job_of(e->uid).job_span =
+          obs::begin_span("job", table.record(e->uid).name, obs::kNoSpan, now,
+                          job_meta(e->uid));
+    }
+  };
 
-  std::size_t next_workflow = 0;
-  std::size_t next_adhoc = 0;
-  std::size_t incomplete = jobs.size();
   const int max_slots = static_cast<int>(
       std::ceil(config_.max_horizon_s / config_.cluster.slot_seconds));
-  // Uids of the arrived, incomplete jobs in uid order. Every per-slot loop
-  // walks this list, so a slot costs in proportion to live jobs.
-  std::vector<JobUid> live;
 
-  for (int slot = 0; slot < max_slots && incomplete > 0; ++slot) {
+  for (int slot = 0; slot < max_slots && table.incomplete() > 0; ++slot) {
     const double now = slot * config_.cluster.slot_seconds;
 
     // Release everything that has arrived by the start of this slot.
-    const std::size_t released_from = live.size();
-    while (next_workflow < workflow_arrivals.size() &&
-           workflow_arrivals[next_workflow].workflow->start_s <=
-               now + kTol) {
-      PendingWorkflow& pending = workflow_arrivals[next_workflow];
-      for (JobUid uid : pending.node_uids) {
-        jobs[static_cast<std::size_t>(uid)].arrived = true;
-        live.push_back(uid);
-      }
-      if (obs::enabled()) {
-        const workload::Workflow& w = *pending.workflow;
-        obs::SpanMeta wf_meta;
-        wf_meta.workflow_id = w.id;
-        wf_meta.deadline_s = w.deadline_s;
-        const obs::SpanId wf_span =
-            obs::begin_span("workflow", w.name, obs::kNoSpan, now, wf_meta);
-        workflow_spans[w.id] = {wf_span,
-                                static_cast<int>(pending.node_uids.size())};
-        for (JobUid uid : pending.node_uids) {
-          LiveJob& job = jobs[static_cast<std::size_t>(uid)];
-          obs::SpanMeta meta;
-          meta.workflow_id = w.id;
-          meta.node = job.record.node;
-          meta.uid = uid;
-          job.job_span =
-              obs::begin_span("job", job.record.name, wf_span, now, meta);
-        }
-      }
-      // The event aliases the scenario's workflow (no copy, no ownership):
-      // the scenario outlives the run, and any scheduler that needs the DAG
-      // past the callback copies it, as FlowTimeScheduler does.
-      scheduler.on_event(WorkflowArrivalEvent{
-          std::shared_ptr<const workload::Workflow>(
-              std::shared_ptr<const workload::Workflow>(), pending.workflow),
-          pending.node_uids, now});
-      ++next_workflow;
-    }
-    while (next_adhoc < adhoc_queue.size() &&
-           jobs[static_cast<std::size_t>(adhoc_queue[next_adhoc])]
-                   .record.arrival_s <= now + kTol) {
-      LiveJob& job =
-          jobs[static_cast<std::size_t>(adhoc_queue[next_adhoc])];
-      job.arrived = true;
-      live.push_back(job.record.uid);
-      if (obs::enabled()) {
-        obs::SpanMeta meta;
-        meta.uid = job.record.uid;
-        job.job_span = obs::begin_span("job", job.record.name, obs::kNoSpan,
-                                       now, meta);
-      }
-      scheduler.on_event(AdhocArrivalEvent{job.record.uid, now, job.width});
-      ++next_adhoc;
-    }
-    // A later-starting workflow can hold lower uids than live jobs, and
-    // ad-hoc uid order need not follow arrival order: sort the slot's new
-    // uids, then merge them in.
-    const auto released =
-        live.begin() + static_cast<std::ptrdiff_t>(released_from);
-    std::sort(released, live.end());
-    std::inplace_merge(live.begin(), released, live.end());
+    table.release(now, scheduler, open_spans);
 
     // Effective capacity this slot: the base, less injected machine churn
     // (the time-varying C_t^r of the paper's §V).
@@ -312,8 +201,9 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       // Release retries whose backoff expired, then inject this slot's
       // task faults and stragglers. Order matters for determinism: jobs
       // are visited in uid order and retries precede new failures.
-      for (JobUid uid : live) {
-        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+      for (JobUid uid : table.live()) {
+        FluidJob& job = job_of(uid);
+        const JobRecord& record = table.record(uid);
         if (!job.pending_retry || slot < job.backoff_until_slot) continue;
         job.pending_retry = false;
         injector.count_task_retry();
@@ -322,21 +212,22 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           obs::emit(obs::TraceEvent("task_retry")
                         .field("slot", slot)
                         .field("now_s", now)
-                        .field("uid", job.record.uid)
-                        .field("workflow", job.record.workflow_id)
-                        .field("node", job.record.node)
-                        .field("name", job.record.name)
+                        .field("uid", record.uid)
+                        .field("workflow", record.workflow_id)
+                        .field("node", record.node)
+                        .field("name", record.name)
                         .field("retry", job.retries));
           obs::end_span(job.fault_span, now);
           job.fault_span = obs::kNoSpan;
         }
       }
-      for (JobUid uid : live) {
-        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
-        const bool is_adhoc = job.record.kind == JobKind::kAdhoc;
-        const int selector_node = is_adhoc ? job.adhoc_id : job.record.node;
+      for (JobUid uid : table.live()) {
+        FluidJob& job = job_of(uid);
+        const JobRecord& record = table.record(uid);
+        const bool is_adhoc = record.kind == JobKind::kAdhoc;
+        const int selector_node = is_adhoc ? job.adhoc_id : record.node;
         const double straggle = injector.straggler_factor(
-            slot, job.record.workflow_id, selector_node);
+            slot, record.workflow_id, selector_node);
         if (straggle != 1.0) {
           job.remaining_actual =
               workload::scale(job.remaining_actual, straggle);
@@ -347,26 +238,27 @@ SimResult Simulator::run(const workload::Scenario& scenario,
                           .field("kind", "straggler")
                           .field("slot", slot)
                           .field("now_s", now)
-                          .field("uid", job.record.uid)
-                          .field("workflow", job.record.workflow_id)
-                          .field("node", job.record.node)
+                          .field("uid", record.uid)
+                          .field("workflow", record.workflow_id)
+                          .field("node", record.node)
                           .field("factor", straggle));
           }
         }
-        if (!job.runnable(jobs, slot)) continue;  // backoff / parents
+        if (!runnable(uid, slot)) continue;  // backoff / parents
         const auto fault = injector.task_fault(
-            slot, job.record.workflow_id, selector_node, job.retries);
+            slot, record.workflow_id, selector_node, job.retries);
         if (!fault) continue;
         // Fail-and-retry: the job loses `lost_fraction` of the progress it
         // made, in both the ground-truth and the estimate domains, and is
         // barred from running until the backoff expires.
         const ResourceVec lost_actual = workload::scale(
             workload::clamp_nonnegative(workload::sub(
-                job.record.actual_demand, job.remaining_actual)),
+                record.actual_demand, job.remaining_actual)),
             fault->lost_fraction);
         const ResourceVec lost_estimate = workload::scale(
             workload::clamp_nonnegative(
-                workload::sub(job.estimate_total, job.remaining_estimate)),
+                workload::sub(table.job(uid).spec->total_demand(),
+                              job.remaining_estimate)),
             fault->lost_fraction);
         job.remaining_actual =
             workload::add(job.remaining_actual, lost_actual);
@@ -375,7 +267,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
         ++job.retries;
         job.backoff_until_slot = slot + fault->backoff_slots;
         job.pending_retry = true;
-        job.ready_since_s = -1.0;  // re-latches when the retry runs
+        table.unlatch_ready_since(uid);  // re-latches when the retry runs
         injector.count_task_failure();
         if (obs::enabled()) {
           obs::registry().counter("fault.task_failures").add();
@@ -383,10 +275,10 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           event.field("kind", "task_failure")
               .field("slot", slot)
               .field("now_s", now)
-              .field("uid", job.record.uid)
-              .field("workflow", job.record.workflow_id)
-              .field("node", job.record.node)
-              .field("name", job.record.name)
+              .field("uid", record.uid)
+              .field("workflow", record.workflow_id)
+              .field("node", record.node)
+              .field("name", record.name)
               .field("retry", job.retries)
               .field("backoff_slots", fault->backoff_slots)
               .field("from_hazard", fault->from_hazard);
@@ -399,16 +291,12 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           // failure → retry release, pairing injection with recovery.
           obs::end_span(job.placement_span, now);
           job.placement_span = obs::kNoSpan;
-          obs::SpanMeta meta;
-          meta.workflow_id = job.record.workflow_id;
-          meta.node = job.record.node;
-          meta.uid = job.record.uid;
           job.fault_span =
-              obs::begin_span("fault", "task_retry:" + job.record.name,
-                              job.job_span, now, meta);
+              obs::begin_span("fault", "task_retry:" + record.name,
+                              job.job_span, now, job_meta(uid));
         }
         scheduler.on_event(TaskFailureEvent{
-            job.record.uid, now, lost_estimate, job.retries,
+            record.uid, now, lost_estimate, job.retries,
             job.backoff_until_slot * config_.cluster.slot_seconds});
       }
     }
@@ -420,29 +308,13 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     state.slot_seconds = config_.cluster.slot_seconds;
     state.capacity =
         workload::scale(capacity_units, config_.cluster.slot_seconds);
-    state.active.reserve(live.size());
-    for (JobUid uid : live) {
-      LiveJob& job = jobs[static_cast<std::size_t>(uid)];
-      JobView view;
-      view.uid = job.record.uid;
-      view.kind = job.record.kind;
-      view.workflow_id = job.record.workflow_id;
-      view.node = job.record.node;
-      view.arrival_s = job.record.arrival_s;
-      view.width = job.width;
-      view.container = job.container;
-      view.ready = job.runnable(jobs, slot);
-      if (view.ready) {
-        if (job.ready_since_s < 0.0) job.ready_since_s = now;
-        view.ready_since_s = job.ready_since_s;
-      } else {
-        view.ready_since_s = now;  // not runnable yet
+    state.active.reserve(table.live().size());
+    for (JobUid uid : table.live()) {
+      JobView& view = table.add_view(state, uid, runnable(uid, slot));
+      if (view.kind == JobKind::kDeadline) {
+        view.remaining_estimate = job_of(uid).remaining_estimate;
+        view.overrun = workload::is_zero(view.remaining_estimate, kTol);
       }
-      if (job.record.kind == JobKind::kDeadline) {
-        view.remaining_estimate = job.remaining_estimate;
-        view.overrun = workload::is_zero(job.remaining_estimate, kTol);
-      }
-      state.active.push_back(view);
     }
 
     const std::vector<Allocation> allocations = scheduler.allocate(state);
@@ -452,12 +324,8 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     // width-checked, delivered and completed at most once.
     std::vector<std::pair<JobUid, ResourceVec>> grants;
     for (const Allocation& alloc : allocations) {
-      if (alloc.uid < 0 ||
-          alloc.uid >= static_cast<JobUid>(jobs.size())) {
-        continue;
-      }
-      LiveJob& job = jobs[static_cast<std::size_t>(alloc.uid)];
-      if (!job.arrived || job.complete) continue;
+      if (!table.is_live(alloc.uid)) continue;
+      FluidJob& job = job_of(alloc.uid);
       const ResourceVec amount = workload::clamp_nonnegative(alloc.amount);
       if (job.grant_slot == slot) {
         ResourceVec& sum = grants[job.grant_index].second;
@@ -472,13 +340,13 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     // Enforce the contract: per-job width, readiness, then global capacity.
     ResourceVec granted_total{};
     for (auto& [uid, amount] : grants) {
-      const LiveJob& job = jobs[static_cast<std::size_t>(uid)];
-      if (!workload::fits_within(amount, job.width, kTol)) {
+      const ResourceVec& width = table.job(uid).width;
+      if (!workload::fits_within(amount, width, kTol)) {
         ++result.width_violations;
-        amount = workload::elementwise_min(amount, job.width);
+        amount = workload::elementwise_min(amount, width);
       }
       granted_total = workload::add(granted_total, amount);
-      if (!job.runnable(jobs, slot)) {
+      if (!runnable(uid, slot)) {
         // Physical precedence (or a fault backoff): the grant is wasted,
         // not banked.
         ++result.not_ready_allocations;
@@ -507,18 +375,18 @@ SimResult Simulator::run(const workload::Scenario& scenario,
 
     // Deliver and collect completions.
     ResourceVec used{};
-    std::vector<JobUid> completed_now;
     const bool spans_on = obs::enabled();
     for (auto& [uid, amount] : grants) {
-      LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+      FluidJob& job = job_of(uid);
       ResourceVec granted = workload::scale(amount, scale_factor);
       if (config_.num_nodes > 0) {
+        const ResourceVec& container = table.job(uid).container;
         int want = 0;
         bool sized = false;
         for (int r = 0; r < workload::kNumResources; ++r) {
-          if (job.container[r] > kTol) {
+          if (container[r] > kTol) {
             const int fit = static_cast<int>(
-                std::floor(granted[r] / job.container[r] + 1e-9));
+                std::floor(granted[r] / container[r] + 1e-9));
             want = sized ? std::min(want, fit) : fit;
             sized = true;
           }
@@ -527,8 +395,8 @@ SimResult Simulator::run(const workload::Scenario& scenario,
         for (int c = 0; c < want; ++c) {
           bool found = false;
           for (ResourceVec& free : node_free) {
-            if (workload::fits_within(job.container, free, 1e-9)) {
-              free = workload::sub(free, job.container);
+            if (workload::fits_within(container, free, 1e-9)) {
+              free = workload::sub(free, container);
               found = true;
               break;
             }
@@ -536,8 +404,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           if (!found) break;
           ++placed;
         }
-        const ResourceVec realized =
-            workload::scale(job.container, placed);
+        const ResourceVec realized = workload::scale(container, placed);
         result.fragmentation_lost = workload::add(
             result.fragmentation_lost,
             workload::clamp_nonnegative(workload::sub(granted, realized)));
@@ -546,12 +413,9 @@ SimResult Simulator::run(const workload::Scenario& scenario,
       if (spans_on && !workload::is_zero(granted, kTol)) {
         job.granted_slot = slot;
         if (job.placement_span == obs::kNoSpan) {
-          obs::SpanMeta meta;
-          meta.workflow_id = job.record.workflow_id;
-          meta.node = job.record.node;
-          meta.uid = uid;
-          job.placement_span = obs::begin_span(
-              "placement", job.record.name, job.job_span, now, meta);
+          job.placement_span =
+              obs::begin_span("placement", table.record(uid).name,
+                              job.job_span, now, job_meta(uid));
         }
       }
       const ResourceVec delivered =
@@ -562,20 +426,14 @@ SimResult Simulator::run(const workload::Scenario& scenario,
           workload::sub(job.remaining_estimate, granted));
       used = workload::add(used, delivered);
       if (workload::is_zero(job.remaining_actual, kTol)) {
-        job.complete = true;
-        job.record.completion_s = now + config_.cluster.slot_seconds;
-        completed_now.push_back(uid);
+        table.complete(uid, now + config_.cluster.slot_seconds);
       }
     }
-    if (!completed_now.empty()) {
-      std::erase_if(live, [&](JobUid uid) {
-        return jobs[static_cast<std::size_t>(uid)].complete;
-      });
-    }
+    const std::vector<JobUid> completed_now = table.retire();
     if (spans_on) {
       // A slot without allocation ends the job's current placement run.
-      for (JobUid uid : live) {
-        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+      for (JobUid uid : table.live()) {
+        FluidJob& job = job_of(uid);
         if (job.placement_span != obs::kNoSpan && job.granted_slot != slot) {
           obs::end_span(job.placement_span, now);
           job.placement_span = obs::kNoSpan;
@@ -614,15 +472,15 @@ SimResult Simulator::run(const workload::Scenario& scenario,
     }
 
     for (JobUid uid : completed_now) {
-      --incomplete;
       if (spans_on) {
-        LiveJob& job = jobs[static_cast<std::size_t>(uid)];
+        FluidJob& job = job_of(uid);
         const double end_s = now + config_.cluster.slot_seconds;
         obs::end_span(job.placement_span, end_s);
         job.placement_span = obs::kNoSpan;
         obs::end_span(job.job_span, end_s);
         job.job_span = obs::kNoSpan;
-        const auto wf_it = workflow_spans.find(job.record.workflow_id);
+        const auto wf_it =
+            workflow_spans.find(table.record(uid).workflow_id);
         if (wf_it != workflow_spans.end() && --wf_it->second.second == 0) {
           obs::end_span(wf_it->second.first, end_s);
           workflow_spans.erase(wf_it);
@@ -642,11 +500,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
   // final plan epoch); close them so every begin pairs with exactly one end.
   obs::end_open_spans(result.slots_simulated * config_.cluster.slot_seconds);
 
-  result.all_completed = incomplete == 0;
-  if (!result.all_completed) {
-    FT_LOG(kWarn) << "simulation horizon expired with " << incomplete
-                  << " incomplete jobs under scheduler " << scheduler.name();
-  }
+  table.finish(result, scheduler);
   if (obs::enabled()) {
     obs::emit(obs::TraceEvent("sim_run")
                   .field("scheduler", scheduler.name())
@@ -659,8 +513,6 @@ SimResult Simulator::run(const workload::Scenario& scenario,
                          result.not_ready_allocations));
   }
   result.faults = injector.log();
-  result.jobs.reserve(jobs.size());
-  for (LiveJob& job : jobs) result.jobs.push_back(std::move(job.record));
   return result;
 }
 

@@ -14,10 +14,6 @@
 //   * a job completes at the end of the slot in which every resource's
 //     actual demand reaches zero.
 //
-// A slot costs in proportion to the live (arrived, incomplete) jobs, not
-// to every job of the scenario: the per-slot passes walk a uid-ordered
-// list of live jobs.
-//
 // Units: all per-slot quantities (capacity, width, allocation) are
 // resource-seconds, i.e. cores*slot_seconds for CPU. Demands are
 // resource-seconds as well, so "capacity per slot" = capacity * slot_seconds.

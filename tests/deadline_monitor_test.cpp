@@ -1,8 +1,9 @@
 // Tests for the deadline-risk monitor: ok/warn/breach transitions, event
 // emission discipline (transitions only), the binary completion verdict,
-// gauges — and end-to-end through FlowTimeScheduler + Simulator, where a
-// workflow with an impossible deadline must produce a `breach`
-// deadline_risk event while one with ample slack produces none.
+// gauges, a workflow that moves between planners — and end-to-end through
+// FlowTimeScheduler + Simulator, where a workflow with an impossible
+// deadline must produce a `breach` deadline_risk event in every run while
+// one with ample slack produces none.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -18,6 +19,7 @@
 #include "obs/testing.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "workload/trace_gen.h"
 
 namespace flowtime::obs {
@@ -136,6 +138,35 @@ TEST_F(DeadlineMonitorTest, AmpleSlackStaysSilentAndGaugesTrack) {
   EXPECT_EQ(registry().gauge("obs.deadline.jobs_inflight").value(), 0.0);
 }
 
+// A migration or failover re-delivers the workflow's arrival to the target
+// planner, then one completion per finished job, stamped with the move
+// time. Registering the workflow again keeps what the monitor knew: the job
+// that finished before its milestone is not judged again at the move, and
+// the workflow stays in flight while its second job runs.
+TEST_F(DeadlineMonitorTest, MovedWorkflowKeepsCompletedVerdicts) {
+  core::FlowTimeConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  core::FlowTimeScheduler from(config);
+  core::FlowTimeScheduler to(config);
+  const auto workflow = std::make_shared<const workload::Workflow>(
+      test::chain_workflow(0, 0.0, 3000.0));
+  const std::vector<sim::JobUid> uids = {0, 1};
+  from.on_event(sim::WorkflowArrivalEvent{workflow, uids, 0.0});
+  const double milestone =
+      from.job_deadlines().at(workload::WorkflowJobRef{0, 0});
+  from.on_event(sim::JobCompleteEvent{0, milestone / 2.0});
+  ASSERT_EQ(from.forget_workflow(0), 1);
+
+  const double move_s = milestone + 500.0;
+  to.on_event(sim::WorkflowArrivalEvent{workflow, uids, move_s});
+  to.on_event(sim::JobCompleteEvent{0, move_s});
+  EXPECT_TRUE(risk_events().empty());
+  EXPECT_EQ(deadline_monitor().job_level(0, 0), RiskLevel::kOk);
+  EXPECT_EQ(deadline_monitor().workflow_level(0), RiskLevel::kOk);
+  EXPECT_EQ(deadline_monitor().inflight_workflows(), 1);
+  EXPECT_EQ(deadline_monitor().inflight_jobs(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: FlowTimeScheduler + Simulator feeding the process monitor.
 
@@ -187,6 +218,29 @@ TEST_F(DeadlineMonitorTest, ImpossibleDeadlineBreachesEndToEnd) {
   EXPECT_TRUE(job_breach);
   EXPECT_TRUE(workflow_breach);
   EXPECT_GE(registry().counter("obs.deadline.breaches").value(), 1);
+}
+
+TEST_F(DeadlineMonitorTest, EverySimulatorRunJudgesItsOwnWorkflows) {
+  // The second run registers the same workflow id again. It starts with an
+  // empty monitor, so it emits its own breaches instead of inheriting the
+  // first run's verdicts.
+  const auto breaches = [&](const std::string& entity) {
+    int count = 0;
+    for (const auto& event : risk_events()) {
+      if (event.at("entity") == entity && event.at("level") == "breach") {
+        ++count;
+      }
+    }
+    return count;
+  };
+  run_flowtime(one_job_scenario(50.0));
+  const int job_breaches = breaches("job");
+  const int workflow_breaches = breaches("workflow");
+  EXPECT_GE(job_breaches, 1);
+  EXPECT_GE(workflow_breaches, 1);
+  run_flowtime(one_job_scenario(50.0));
+  EXPECT_EQ(breaches("job"), 2 * job_breaches);
+  EXPECT_EQ(breaches("workflow"), 2 * workflow_breaches);
 }
 
 TEST_F(DeadlineMonitorTest, AmpleSlackWorkflowEmitsNoRiskEventsEndToEnd) {

@@ -2,6 +2,9 @@
 // to the fluid model.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/flowtime_scheduler.h"
 #include "dag/generators.h"
 #include "sched/baselines.h"
@@ -204,6 +207,71 @@ TEST(TaskSimulator, LiveSetIsArrivedIncompleteJobsInUidOrder) {
   const SimResult result = sim.run(test::out_of_order_scenario(), scheduler);
   ASSERT_TRUE(result.all_completed);
   EXPECT_EQ(scheduler.slots, result.slots_simulated);
+}
+
+// Records every arrival the simulator delivers: its kind, uids and time.
+class ArrivalRecorder : public FullWidthScheduler {
+ public:
+  struct Arrival {
+    std::string kind;
+    std::vector<JobUid> uids;
+    double now_s = 0.0;
+    bool operator==(const Arrival&) const = default;
+  };
+
+  void on_event(const SchedulerEvent& event) override {
+    if (const auto* e = std::get_if<WorkflowArrivalEvent>(&event)) {
+      arrivals.push_back({"workflow", e->node_uids, e->now_s});
+    } else if (const auto* e = std::get_if<AdhocArrivalEvent>(&event)) {
+      arrivals.push_back({"adhoc", {e->uid}, e->now_s});
+    }
+  }
+
+  std::vector<Arrival> arrivals;
+};
+
+TEST(TaskSimulator, LaysOutAndReleasesLikeTheFluidSimulator) {
+  // Released out of uid order, with two ad-hoc jobs in one slot.
+  const workload::Scenario scenario = test::out_of_order_scenario();
+  SimConfig fluid_config;
+  fluid_config.cluster.capacity = ResourceVec{100.0, 200.0};
+  TaskSimConfig task_config;
+  task_config.cluster.capacity = fluid_config.cluster.capacity;
+  ArrivalRecorder fluid_scheduler;
+  ArrivalRecorder task_scheduler;
+  const SimResult fluid = Simulator(fluid_config).run(scenario, fluid_scheduler);
+  const SimResult task =
+      TaskLevelSimulator(task_config).run(scenario, task_scheduler);
+
+  ASSERT_EQ(fluid.jobs.size(), 9u);
+  ASSERT_EQ(task.jobs.size(), fluid.jobs.size());
+  for (std::size_t i = 0; i < fluid.jobs.size(); ++i) {
+    const JobRecord& a = fluid.jobs[i];
+    const JobRecord& b = task.jobs[i];
+    EXPECT_EQ(a.uid, static_cast<JobUid>(i));
+    EXPECT_EQ(b.uid, a.uid);
+    EXPECT_EQ(b.kind, a.kind) << "uid " << i;
+    EXPECT_EQ(b.name, a.name) << "uid " << i;
+    EXPECT_EQ(b.workflow_id, a.workflow_id) << "uid " << i;
+    EXPECT_EQ(b.node, a.node) << "uid " << i;
+    EXPECT_EQ(b.arrival_s, a.arrival_s) << "uid " << i;
+    for (int r = 0; r < workload::kNumResources; ++r) {
+      EXPECT_EQ(b.actual_demand[r], a.actual_demand[r]) << "uid " << i;
+    }
+  }
+  // Workflow jobs first, in scenario order, then the ad-hoc jobs.
+  EXPECT_EQ(fluid.jobs[1].name, "w0/j#1");
+  EXPECT_EQ(fluid.jobs[2].workflow_id, 1);
+  EXPECT_EQ(fluid.jobs[4].name, "a0");
+
+  using Arrival = ArrivalRecorder::Arrival;
+  const std::vector<Arrival> expected = {
+      {"workflow", {2, 3}, 0.0}, {"adhoc", {8}, 0.0},
+      {"adhoc", {7}, 20.0},      {"adhoc", {6}, 20.0},
+      {"workflow", {0, 1}, 30.0}, {"adhoc", {5}, 30.0},
+      {"adhoc", {4}, 50.0}};
+  EXPECT_TRUE(fluid_scheduler.arrivals == expected);
+  EXPECT_TRUE(task_scheduler.arrivals == fluid_scheduler.arrivals);
 }
 
 TEST(TaskSimulator, HorizonExpiryReported) {
