@@ -88,8 +88,9 @@ const std::map<std::string, std::vector<std::string>>& event_schema() {
       {"replan",
        {"slot", "cause", "planned_jobs", "pivots", "wall_s",
         "late_extensions", "capacity_exceeded", "lp_failed",
-        "lexmin_truncated", "max_normalized_load", "degrade_rung",
-        "degrade_reason", "budget_exhausted", "degraded_mode"}},
+        "lexmin_truncated", "unplanned_jobs", "max_normalized_load",
+        "degrade_rung", "degrade_reason", "budget_exhausted",
+        "degraded_mode"}},
       {"replan_discarded", {"slot", "cause", "epoch", "pivots", "preempted"}},
       {"solver_escalation",
        {"slot", "from_rung", "to_rung", "reason", "budget_pivots"}},
@@ -105,8 +106,9 @@ const std::map<std::string, std::vector<std::string>>& event_schema() {
         "laxity_s"}},
       // -- LP layer ---------------------------------------------------------
       {"lexmin_solve",
-       {"engine", "rows", "cols", "loads", "status", "rounds", "pivots",
-        "levels", "max_level", "truncated", "budget_exhausted", "wall_s"}},
+       {"engine", "rows", "cols", "intervals", "loads", "status", "rounds",
+        "pivots", "levels", "max_level", "truncated", "budget_exhausted",
+        "wall_s"}},
       // -- fault injection --------------------------------------------------
       {"fault_injected", {"kind"}},  // per-kind fields differ by variant
       {"fault_lifted", {"kind", "slot", "now_s"}},

@@ -3,9 +3,11 @@
 
 Every bench/ and examples/ target and the bench_e2e harness are built at
 -O0 with one section per function and data object, and linked with
---gc-sections, so a binary keeps exactly the functions it can reach. A
-`flowtime::` function that some src/ archive (libft_*.a) defines and no
-binary keeps has no caller outside the tests:
+--gc-sections, so a binary keeps exactly the functions it can reach.
+-fkeep-inline-functions makes every translation unit emit the inline
+functions it sees, header-defined members included, so the archives
+define them too. A `flowtime::` function that some src/ archive
+(libft_*.a) defines and no binary keeps has no caller outside the tests:
 
     python3 bench/unreached_symbols.py [--jobs N]
 
@@ -27,7 +29,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD_ROOT = os.path.join(ROOT, "build-unreached")
 FLAGS = ["-DCMAKE_BUILD_TYPE=None",
-         "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections",
+         "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections "
+         "-fkeep-inline-functions",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"]
 # A nested name in namespace flowtime, const/volatile/ref-qualified or not.
 MANGLED_RE = re.compile(r"_ZN[KVRO]*8flowtime")
@@ -46,13 +49,17 @@ def targets(subdir):
 
 
 def build(source, build_dir, names, jobs):
-    """Configures `source` into `build_dir` and builds `names`."""
-    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
-        configure = ["cmake", "-S", source, "-B", build_dir, *FLAGS]
-        if shutil.which("ninja"):
-            configure += ["-G", "Ninja"]
-        if subprocess.run(configure, stdout=sys.stderr).returncode != 0:
-            fail("cmake configure failed for " + source)
+    """Configures `source` into `build_dir` and builds `names`.
+
+    Configures on every run, so a build tree made with other FLAGS picks
+    them up (and rebuilds) instead of keeping its old ones.
+    """
+    configure = ["cmake", "-S", source, "-B", build_dir, *FLAGS]
+    if (shutil.which("ninja") and
+            not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt"))):
+        configure += ["-G", "Ninja"]
+    if subprocess.run(configure, stdout=sys.stderr).returncode != 0:
+        fail("cmake configure failed for " + source)
     cmd = ["cmake", "--build", build_dir, "-j", str(jobs), "--target", *names]
     if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
         fail("build failed in " + build_dir)

@@ -25,9 +25,9 @@ constexpr double kRouteTol = 1e-9;
 // the level solve would excuse.
 constexpr double kWidthBoundTol = 1e-6;
 
-// A job's bound on one job->slot arc. An infinite width binds no tighter
-// than the demand itself: a job never places more than its demand in one
-// slot.
+// A job's bound on one slot (a job->interval arc of k slots carries k times
+// it). An infinite width binds no tighter than the demand itself: a job
+// never places more than its demand in one slot.
 double arc_width(const LpJob& job, int r) {
   return std::isinf(job.width[r]) ? job.demand[r] : job.width[r];
 }
@@ -79,6 +79,52 @@ bool exceeds_width_bound(
   return exceeded;
 }
 
+// One job's flow on one elementary interval, in resource-seconds.
+struct Share {
+  std::size_t job;
+  int deadline_slot;
+  double width;   // the most the job runs in one slot
+  double amount;  // flow not yet placed on a slot
+};
+
+// Spreads one interval's flow over its `length` slots from `start` (relative
+// to first_slot), earliest deadline first at equal load (header comment),
+// and adds each slot's total to `load`.
+void split_earliest_deadline_first(std::vector<Share>& shares, int start,
+                                   int length,
+                                   std::vector<std::vector<double>>& allocation,
+                                   std::vector<double>& load) {
+  std::sort(shares.begin(), shares.end(), [](const Share& a, const Share& b) {
+    return a.deadline_slot != b.deadline_slot
+               ? a.deadline_slot < b.deadline_slot
+               : a.job < b.job;
+  });
+  double total = 0.0;
+  for (const Share& s : shares) total += s.amount;
+  const double per_slot = total / length;
+  for (int i = 0; i < length; ++i) {
+    const std::size_t t = static_cast<std::size_t>(start + i);
+    const double later = length - 1 - i;  // slots after t in the interval
+    double left = per_slot;
+    for (Share& s : shares) {
+      const double must = std::max(0.0, s.amount - s.width * later);
+      allocation[s.job][t] = must;
+      s.amount -= must;
+      left -= must;
+    }
+    for (Share& s : shares) {
+      if (left <= 0.0) break;
+      double& x = allocation[s.job][t];
+      const double extra = std::min({left, s.width - x, s.amount});
+      if (extra <= 0.0) continue;
+      x += extra;
+      s.amount -= extra;
+      left -= extra;
+    }
+    for (const Share& s : shares) load[t] += allocation[s.job][t];
+  }
+}
+
 ResourceFlowLexmin solve_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
@@ -98,21 +144,14 @@ ResourceFlowLexmin solve_flow_lexmin(
         capacity_per_slot[static_cast<std::size_t>(t)][r], kTinyCapacity);
     scale = std::max(scale, cap[static_cast<std::size_t>(t)]);
   }
-  std::vector<double> unit_cap(cap);
-  for (double& c : unit_cap) c /= scale;
 
-  // Node layout: 0 = source, 1..J = jobs, J+1..J+T = slots, J+T+1 = sink.
-  const int source = 0;
-  const int slot_base = 1 + static_cast<int>(jobs.size());
-  const int sink = slot_base + num_slots;
-  lp::FlowNetwork network(sink + 1);
-  struct Arc {
+  // The jobs with demand and their clipped windows, relative to first_slot.
+  struct Window {
     std::size_t job;
-    std::size_t slot;
-    int edge;
+    int begin;
+    int end;
   };
-  std::vector<Arc> arcs;
-  std::vector<bool> covered(static_cast<std::size_t>(num_slots), false);
+  std::vector<Window> windows;
   double demand = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const LpJob& job = jobs[j];
@@ -129,67 +168,121 @@ ResourceFlowLexmin solve_flow_lexmin(
     }
     ++result.jobs;
     demand += job.demand[r] / scale;
-    const int node = 1 + static_cast<int>(j);
+    windows.push_back(Window{j, begin, end});
+  }
+  if (!result.any_demand) return result;
+
+  // Elementary intervals: the horizon cut at every window start, every
+  // window end + 1 and every change in slot capacity. Interval k is slots
+  // [cuts[k], cuts[k + 1]); its slots share a capacity and a set of jobs.
+  std::vector<int> cuts = {0, num_slots};
+  for (const Window& w : windows) {
+    cuts.push_back(w.begin);
+    cuts.push_back(w.end + 1);
+  }
+  for (int t = 1; t < num_slots; ++t) {
+    if (cap[static_cast<std::size_t>(t)] !=
+        cap[static_cast<std::size_t>(t - 1)]) {
+      cuts.push_back(t);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  const int num_intervals = static_cast<int>(cuts.size()) - 1;
+  result.intervals = num_intervals;
+  const auto interval_of = [&cuts](int t) {
+    return static_cast<int>(
+        std::upper_bound(cuts.begin(), cuts.end(), t) - cuts.begin() - 1);
+  };
+  const auto length = [&cuts](int k) {
+    return cuts[static_cast<std::size_t>(k) + 1] -
+           cuts[static_cast<std::size_t>(k)];
+  };
+  // Each interval's capacity, sum of its slots' C_t, in network units.
+  std::vector<double> unit_cap(static_cast<std::size_t>(num_intervals));
+  for (int k = 0; k < num_intervals; ++k) {
+    unit_cap[static_cast<std::size_t>(k)] =
+        length(k) *
+        cap[static_cast<std::size_t>(cuts[static_cast<std::size_t>(k)])] /
+        scale;
+  }
+
+  // Node layout: 0 = source, 1..J = jobs, J+1..J+K = intervals, J+K+1 =
+  // sink. A job->interval arc carries k * w_j for an interval of k slots.
+  const int source = 0;
+  const int interval_base = 1 + static_cast<int>(jobs.size());
+  const int sink = interval_base + num_intervals;
+  lp::FlowNetwork network(sink + 1);
+  struct Arc {
+    std::size_t job;
+    int interval;
+    int edge;
+  };
+  std::vector<Arc> arcs;
+  std::vector<bool> covered(static_cast<std::size_t>(num_intervals), false);
+  for (const Window& w : windows) {
+    const LpJob& job = jobs[w.job];
+    const int node = 1 + static_cast<int>(w.job);
     network.add_edge(source, node, job.demand[r] / scale);
     const double width = arc_width(job, r);
-    for (int t = begin; t <= end; ++t) {
-      arcs.push_back(Arc{j, static_cast<std::size_t>(t),
-                         network.add_edge(node, slot_base + t,
-                                          width / scale)});
-      if (width > 0.0) covered[static_cast<std::size_t>(t)] = true;
+    for (int k = interval_of(w.begin); k <= interval_of(w.end); ++k) {
+      arcs.push_back(Arc{w.job, k,
+                         network.add_edge(node, interval_base + k,
+                                          length(k) * width / scale)});
+      if (width > 0.0) covered[static_cast<std::size_t>(k)] = true;
     }
   }
   result.edges = static_cast<int>(arcs.size());
-  if (!result.any_demand) return result;
 
-  // frozen[t]: the level slot t is fixed at; < 0 while free. Uncovered
-  // slots get no sink edge and stay at load 0.
-  std::vector<int> slot_edge(static_cast<std::size_t>(num_slots), -1);
-  std::vector<double> frozen(static_cast<std::size_t>(num_slots), -1.0);
-  int free_slots = 0;
-  for (int t = 0; t < num_slots; ++t) {
-    if (!covered[static_cast<std::size_t>(t)]) continue;
-    slot_edge[static_cast<std::size_t>(t)] =
-        network.add_edge(slot_base + t, sink, 0.0);
-    ++free_slots;
+  // frozen[k]: the level interval k is fixed at; < 0 while free. Uncovered
+  // intervals get no sink edge and stay at load 0.
+  std::vector<int> sink_edge(static_cast<std::size_t>(num_intervals), -1);
+  std::vector<double> frozen(static_cast<std::size_t>(num_intervals), -1.0);
+  int free_intervals = 0;
+  for (int k = 0; k < num_intervals; ++k) {
+    if (!covered[static_cast<std::size_t>(k)]) continue;
+    sink_edge[static_cast<std::size_t>(k)] =
+        network.add_edge(interval_base + k, sink, 0.0);
+    ++free_intervals;
   }
-  if (free_slots == 0) {
+  if (free_intervals == 0) {
     result.status = lp::SolveStatus::kInfeasible;  // every width is zero
     return result;
   }
-  const auto is_free = [&](int t) {
-    return slot_edge[static_cast<std::size_t>(t)] >= 0 &&
-           frozen[static_cast<std::size_t>(t)] < 0.0;
+  const auto is_free = [&](int k) {
+    return sink_edge[static_cast<std::size_t>(k)] >= 0 &&
+           frozen[static_cast<std::size_t>(k)] < 0.0;
   };
 
   const double tolerance = kRouteTol * std::max(1.0, demand);
   std::vector<double> flows;  // arc flows of the last completed level
-  while (free_slots > 0) {
-    // Fixed slots keep the capacity they were frozen at.
+  while (free_intervals > 0) {
+    // Fixed intervals keep the capacity they were frozen at.
     double fixed_capacity = 0.0;
     double free_capacity = 0.0;
-    for (int t = 0; t < num_slots; ++t) {
-      if (slot_edge[static_cast<std::size_t>(t)] < 0) continue;
-      if (is_free(t)) {
-        free_capacity += unit_cap[static_cast<std::size_t>(t)];
+    for (int k = 0; k < num_intervals; ++k) {
+      if (sink_edge[static_cast<std::size_t>(k)] < 0) continue;
+      if (is_free(k)) {
+        free_capacity += unit_cap[static_cast<std::size_t>(k)];
       } else {
-        fixed_capacity += frozen[static_cast<std::size_t>(t)] *
-                          unit_cap[static_cast<std::size_t>(t)];
+        fixed_capacity += frozen[static_cast<std::size_t>(k)] *
+                          unit_cap[static_cast<std::size_t>(k)];
       }
     }
     double u = std::max(0.0, (demand - fixed_capacity) / free_capacity);
 
     // Newton steps: each lands on the breakpoint of the last max flow's
-    // min cut. Successive cuts hold ever fewer free slots, so at most
-    // free_slots + 1 steps (plus one for rounding) reach the level. u only
-    // grows, so each step keeps the previous step's flow and augments it.
+    // min cut. Successive cuts hold ever fewer free intervals, so at most
+    // free_intervals + 1 steps (plus one for rounding) reach the level. u
+    // only grows, so each step keeps the previous step's flow and augments
+    // it.
     bool routed = false;
     double flow = 0.0;
-    for (int step = 0; step <= free_slots + 1; ++step) {
-      for (int t = 0; t < num_slots; ++t) {
-        if (!is_free(t)) continue;
-        network.set_capacity(slot_edge[static_cast<std::size_t>(t)],
-                             u * unit_cap[static_cast<std::size_t>(t)]);
+    for (int step = 0; step <= free_intervals + 1; ++step) {
+      for (int k = 0; k < num_intervals; ++k) {
+        if (!is_free(k)) continue;
+        network.set_capacity(sink_edge[static_cast<std::size_t>(k)],
+                             u * unit_cap[static_cast<std::size_t>(k)]);
       }
       flow = step == 0 ? network.max_flow(source, sink, budget)
                        : flow + network.augment(source, sink, budget);
@@ -201,10 +294,10 @@ ResourceFlowLexmin solve_flow_lexmin(
       }
       const std::vector<bool> source_side = network.reachable_from(source);
       double slope = 0.0;
-      for (int t = 0; t < num_slots; ++t) {
-        if (is_free(t) &&
-            source_side[static_cast<std::size_t>(slot_base + t)]) {
-          slope += unit_cap[static_cast<std::size_t>(t)];
+      for (int k = 0; k < num_intervals; ++k) {
+        if (is_free(k) &&
+            source_side[static_cast<std::size_t>(interval_base + k)]) {
+          slope += unit_cap[static_cast<std::size_t>(k)];
         }
       }
       if (slope <= 0.0) {
@@ -229,22 +322,22 @@ ResourceFlowLexmin solve_flow_lexmin(
     }
 
     // Freeze the maximal tight set. It is never empty in exact arithmetic;
-    // should rounding hide it, the guard freezes every free slot at u.
+    // should rounding hide it, the guard freezes every free interval at u.
     const std::vector<bool> reaches_sink = network.reaching(sink);
     std::vector<int> tight;
-    for (int t = 0; t < num_slots; ++t) {
-      if (is_free(t) &&
-          !reaches_sink[static_cast<std::size_t>(slot_base + t)]) {
-        tight.push_back(t);
+    for (int k = 0; k < num_intervals; ++k) {
+      if (is_free(k) &&
+          !reaches_sink[static_cast<std::size_t>(interval_base + k)]) {
+        tight.push_back(k);
       }
     }
     if (tight.empty()) {
-      for (int t = 0; t < num_slots; ++t) {
-        if (is_free(t)) tight.push_back(t);
+      for (int k = 0; k < num_intervals; ++k) {
+        if (is_free(k)) tight.push_back(k);
       }
     }
-    for (int t : tight) frozen[static_cast<std::size_t>(t)] = u;
-    free_slots -= static_cast<int>(tight.size());
+    for (int k : tight) frozen[static_cast<std::size_t>(k)] = u;
+    free_intervals -= static_cast<int>(tight.size());
     result.levels.push_back(u);
     flows.resize(arcs.size());
     for (std::size_t i = 0; i < arcs.size(); ++i) {
@@ -253,10 +346,19 @@ ResourceFlowLexmin solve_flow_lexmin(
     if (!all_levels) break;
   }
 
+  // Back to slots: each interval's flow, earliest deadline first.
+  std::vector<std::vector<Share>> shares(
+      static_cast<std::size_t>(num_intervals));
   for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const double x = flows[i] * scale;
-    result.allocation[arcs[i].job][arcs[i].slot] = x;
-    result.load[arcs[i].slot] += x;
+    const LpJob& job = jobs[arcs[i].job];
+    shares[static_cast<std::size_t>(arcs[i].interval)].push_back(
+        Share{arcs[i].job, job.deadline_slot, arc_width(job, r),
+              flows[i] * scale});
+  }
+  for (int k = 0; k < num_intervals; ++k) {
+    split_earliest_deadline_first(shares[static_cast<std::size_t>(k)],
+                                  cuts[static_cast<std::size_t>(k)], length(k),
+                                  result.allocation, result.load);
   }
   for (int t = 0; t < num_slots; ++t) {
     result.load[static_cast<std::size_t>(t)] /=
@@ -287,6 +389,7 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
   lp::LexminTrace trace;
   trace.rows = result.jobs;
   trace.cols = result.edges;
+  trace.intervals = result.intervals;
   trace.loads = result.load.size();
   trace.status = result.status;
   trace.rounds = static_cast<int>(result.levels.size());

@@ -6,36 +6,61 @@
 // bases of a polymatroid, so the lexmin-max of z_t / C_t is the
 // lexicographically optimal base for the weights C (Fujishige 1980), and
 // repeated parametric max flow computes it exactly (Gallo, Grigoriadis and
-// Tarjan 1989):
+// Tarjan 1989).
+//
+// The network has one node per elementary interval, not per slot: the
+// horizon is cut at every clipped window start, every window end + 1 and
+// every change in slot capacity, so the k slots of an interval share one
+// capacity and one set of jobs. Permuting them maps any placement to one
+// with the same sorted loads, and the lexmin load vector is unique, so it
+// is equal on them (the critical-interval argument of Yao, Demers and
+// Shenker, FOCS 1995). The interval problem, with a job->interval arc of
+// k * w_j and a sink arc of u * sum C_t, therefore has exactly the slot
+// problem's levels. J jobs make at most 2J + 1 intervals plus one per
+// capacity change: at most J * (2J + 1) arcs on a uniform horizon, however
+// many slots it has.
 //
 //   1. Level. The least u at which a max flow routes all demand D when
-//      every free slot is capped at u * C_t (and every fixed slot at its
-//      frozen level). Newton steps on the min cut find it: start at the
-//      lower bound u = (D - fixed capacity) / C(free slots); while the max
-//      flow falls short, the source side of its min cut gives
-//      u <- u + (D - flow) / C(free slots on the source side). A cut with
-//      no free slot capacity routes no more at any level: infeasible.
-//   2. Freeze. The free slots that cannot reach the sink in the residual
-//      graph (the source side of the maximal min cut) are the maximal
-//      tight set: every lexmin optimum holds them at exactly u.
-//   3. Repeat until every covered slot (one some job can use) is fixed.
+//      every free interval is capped at u * C (and every fixed interval at
+//      its frozen level). Newton steps on the min cut find it: start at
+//      the lower bound u = (D - fixed capacity) / C(free intervals); while
+//      the max flow falls short, the source side of its min cut gives
+//      u <- u + (D - flow) / C(free intervals on the source side). A cut
+//      with no free capacity routes no more at any level: infeasible.
+//   2. Freeze. The free intervals that cannot reach the sink in the
+//      residual graph (the source side of the maximal min cut) are the
+//      maximal tight set: every lexmin optimum holds them at exactly u.
+//   3. Repeat until every covered interval (one some job can use) is
+//      fixed.
 //
 // Every level is exact, so the result is the whole lexicographic optimum,
 // not just its peak. This is solve_placement's only solver; the tests
 // check it against a simplex lexmin of the same per-resource LP
 // (tests/support/lp/placement_simplex.h).
 //
-// Inputs: an infinite width caps a job->slot arc at the job's demand (a
-// job never places more than its demand in one slot); a NaN, infinite or
-// negative demand, a NaN or negative width, or a window clipped to nothing
-// makes the resource kInfeasible with an INFO log line.
+// Back to slots, earliest deadline first: callers get per-slot rows. Each
+// interval's per-job flow is split so that every slot of the interval
+// carries the same load. In each slot every job first takes what it must
+// run for its remainder to fit its width in the interval's later slots;
+// then the rest of the slot's share goes to the jobs in deadline order
+// (ties by job index), each up to its width. The must-run parts never
+// exceed the share and the widths always have room for it, so the split
+// keeps every load of the lexmin and every width, and runs the
+// earlier-deadline work first within the interval.
 //
-// Work is counted in augmenting paths. A SolveBudget charges one unit per
-// path and is polled between paths (lp::FlowNetwork::max_flow), so pivot
-// caps, wall budgets and cancel tokens cut a flow solve between paths:
-// before the first level is found the budget's status (kTimeout or
-// kIterationLimit) comes back; after it, the last completed level's flow
-// comes back as a truncated plan.
+// Inputs: an infinite width caps a job's share of one slot at its demand
+// (a job never places more than its demand in one slot), so k times that on
+// a job->interval arc of k slots; a NaN, infinite or negative demand, a NaN
+// or negative width, or a window clipped to nothing makes the resource
+// kInfeasible with an INFO log line.
+//
+// Work is counted in augmenting paths on the interval network. A
+// SolveBudget charges one unit per path and is polled between paths
+// (lp::FlowNetwork::max_flow), so pivot caps, wall budgets and cancel
+// tokens cut a flow solve between paths: before the first level is found
+// the budget's status (kTimeout or kIterationLimit) comes back; after it,
+// the last completed level's flow comes back as a truncated plan, split to
+// slots the same way.
 //
 // The first level alone is the cheap feasibility primitive: admission
 // checks and capacity what-if queries (solve_flow_placement) stop there.
@@ -83,8 +108,10 @@ struct ResourceFlowLexmin {
   /// completed level's flow (feasible, peak exact, tail unrefined).
   bool truncated = false;
   bool budget_exhausted = false;
-  /// Problem size, for traces: jobs with demand and job->slot edges.
+  /// Problem size, for traces: jobs with demand, elementary intervals
+  /// (the network's slot nodes) and job->interval arcs.
   int jobs = 0;
+  int intervals = 0;
   int edges = 0;
 
   bool ok() const { return status == lp::SolveStatus::kOptimal; }

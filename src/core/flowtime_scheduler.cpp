@@ -29,6 +29,9 @@ constexpr int kMaxPlanningSlots = 360;
 // lexmin regardless — this only delays *reporting* recovery, so one lucky
 // solve amid a numerical storm does not flap the mode.
 constexpr int kDegradeRecoveryReplans = 3;
+// The simulator's completion tolerance: a job whose remaining estimate is
+// at most this in every resource reads as overrun, not as work to plan.
+constexpr double kSimTol = 1e-6;
 
 enum class Round { kUp, kDown };
 
@@ -536,6 +539,18 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
       obs::registry().gauge(cell_prefix + "load")
           .set(record.max_normalized_load);
     }
+    // Starved rows: deadline jobs with estimated work left (and not
+    // overrun) that the adopted plan gives nothing, so no plan-exhaustion
+    // trigger will ever see them.
+    int unplanned_jobs = 0;
+    for (const auto& [uid, job] : deadline_jobs_) {
+      (void)uid;
+      if (!job.overrun && job.planned_last_slot < 0 &&
+          !workload::is_zero(job.remaining, kSimTol)) {
+        ++unplanned_jobs;
+      }
+    }
+    obs::registry().counter("core.unplanned_jobs").add(unplanned_jobs);
     obs::TraceEvent event("replan");
     event.field("slot", record.slot)
         .field("cause", to_string(record.causes))
@@ -546,6 +561,7 @@ bool FlowTimeScheduler::finish_replan(const PendingReplan& pending,
         .field("capacity_exceeded", record.capacity_exceeded)
         .field("lp_failed", record.lp_failed)
         .field("lexmin_truncated", record.lexmin_truncated)
+        .field("unplanned_jobs", unplanned_jobs)
         .field("max_normalized_load", record.max_normalized_load)
         .field("degrade_rung", record.degrade_rung)
         .field("degrade_reason", to_string(record.degrade_reason))

@@ -18,6 +18,7 @@ void record_lexmin_solve(const LexminTrace& trace) {
                 .field("engine", trace.engine)
                 .field("rows", trace.rows)
                 .field("cols", trace.cols)
+                .field("intervals", trace.intervals)
                 .field("loads", trace.loads)
                 .field("status", to_string(trace.status))
                 .field("rounds", trace.rounds)

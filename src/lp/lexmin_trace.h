@@ -15,7 +15,8 @@ namespace flowtime::lp {
 struct LexminTrace {
   const char* engine = "flow";  // "flow" or "simplex"
   int rows = 0;            // jobs with demand (simplex: base rows)
-  int cols = 0;            // job->slot edges (simplex: base columns)
+  int cols = 0;            // job->interval arcs (simplex: base columns)
+  int intervals = 0;       // interval nodes (simplex: 0)
   std::size_t loads = 0;   // slots (simplex: load rows)
   SolveStatus status = SolveStatus::kOptimal;
   int rounds = 0;          // levels (simplex: lexmin rounds)

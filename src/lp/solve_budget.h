@@ -5,12 +5,16 @@
 // checked between units of work), a shared work cap across every solve
 // that carries the same budget, and an optional cooperative cancellation
 // token. One "pivot" is one unit of solver work: a max-flow augmenting path
-// of lp::FlowNetwork, which the flow lexmin of core/flow_placement.h runs
-// on. (The tests' simplex reference charges one per pivot, its
-// branch-and-bound one per node.) The budget is *shared*, not per-solve:
-// FlowTimeScheduler creates one per re-plan and passes it to every
-// solve_placement call of that re-plan, so a pathological first solve
-// cannot leave later solves with a fresh allowance.
+// of lp::FlowNetwork on the flow lexmin's interval network
+// (core/flow_placement.h), whose nodes are runs of slots that the same job
+// windows cover at the same capacity. One path there can carry a whole
+// interval's slots, so `fault_solver pivots=N` cuts a solve later than N
+// paths of a per-slot network would. (The tests' simplex reference charges
+// one per pivot, its branch-and-bound one per node.) The budget is
+// *shared*, not per-solve: FlowTimeScheduler creates one per re-plan and
+// passes it to every solve_placement call of that re-plan, so a
+// pathological first solve cannot leave later solves with a fresh
+// allowance.
 //
 // Determinism: the pivot cap and the cancel token are deterministic given a
 // deterministic pivot sequence; the wall-clock limit is not (it depends on

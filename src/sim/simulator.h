@@ -94,10 +94,6 @@ struct SimResult {
   /// obs `fault.*` counters and `fault_injected`/`task_retry`/
   /// `capacity_change` trace events carry the same story per event.
   fault::FaultLog faults;
-
-  const JobRecord& record(JobUid uid) const {
-    return jobs[static_cast<std::size_t>(uid)];
-  }
 };
 
 /// Runs one scenario against one scheduler. The simulator is reusable;
@@ -107,8 +103,6 @@ class Simulator {
   explicit Simulator(SimConfig config = {});
 
   SimResult run(const workload::Scenario& scenario, Scheduler& scheduler);
-
-  const SimConfig& config() const { return config_; }
 
  private:
   SimConfig config_;

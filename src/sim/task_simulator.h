@@ -38,8 +38,6 @@ class TaskLevelSimulator {
 
   SimResult run(const workload::Scenario& scenario, Scheduler& scheduler);
 
-  const TaskSimConfig& config() const { return config_; }
-
  private:
   TaskSimConfig config_;
 };

@@ -3,7 +3,8 @@
 // dual-test lexmin (lp::solve_placement_simplex, on each resource's
 // transportation LP) on the whole sorted level vector, the
 // exchange-condition certificate of lexicographic optimality, feasibility
-// of every plan, and how solver budgets cut a flow solve.
+// of every plan, the elementary-interval network and its earliest-deadline
+// split back to slots, and how solver budgets cut a flow solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,6 +77,82 @@ Instance random_instance(int seed) {
   return inst;
 }
 
+// Seeded placement whose slots merge into elementary intervals: 20-60
+// slots under one capacity (every third seed) or up to four constant
+// pieces, and 2-8 jobs with windows of any length, so long runs of slots
+// share a capacity and a set of jobs. Odd seeds clip windows at a
+// first_slot > 0; every fourth seed leaves memory idle.
+Instance interval_instance(int seed) {
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 31);
+  Instance inst;
+  const int slots = static_cast<int>(rng.uniform_int(20, 60));
+  inst.first_slot = seed % 2 == 1 ? static_cast<int>(rng.uniform_int(1, 5))
+                                  : 0;
+  const int last = inst.first_slot + slots - 1;
+  const int pieces =
+      seed % 3 == 0 ? 1 : static_cast<int>(rng.uniform_int(2, 4));
+  std::vector<bool> new_piece(static_cast<std::size_t>(slots), false);
+  new_piece[0] = true;
+  for (int p = 1; p < pieces; ++p) {
+    new_piece[static_cast<std::size_t>(rng.uniform_int(1, slots - 1))] = true;
+  }
+  ResourceVec cap{};
+  for (int t = 0; t < slots; ++t) {
+    if (new_piece[static_cast<std::size_t>(t)]) {
+      cap = ResourceVec{rng.uniform_real(50.0, 200.0),
+                        rng.uniform_real(100.0, 400.0)};
+    }
+    inst.caps.push_back(cap);
+  }
+  const int n = static_cast<int>(rng.uniform_int(2, 8));
+  for (int i = 0; i < n; ++i) {
+    LpJob job;
+    job.uid = i;
+    job.release_slot =
+        static_cast<int>(rng.uniform_int(inst.first_slot - 3, last));
+    job.deadline_slot = std::min(
+        last, std::max(inst.first_slot, job.release_slot) +
+                  static_cast<int>(rng.uniform_int(0, slots - 1)));
+    const int window = job.deadline_slot -
+                       std::max(job.release_slot, inst.first_slot) + 1;
+    for (int r = 0; r < workload::kNumResources; ++r) {
+      job.width[r] = rng.uniform_real(10.0, 120.0);
+      const double fill =
+          rng.bernoulli(0.25) ? 1.0 : rng.uniform_real(0.2, 0.95);
+      job.demand[r] = fill * job.width[r] * window;
+    }
+    if (seed % 4 == 0) job.demand[workload::kMemory] = 0.0;
+    inst.jobs.push_back(job);
+  }
+  return inst;
+}
+
+// Where resource r's network cuts the horizon: cuts[t] is true when slot t
+// (relative) starts a new elementary interval — a window of a job with
+// demand starts there, one ends just before it, or the capacity changes.
+std::vector<bool> interval_starts(const Instance& inst, int r) {
+  const int slots = static_cast<int>(inst.caps.size());
+  const int last = inst.first_slot + slots - 1;
+  std::vector<bool> cuts(static_cast<std::size_t>(slots), false);
+  cuts[0] = true;
+  for (const LpJob& job : inst.jobs) {
+    if (job.demand[r] == 0.0) continue;
+    const int begin = std::max(job.release_slot, inst.first_slot);
+    const int end = std::min(job.deadline_slot, last);
+    cuts[static_cast<std::size_t>(begin - inst.first_slot)] = true;
+    if (end < last) {
+      cuts[static_cast<std::size_t>(end + 1 - inst.first_slot)] = true;
+    }
+  }
+  for (int t = 1; t < slots; ++t) {
+    if (inst.caps[static_cast<std::size_t>(t)][r] !=
+        inst.caps[static_cast<std::size_t>(t - 1)][r]) {
+      cuts[static_cast<std::size_t>(t)] = true;
+    }
+  }
+  return cuts;
+}
+
 using test::sorted_loads;
 
 LpSchedule solve_flow(const Instance& inst,
@@ -90,10 +167,9 @@ LpSchedule solve_dual_test(const Instance& inst) {
                                      options);
 }
 
-class FlowLexminProperty : public ::testing::TestWithParam<int> {};
+// The three checks every instance family runs.
 
-TEST_P(FlowLexminProperty, LevelVectorMatchesDualTestLexmin) {
-  const Instance inst = random_instance(GetParam());
+void expect_level_vector_matches_dual_test(const Instance& inst) {
   const LpSchedule flow = solve_flow(inst);
   const LpSchedule dual = solve_dual_test(inst);
   ASSERT_TRUE(flow.ok()) << lp::to_string(flow.status);
@@ -113,13 +189,11 @@ TEST_P(FlowLexminProperty, LevelVectorMatchesDualTestLexmin) {
   }
 }
 
-TEST_P(FlowLexminProperty, NoResidualPathLowersTheProfile) {
-  // The exchange condition that characterizes the lexicographically
-  // optimal base: if some chain of jobs can move load from slot s to slot
-  // t (s <- j1 -> ... -> t in the residual graph: each job holds load on
-  // the slot before it and has width left on the slot after it), then s
-  // may not sit above t.
-  const Instance inst = random_instance(GetParam());
+// The exchange condition that characterizes the lexicographically optimal
+// base: if some chain of jobs can move load from slot s to slot t (s <- j1
+// -> ... -> t in the residual graph: each job holds load on the slot before
+// it and has width left on the slot after it), then s may not sit above t.
+void expect_no_residual_path_lowers_the_profile(const Instance& inst) {
   const LpSchedule flow = solve_flow(inst);
   ASSERT_TRUE(flow.ok());
   const int slots = static_cast<int>(inst.caps.size());
@@ -162,8 +236,8 @@ TEST_P(FlowLexminProperty, NoResidualPathLowersTheProfile) {
   }
 }
 
-TEST_P(FlowLexminProperty, PlanPlacesEveryDemandInsideItsWindowAndWidth) {
-  const Instance inst = random_instance(GetParam());
+void expect_every_demand_placed_inside_its_window_and_width(
+    const Instance& inst) {
   const LpSchedule flow = solve_flow(inst);
   ASSERT_TRUE(flow.ok());
   const int slots = static_cast<int>(inst.caps.size());
@@ -199,7 +273,64 @@ TEST_P(FlowLexminProperty, PlanPlacesEveryDemandInsideItsWindowAndWidth) {
   }
 }
 
+class FlowLexminProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowLexminProperty, LevelVectorMatchesDualTestLexmin) {
+  expect_level_vector_matches_dual_test(random_instance(GetParam()));
+}
+
+TEST_P(FlowLexminProperty, NoResidualPathLowersTheProfile) {
+  expect_no_residual_path_lowers_the_profile(random_instance(GetParam()));
+}
+
+TEST_P(FlowLexminProperty, PlanPlacesEveryDemandInsideItsWindowAndWidth) {
+  expect_every_demand_placed_inside_its_window_and_width(
+      random_instance(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowLexminProperty, ::testing::Range(1, 61));
+
+// The same checks on instances whose slots merge into elementary intervals
+// (random_instance draws a capacity per slot, so none of its slots merge).
+class FlowLexminIntervalProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowLexminIntervalProperty, LevelVectorMatchesDualTestLexmin) {
+  expect_level_vector_matches_dual_test(interval_instance(GetParam()));
+}
+
+TEST_P(FlowLexminIntervalProperty, NoResidualPathLowersTheProfile) {
+  expect_no_residual_path_lowers_the_profile(interval_instance(GetParam()));
+}
+
+TEST_P(FlowLexminIntervalProperty,
+       PlanPlacesEveryDemandInsideItsWindowAndWidth) {
+  expect_every_demand_placed_inside_its_window_and_width(
+      interval_instance(GetParam()));
+}
+
+TEST_P(FlowLexminIntervalProperty, EverySlotOfAnIntervalCarriesTheSameLoad) {
+  const Instance inst = interval_instance(GetParam());
+  const LpSchedule flow = solve_flow(inst);
+  ASSERT_TRUE(flow.ok());
+  const int slots = static_cast<int>(inst.caps.size());
+  int merged = 0;
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    const std::vector<bool> starts = interval_starts(inst, r);
+    for (int t = 1; t < slots; ++t) {
+      if (starts[static_cast<std::size_t>(t)]) continue;
+      ++merged;
+      EXPECT_NEAR(flow.normalized_load[static_cast<std::size_t>(t)][r],
+                  flow.normalized_load[static_cast<std::size_t>(t - 1)][r],
+                  1e-9)
+          << "resource " << r << ": slots " << t - 1 << " and " << t
+          << " share an interval";
+    }
+  }
+  EXPECT_GT(merged, 0) << "no two slots merged; the family misses its aim";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowLexminIntervalProperty,
+                         ::testing::Range(1, 41));
 
 // Two jobs that force two levels: one pinned to slot 0, one spread over
 // slots 0-3.
@@ -217,6 +348,66 @@ std::vector<LpJob> two_level_jobs() {
 std::vector<ResourceVec> flat_caps(int slots) {
   return std::vector<ResourceVec>(static_cast<std::size_t>(slots),
                                   ResourceVec{100.0, 100.0});
+}
+
+TEST(FlowLexminIntervals, ArcsGrowWithJobsNotSlots) {
+  // Three windows on 300 uniform slots cut the horizon at 0, 50, 100, 150,
+  // 250 and 300: five intervals and 5 + 2 + 2 arcs, within J * (2J + 1).
+  std::vector<LpJob> jobs(3);
+  const int windows[3][2] = {{0, 299}, {50, 149}, {100, 249}};
+  for (int j = 0; j < 3; ++j) {
+    jobs[static_cast<std::size_t>(j)].uid = j;
+    jobs[static_cast<std::size_t>(j)].release_slot = windows[j][0];
+    jobs[static_cast<std::size_t>(j)].deadline_slot = windows[j][1];
+    jobs[static_cast<std::size_t>(j)].demand = ResourceVec{2000.0, 0.0};
+    jobs[static_cast<std::size_t>(j)].width = ResourceVec{40.0, 0.0};
+  }
+  const ResourceFlowLexmin r =
+      solve_resource_flow_lexmin(jobs, flat_caps(300), 0, workload::kCpu);
+  ASSERT_TRUE(r.ok()) << lp::to_string(r.status);
+  EXPECT_EQ(r.jobs, 3);
+  EXPECT_LE(r.edges, 3 * (2 * 3 + 1));
+  EXPECT_EQ(r.edges, 9);
+  EXPECT_EQ(r.intervals, 5);
+  ASSERT_EQ(r.load.size(), 300u);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    double placed = 0.0;
+    for (double x : r.allocation[j]) placed += x;
+    EXPECT_NEAR(placed, 2000.0, 1e-9) << "job " << j;
+  }
+}
+
+TEST(FlowLexminIntervals, SplitRunsEarliestDeadlineFirstAtEqualLoad) {
+  // Both jobs cover the whole 4-slot horizon (b's deadline is clipped), so
+  // the network has one interval carrying 120 + 200 = 320: 80 per slot.
+  // Slot 0: neither job must run yet (a fits 120 in 3 * 60, b 200 in
+  // 3 * 80); a, the earlier deadline, takes its width 60 and b the other
+  // 20. Slot 1: b must run 180 - 2 * 80 = 20; a takes the remaining 60.
+  // Slots 2 and 3: b must run 80 each.
+  LpJob a;
+  a.uid = 0;
+  a.deadline_slot = 3;
+  a.demand = ResourceVec{120.0, 0.0};
+  a.width = ResourceVec{60.0, 0.0};
+  LpJob b;
+  b.uid = 1;
+  b.deadline_slot = 9;
+  b.demand = ResourceVec{200.0, 0.0};
+  b.width = ResourceVec{80.0, 0.0};
+  const ResourceFlowLexmin r =
+      solve_resource_flow_lexmin({b, a}, flat_caps(4), 0, workload::kCpu);
+  ASSERT_TRUE(r.ok()) << lp::to_string(r.status);
+  EXPECT_EQ(r.intervals, 1);
+  EXPECT_EQ(r.edges, 2);
+  ASSERT_EQ(r.levels.size(), 1u);
+  EXPECT_NEAR(r.max_level(), 0.8, 1e-12);
+  const std::vector<double> want_a = {60.0, 60.0, 0.0, 0.0};
+  const std::vector<double> want_b = {20.0, 20.0, 80.0, 80.0};
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_NEAR(r.allocation[1][t], want_a[t], 1e-9) << "a, slot " << t;
+    EXPECT_NEAR(r.allocation[0][t], want_b[t], 1e-9) << "b, slot " << t;
+    EXPECT_NEAR(r.load[t], 0.8, 1e-12) << "slot " << t;
+  }
 }
 
 TEST(FlowLexminBudget, OneUnitCapStopsBeforeTheFirstLevel) {

@@ -1,6 +1,7 @@
 // Tests for the FlowTime scheduler: deadline adherence, ad-hoc leftover
 // allocation, dynamic re-planning, estimation-error robustness and the
-// adopt-or-discard rule of the replan cycle.
+// adopt-or-discard rule of the replan cycle, and the count of starved rows
+// at adoption.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -431,6 +432,44 @@ TEST(FlowTimeScheduler, FinishReplanDiscardsPreemptedSolve) {
   expect_discarded([](FlowTimeScheduler&, PlanSolveResult& solved) {
     solved.preempted = true;  // what a fired cancel token reports
   });
+}
+
+TEST(FlowTimeScheduler, CountsAReadyJobWhosePlanRowIsAllZeroAsUnplanned) {
+  // A remaining estimate of 1e-9 of the largest slot capacity (ROADMAP
+  // item 1's residue) is above the simulator's 1e-6 overrun tolerance, but
+  // in the flow network's units (the largest slot capacity) it is no more
+  // than the 1e-9 below which an arc carries nothing. So the adopted plan
+  // gives the ready job an all-zero row: one starved row, counted and
+  // traced.
+  obs::testing::ScopedRegistryReset reset;
+  auto owned = std::make_unique<obs::MemorySink>();
+  obs::MemorySink* sink = owned.get();
+  obs::set_trace_sink(std::move(owned));
+
+  sim::SimConfig sim_config = small_cluster();
+  sim_config.cluster.capacity[workload::kMemory] = 400.0;  // 4000 GB-s/slot
+  FlowTimeScheduler scheduler(flowtime_config(sim_config));
+  const auto workflow = one_job_workflow(0);
+  scheduler.on_event(sim::WorkflowArrivalEvent{workflow, {0}, 0.0});
+  sim::ClusterState state = one_job_state(sim_config, *workflow);
+  const double residue = state.capacity[workload::kMemory] / 1e9;
+  ASSERT_GT(residue, 1e-6);
+  state.active[0].remaining_estimate = ResourceVec{0.0, residue};
+  scheduler.allocate(state);
+  const std::vector<std::string> lines = sink->lines();
+  obs::clear_trace_sink();
+
+  ASSERT_EQ(scheduler.replans(), 1);
+  EXPECT_EQ(obs::registry().counter("core.unplanned_jobs").value(), 1);
+  int replan_events = 0;
+  for (const std::string& line : lines) {
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(obs::parse_flat_json(line, &fields)) << line;
+    if (fields.at("type") != "replan") continue;
+    ++replan_events;
+    EXPECT_EQ(fields.at("unplanned_jobs"), "1");
+  }
+  EXPECT_EQ(replan_events, 1);
 }
 
 }  // namespace
