@@ -169,7 +169,23 @@ void part2_lexmin_depth() {
   };
   const core::FlowPlacementResult first =
       core::solve_flow_placement(jobs, caps, 0);
-  if (first.feasible) add_row("first level", 1, first.allocation);
+  if (first.feasible) {
+    // solve_flow_placement answers the level only; the rows achieving it
+    // come from each resource's level solve.
+    std::vector<std::vector<ResourceVec>> rows(
+        jobs.size(), std::vector<ResourceVec>(caps.size()));
+    for (int r = 0; r < workload::kNumResources; ++r) {
+      const core::ResourceFlowLexmin level =
+          core::solve_resource_flow_level(jobs, caps, 0, r);
+      if (!level.any_demand) continue;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        for (std::size_t t = 0; t < caps.size(); ++t) {
+          rows[j][t][r] = level.allocation[j][t];
+        }
+      }
+    }
+    add_row("first level", 1, rows);
+  }
   const core::LpSchedule full = core::solve_placement(jobs, caps, 0);
   if (full.ok()) add_row("full lexmin", full.lexmin_rounds, full.allocation);
   std::printf("%s\n", table.to_string().c_str());

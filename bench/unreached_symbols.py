@@ -7,7 +7,11 @@ Every bench/ and examples/ target and the bench_e2e harness are built at
 -fkeep-inline-functions makes every translation unit emit the inline
 functions it sees, header-defined members included, so the archives
 define them too. A `flowtime::` function that some src/ archive
-(libft_*.a) defines and no binary keeps has no caller outside the tests:
+(libft_*.a) defines and no binary keeps has no caller outside the tests.
+Special members the compiler generates (implicit constructors,
+destructors and assignments) have no source to delete, so they are left
+out: -g1 gives every function a DWARF subprogram, and the compiler marks
+those with DW_AT_artificial.
 
     python3 bench/unreached_symbols.py [--jobs N]
 
@@ -29,12 +33,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD_ROOT = os.path.join(ROOT, "build-unreached")
 FLAGS = ["-DCMAKE_BUILD_TYPE=None",
-         "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections "
+         "-DCMAKE_CXX_FLAGS=-O0 -g1 -ffunction-sections -fdata-sections "
          "-fkeep-inline-functions",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"]
 # A nested name in namespace flowtime, const/volatile/ref-qualified or not.
 MANGLED_RE = re.compile(r"_ZN[KVRO]*8flowtime")
 TARGET_RE = re.compile(r"^\s*ft_add_(?:g?bench|example)\((\w+)", re.M)
+# A DIE header in `readelf --debug-dump=info`: " <depth><offset>: Abbrev
+# Number: N (DW_TAG_...)".
+DIE_RE = re.compile(r"^\s*<\d+><[0-9a-f]+>: Abbrev Number: \d+ \((\w+)\)")
 
 
 def fail(message):
@@ -78,10 +85,44 @@ def functions(path):
                                       for line in out.splitlines())
                if len(parts) == 3 and parts[1] in "TtWw" and
                MANGLED_RE.match(parts[2])]
-    demangled = subprocess.run(["c++filt"], input="\n".join(mangled),
-                               capture_output=True, text=True,
-                               check=True).stdout
-    return set(demangled.splitlines())
+    return demangle(mangled)
+
+
+def demangle(names):
+    out = subprocess.run(["c++filt"], input="\n".join(names),
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines())
+
+
+def compiler_generated(path):
+    """Demangled names of the flowtime:: special members `path` defines
+    that the compiler generated: their DWARF subprogram carries
+    DW_AT_artificial. Its linkage name is the unified constructor or
+    destructor (C4, D4), which demangles like the emitted variants."""
+    artificial = []
+    die_tag, linkage, is_artificial = None, None, False
+
+    def close_die():
+        if (die_tag == "DW_TAG_subprogram" and is_artificial and
+                linkage and MANGLED_RE.match(linkage)):
+            artificial.append(linkage)
+
+    with subprocess.Popen(["readelf", "--wide", "--debug-dump=info", path],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True) as readelf:
+        for line in readelf.stdout:
+            die = DIE_RE.match(line)
+            if die:
+                close_die()
+                die_tag, linkage, is_artificial = die.group(1), None, False
+            elif "DW_AT_linkage_name" in line:
+                linkage = line.rsplit(" ", 1)[-1].strip()
+            elif "DW_AT_artificial" in line:
+                is_artificial = True
+        close_die()
+    if readelf.returncode != 0:
+        fail("readelf failed on " + path)
+    return demangle(artificial)
 
 
 def main():
@@ -109,7 +150,8 @@ def main():
         fail("no libft_*.a under " + os.path.join(main_dir, "src"))
     total = 0
     for archive in archives:
-        unreached = sorted(functions(archive) - linked)
+        unreached = sorted(functions(archive) - linked -
+                           compiler_generated(archive))
         total += len(unreached)
         name = os.path.basename(archive)[len("lib"):-len(".a")]
         print("%s: %d" % (name, len(unreached)))

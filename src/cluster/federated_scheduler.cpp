@@ -68,6 +68,7 @@ CellScheduler::CellScheduler(CellSpec cell_spec, core::FlowTimeConfig config,
 void CellScheduler::reset() {
   scheduler_ = std::make_unique<core::FlowTimeScheduler>(config_);
   admission = core::AdmissionController(admission_config_for(spec, config_));
+  candidates.clear();
   adhoc_active = 0;
   was_overloaded = false;
 }
@@ -211,6 +212,26 @@ void FederatedScheduler::apply_capacity_to_cell(
   target.admission.on_capacity_change(
       workload::scale(change.capacity, fraction / slot_seconds),
       change.now_s);
+  target.candidates.clear();
+}
+
+const core::AdmissionController::Candidate& FederatedScheduler::candidate_of(
+    int cell, int workflow_id) {
+  CellScheduler& target = *cells_[cell];
+  auto it = target.candidates.find(workflow_id);
+  if (it == target.candidates.end()) {
+    it = target.candidates
+             .emplace(workflow_id, target.admission.candidate(
+                                       *workflows_.at(workflow_id).workflow))
+             .first;
+  }
+  return it->second;
+}
+
+core::AdmissionDecision FederatedScheduler::verdict(int cell, int workflow_id,
+                                                    double now_s) {
+  return cells_[cell]->admission.evaluate(candidate_of(cell, workflow_id),
+                                          now_s);
 }
 
 bool FederatedScheduler::cell_routable(int cell) const {
@@ -405,7 +426,7 @@ void FederatedScheduler::fail_over_workflows(int cell_id, int slot,
       if (!info.complete[node]) cell_of_uid_.erase(info.node_uids[node]);
     }
     info.cell = -1;
-    const int target = route_workflow(*info.workflow, now_s);
+    const int target = route_workflow(workflow_id, now_s);
     if (target < 0) {
       // No live cell: parked, retried every slot — never stranded.
       pending_failover_.push_back(workflow_id);
@@ -464,7 +485,7 @@ void FederatedScheduler::route_pending_failover(
     for (const int workflow_id : pending_failover_) {
       const auto it = workflows_.find(workflow_id);
       if (it == workflows_.end()) continue;  // completed while parked
-      const int target = route_workflow(*it->second.workflow, state.now_s);
+      const int target = route_workflow(workflow_id, state.now_s);
       if (target < 0) {
         still_pending.push_back(workflow_id);
         continue;
@@ -506,7 +527,7 @@ void FederatedScheduler::handle_workflow_arrival(
     workflow_of_uid_[uid] = workflow.id;
   }
 
-  const int cell = route_workflow(workflow, arrival.now_s);
+  const int cell = route_workflow(workflow.id, arrival.now_s);
   if (cell < 0) {
     // Unplaceable: every cell is down or quarantined. Parked and retried
     // each slot until a cell comes back.
@@ -516,8 +537,7 @@ void FederatedScheduler::handle_workflow_arrival(
   place_workflow(workflow.id, cell, arrival.now_s);
 }
 
-int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
-                                       double now_s) {
+int FederatedScheduler::route_workflow(int workflow_id, double now_s) {
   if (num_cells() == 1) return cell_routable(0) ? 0 : -1;
   // Pass 0 considers only healthy cells; pass 1 (reached only when no
   // healthy cell exists) falls back to suspect cells — degraded but still
@@ -535,8 +555,7 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
       // Projected peak load with the candidate added — the bin-pack key.
       // Infeasible cells (deadline cannot be met next to their admitted
       // work) are pruned first, DCoflow-style.
-      const core::AdmissionDecision decision =
-          cell.admission.evaluate(workflow, now_s);
+      const core::AdmissionDecision decision = verdict(i, workflow_id, now_s);
       if (decision.admitted && decision.peak_load < best_peak - 1e-12) {
         best = i;
         best_peak = decision.peak_load;
@@ -557,7 +576,7 @@ int FederatedScheduler::route_workflow(const workload::Workflow& workflow,
     if (obs::enabled()) {
       obs::registry().counter("cluster.route_infeasible").add();
       obs::emit(obs::TraceEvent("route_infeasible")
-                    .field("workflow", workflow.id)
+                    .field("workflow", workflow_id)
                     .field("cell", fallback)
                     .field("peak_load", fallback_peak));
     }
@@ -585,9 +604,9 @@ void FederatedScheduler::place_workflow(int workflow_id, int cell,
   }
   // Commit the demand to the cell's admission view even when routing
   // placed it past the feasibility gate — the routing oracle must keep
-  // seeing it. Routing or the migration scan has just computed the verdict,
-  // so the commit computes none.
-  target.admission.force_admit(*info.workflow, now_s);
+  // seeing it. Routing or the migration scan has just computed the verdict
+  // on the same cached candidate, so the commit computes none.
+  target.admission.force_admit(candidate_of(cell, workflow_id), now_s);
 }
 
 void FederatedScheduler::handle_job_complete(
@@ -633,6 +652,7 @@ void FederatedScheduler::handle_job_complete(
     if (info.cell >= 0) {
       cells_[info.cell]->admission.forget_workflow(workflow_id, event.now_s);
     }
+    for (auto& cell : cells_) cell->candidates.erase(workflow_id);
     workflows_.erase(info_it);
   }
 }
@@ -699,7 +719,6 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
     // another hotspot: in that state migration only reshuffles pain).
     // Unlike route_workflow it never takes a cell whose projected peak is
     // infinite, so the two scans cannot be merged without changing plans.
-    const workload::Workflow& workflow = *workflows_.at(candidate).workflow;
     int to = -1;
     double to_peak = std::numeric_limits<double>::infinity();
     int cool = -1;
@@ -709,7 +728,7 @@ void FederatedScheduler::run_migrations(const sim::ClusterState& state) {
         continue;
       }
       const core::AdmissionDecision decision =
-          cells_[i]->admission.evaluate(workflow, state.now_s);
+          verdict(i, candidate, state.now_s);
       if (decision.admitted && decision.peak_load < to_peak - 1e-12) {
         to = i;
         to_peak = decision.peak_load;
@@ -804,21 +823,33 @@ void FederatedScheduler::replan_dirty_cells(
   }
   if (jobs.empty()) return;
 
-  for (SolveJob& job : jobs) {
-    auto solve = [&job, &planner = cells_[job.cell]->scheduler()] {
-      job.solved = planner.solve_replan(job.pending);
-    };
+  const auto solve = [this](SolveJob& job) {
+    job.solved = cells_[job.cell]->scheduler().solve_replan(job.pending);
+  };
+  {
+    // However this block exits, every pooled solve has finished first, so
+    // no solver thread still writes into `jobs`: not after a normal exit,
+    // and not when the serving thread's own solve throws.
+    struct WaitForPooled {
+      std::vector<SolveJob>& jobs;
+      ~WaitForPooled() {
+        for (const SolveJob& job : jobs) {
+          if (job.done.valid()) job.done.wait();
+        }
+      }
+    } wait_for_pooled{jobs};
+    // Caller runs: the pool gets every dirty cell but the first, which the
+    // serving thread solves meanwhile instead of waiting idle, so a round
+    // with one dirty cell crosses no thread.
     if (pool_) {
-      job.done = pool_->submit(solve);
+      for (std::size_t k = 1; k < jobs.size(); ++k) {
+        jobs[k].done = pool_->submit([&solve, &job = jobs[k]] { solve(job); });
+        ++pooled_solves_;
+      }
+      solve(jobs.front());
     } else {
-      solve();
+      for (SolveJob& job : jobs) solve(job);
     }
-  }
-
-  // Every pooled solve has finished before any is collected, so no solver
-  // thread still writes into `jobs` should a get() below rethrow.
-  for (const SolveJob& job : jobs) {
-    if (job.done.valid()) job.done.wait();
   }
   // Every cell's solve is adopted (or discarded) on the serving thread, in
   // cell order, before any health reaction: a quarantine below fails

@@ -10,9 +10,10 @@
 // (prune-infeasible-first), ad-hoc jobs go to the cell with the least ad-hoc
 // pressure, and at most one workflow per slot migrates off a cell whose
 // degradation ladder engages or whose plan overloads/extends deadlines.
-// Per-cell replans are independent, so they can run concurrently on a
-// runtime::SolverPool; each cell's planner solves against its own warm
-// cache with a 1/N slice of the solver budget.
+// Per-cell replans are independent, so they can run concurrently: the
+// serving thread solves a round's first dirty cell itself and hands the
+// rest to a runtime::SolverPool; each cell's planner solves against its own
+// warm cache with a 1/N slice of the solver budget.
 //
 // Invariant: with cells = 1 the coordinator is a pass-through — same event
 // order, same replan sequence, same serve calls — so the federated plan is
@@ -61,10 +62,12 @@ struct FederatedConfig {
   /// federation spends the same solve allowance in aggregate.
   core::FlowTimeConfig flowtime;
   PartitionConfig partition;
-  /// Solve dirty cells concurrently on a SolverPool instead of one after
-  /// another. Plans are unchanged either way (each cell's solve reads only
-  /// its own inputs); only wall clock differs. Adoption stays in cell order
-  /// on the serving thread.
+  /// Solve dirty cells concurrently instead of one after another: the
+  /// serving thread solves a round's first dirty cell while a SolverPool
+  /// solves the others, so a round with one dirty cell crosses no thread.
+  /// Plans are unchanged either way (each cell's solve reads only its own
+  /// inputs); only wall clock differs. Adoption stays in cell order on the
+  /// serving thread.
   bool parallel_solve = false;
   /// Worker threads for parallel_solve; 0 = one per cell, capped at 16.
   int solver_threads = 0;
@@ -92,10 +95,11 @@ class CellScheduler {
   core::FlowTimeScheduler& scheduler() { return *scheduler_; }
   const core::FlowTimeScheduler& scheduler() const { return *scheduler_; }
 
-  /// Crash recovery: rebuilds the scheduler (warm cache included) and the
-  /// admission ledger from the stored config — everything a real shard
-  /// process holds in memory and loses when it dies. Routing and health
-  /// bookkeeping live in the coordinator and survive.
+  /// Crash recovery: rebuilds the scheduler (warm cache included), the
+  /// admission ledger and its cached candidates from the stored config —
+  /// everything a real shard process holds in memory and loses when it
+  /// dies. Routing and health bookkeeping live in the coordinator and
+  /// survive.
   void reset();
 
   /// Peak normalized load of the cell's last adopted plan (0 before any).
@@ -110,6 +114,11 @@ class CellScheduler {
 
   const CellSpec spec;
   core::AdmissionController admission;
+  /// Each live workflow decomposed on `admission`'s grid, by workflow id,
+  /// built at the first verdict or placement that needs it. Dropped with
+  /// the cell's capacity changes and crashes, and with the workflow when
+  /// it finishes.
+  std::map<int, core::AdmissionController::Candidate> candidates;
   /// Live ad-hoc jobs, the ad-hoc routing pressure.
   int adhoc_active = 0;
   /// Overload latch, so `cluster.cell_overload_events` counts transitions
@@ -163,6 +172,11 @@ class FederatedScheduler : public sim::Scheduler {
   int num_cells() const { return static_cast<int>(cells_.size()); }
   const CellScheduler& cell(int i) const { return *cells_[i]; }
 
+  /// Cell `cell`'s admission verdict on the live workflow `workflow_id` at
+  /// `now_s`, the answer routing and the migration scan read: the cell's
+  /// cached Candidate, evaluated against what the cell has admitted.
+  core::AdmissionDecision verdict(int cell, int workflow_id, double now_s);
+
   // Aggregate statistics across cells (comparable to the accessors of a
   // single FlowTimeScheduler).
   int replans() const;
@@ -172,6 +186,10 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations() const { return migrations_; }
   int overload_events() const { return overload_events_; }
+  /// Cell solves handed to the SolverPool. A round solves its first dirty
+  /// cell on the serving thread, so only rounds with two or more dirty
+  /// cells use the pool, and a one-cell federation never does.
+  int pooled_solves() const { return pooled_solves_; }
 
   // --- Fault-tolerance statistics (DESIGN.md §14) ------------------------
   /// Cell fault engagements observed (CellFaultEvent with active=true).
@@ -259,16 +277,22 @@ class FederatedScheduler : public sim::Scheduler {
   /// Cells currently quarantined (the cluster.cells_quarantined gauge).
   int quarantined_cells() const;
   /// Delivers one capacity-change broadcast to a single cell (scaled slice
-  /// to the scheduler, resource units to the admission ledger).
+  /// to the scheduler, resource units to the admission ledger) and drops
+  /// the cell's cached candidates, which were decomposed at the old
+  /// capacity.
   void apply_capacity_to_cell(int cell, const sim::CapacityChangeEvent& change);
+  /// The cell's Candidate for a live workflow, decomposed on first use.
+  const core::AdmissionController::Candidate& candidate_of(int cell,
+                                                           int workflow_id);
   /// Places a known workflow on a cell: delivers the arrival (and any
   /// already-complete jobs), registers uids, and commits the demand to the
   /// cell's admission ledger whether or not it passed the feasibility gate.
   void place_workflow(int workflow_id, int cell, double now_s);
-  /// Bin-pack routing: least projected peak load among admitting cells,
-  /// falling back to the least-loaded live cell when all reject. Returns
-  /// the cell id, or -1 when every cell is down or quarantined.
-  int route_workflow(const workload::Workflow& workflow, double now_s);
+  /// Bin-pack routing of a known workflow: least projected peak load
+  /// among admitting cells, falling back to the least-loaded live cell
+  /// when all reject. Returns the cell id, or -1 when every cell is down or
+  /// quarantined.
+  int route_workflow(int workflow_id, double now_s);
   void handle_job_complete(const sim::JobCompleteEvent& event);
   /// One migration round (allocate-time): moves at most one workflow off
   /// an overloaded cell.
@@ -281,9 +305,10 @@ class FederatedScheduler : public sim::Scheduler {
   /// they get nothing.
   std::vector<sim::ClusterState> split_state(
       const sim::ClusterState& state) const;
-  /// Runs the begin/solve/finish cycle for every dirty cell (serially or on
-  /// the pool, adopting in cell order), applies the health reactions to the
-  /// outcome, and records the round's wall time.
+  /// Runs the begin/solve/finish cycle for every dirty cell (serially, or
+  /// the first on the serving thread and the rest on the pool; adoption in
+  /// cell order), applies the health reactions to the outcome, and records
+  /// the round's wall time.
   void replan_dirty_cells(const std::vector<sim::ClusterState>& cell_states,
                           double now_s);
 
@@ -310,6 +335,7 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations_ = 0;
   int overload_events_ = 0;
+  int pooled_solves_ = 0;
   int cell_failures_ = 0;
   int failovers_ = 0;
   int quarantines_ = 0;

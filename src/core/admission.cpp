@@ -14,8 +14,8 @@ namespace flowtime::core {
 
 namespace {
 
-void trace_decision(const char* op, const workload::Workflow& candidate,
-                    double now_s, const AdmissionDecision& decision) {
+void trace_decision(const char* op, int workflow_id, double now_s,
+                    const AdmissionDecision& decision) {
   if (!obs::enabled()) return;
   obs::registry().counter("core.admission.evaluations").add();
   if (decision.admitted) {
@@ -25,7 +25,7 @@ void trace_decision(const char* op, const workload::Workflow& candidate,
   }
   obs::emit(obs::TraceEvent("admission")
                 .field("op", op)
-                .field("workflow", candidate.id)
+                .field("workflow", workflow_id)
                 .field("now_s", now_s)
                 .field("admitted", decision.admitted)
                 .field("peak_load", decision.peak_load)
@@ -37,20 +37,22 @@ void trace_decision(const char* op, const workload::Workflow& candidate,
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {}
 
-std::optional<std::vector<AdmissionController::AdmittedJob>>
-AdmissionController::decompose_to_jobs(const workload::Workflow& workflow,
-                                       DecomposeStatus* status) const {
+AdmissionController::Candidate AdmissionController::candidate(
+    const workload::Workflow& workflow) const {
+  Candidate built;
+  built.workflow_id_ = workflow.id;
+  built.name_ = workflow.name;
+  built.deadline_s_ = workflow.deadline_s;
   DecompositionConfig decomposition_config;
   decomposition_config.cluster = config_.cluster;
   decomposition_config.mode = config_.decomposition_mode;
   const DeadlineDecomposer decomposer(decomposition_config);
   const DecompositionResult decomposition = decomposer.decompose(workflow);
-  if (status != nullptr) *status = decomposition.status;
-  if (!decomposition.ok()) return std::nullopt;
+  built.status_ = decomposition.status;
+  if (!decomposition.ok()) return built;
 
   const double slot_seconds = config_.cluster.slot_seconds;
-  std::vector<AdmittedJob> jobs;
-  jobs.reserve(static_cast<std::size_t>(workflow.dag.num_nodes()));
+  built.jobs_.reserve(static_cast<std::size_t>(workflow.dag.num_nodes()));
   for (dag::NodeId v = 0; v < workflow.dag.num_nodes(); ++v) {
     const JobWindow& window =
         decomposition.windows[static_cast<std::size_t>(v)];
@@ -66,21 +68,20 @@ AdmissionController::decompose_to_jobs(const workload::Workflow& workflow,
     job.lp_job.demand = spec.total_demand();
     job.lp_job.width =
         workload::scale(spec.max_parallel_demand(), slot_seconds);
-    jobs.push_back(std::move(job));
+    built.jobs_.push_back(std::move(job));
   }
-  return jobs;
+  return built;
 }
 
-AdmissionDecision AdmissionController::decide(
-    const std::optional<std::vector<AdmittedJob>>& candidate_jobs,
-    DecomposeStatus status, double now_s) const {
+AdmissionDecision AdmissionController::decide(const Candidate& candidate,
+                                              double now_s) const {
   AdmissionDecision decision;
-  if (!candidate_jobs) {
+  if (candidate.status_ != DecomposeStatus::kOk) {
     // Not an idle cluster's peak of 0: a federation cell that cannot even
     // decompose the workflow must never look like the best target.
     decision.peak_load = std::numeric_limits<double>::infinity();
-    decision.reason =
-        std::string("decomposition failed: ") + to_string(status);
+    decision.reason = std::string("decomposition failed: ") +
+                      to_string(candidate.status_);
     return decision;
   }
 
@@ -106,7 +107,7 @@ AdmissionDecision AdmissionController::decide(
     lp_jobs.push_back(clipped);
   };
   for (const AdmittedJob& job : admitted_) append(job, true);
-  for (const AdmittedJob& job : *candidate_jobs) append(job, false);
+  for (const AdmittedJob& job : candidate.jobs_) append(job, false);
 
   const double fraction =
       std::clamp(config_.deadline_cap_fraction, 0.05, 1.0);
@@ -128,42 +129,47 @@ AdmissionDecision AdmissionController::decide(
   return decision;
 }
 
-void AdmissionController::commit(const workload::Workflow& candidate,
-                                 std::vector<AdmittedJob> jobs,
-                                 double now_s) {
-  for (AdmittedJob& job : jobs) admitted_.push_back(std::move(job));
+void AdmissionController::commit(const Candidate& candidate, double now_s) {
+  admitted_.insert(admitted_.end(), candidate.jobs_.begin(),
+                   candidate.jobs_.end());
   if (obs::enabled()) {
     obs::SpanMeta meta;
-    meta.workflow_id = candidate.id;
-    meta.deadline_s = candidate.deadline_s;
-    admitted_spans_[candidate.id] =
-        obs::begin_span("admitted", candidate.name, obs::kNoSpan, now_s, meta);
+    meta.workflow_id = candidate.workflow_id_;
+    meta.deadline_s = candidate.deadline_s_;
+    admitted_spans_[candidate.workflow_id_] = obs::begin_span(
+        "admitted", candidate.name_, obs::kNoSpan, now_s, meta);
   }
 }
 
-AdmissionDecision AdmissionController::evaluate(
-    const workload::Workflow& candidate, double now_s) const {
-  DecomposeStatus status = DecomposeStatus::kOk;
-  const auto jobs = decompose_to_jobs(candidate, &status);
-  const AdmissionDecision decision = decide(jobs, status, now_s);
-  trace_decision("evaluate", candidate, now_s, decision);
+AdmissionDecision AdmissionController::evaluate(const Candidate& candidate,
+                                                double now_s) const {
+  const AdmissionDecision decision = decide(candidate, now_s);
+  trace_decision("evaluate", candidate.workflow_id_, now_s, decision);
   return decision;
+}
+
+AdmissionDecision AdmissionController::evaluate(
+    const workload::Workflow& workflow, double now_s) const {
+  return evaluate(candidate(workflow), now_s);
 }
 
 AdmissionDecision AdmissionController::admit(
-    const workload::Workflow& candidate, double now_s) {
-  DecomposeStatus status = DecomposeStatus::kOk;
-  auto jobs = decompose_to_jobs(candidate, &status);
-  const AdmissionDecision decision = decide(jobs, status, now_s);
-  if (decision.admitted) commit(candidate, std::move(*jobs), now_s);
-  trace_decision("admit", candidate, now_s, decision);
+    const workload::Workflow& workflow, double now_s) {
+  const Candidate built = candidate(workflow);
+  const AdmissionDecision decision = decide(built, now_s);
+  if (decision.admitted) commit(built, now_s);
+  trace_decision("admit", built.workflow_id_, now_s, decision);
   return decision;
 }
 
-void AdmissionController::force_admit(const workload::Workflow& candidate,
+void AdmissionController::force_admit(const Candidate& candidate,
                                       double now_s) {
-  auto jobs = decompose_to_jobs(candidate, nullptr);
-  if (jobs) commit(candidate, std::move(*jobs), now_s);
+  if (candidate.status_ == DecomposeStatus::kOk) commit(candidate, now_s);
+}
+
+void AdmissionController::force_admit(const workload::Workflow& workflow,
+                                      double now_s) {
+  force_admit(candidate(workflow), now_s);
 }
 
 void AdmissionController::complete_job(int workflow_id, dag::NodeId node,

@@ -8,10 +8,19 @@
 // lexmin (core/flow_placement.h), making it cheap enough for an RPC
 // admission gate. Rayon's admission story [4] is the same idea with a
 // greedy agenda; here the peak-load answer is exact.
+//
+// Every verdict and commit runs on a Candidate: the workflow decomposed
+// once on the controller's slot grid. A caller that asks about the same
+// workflow again and again (the federation's routing and migration scan ask
+// once per cell and slot) builds the Candidate once per controller and
+// keeps it until that controller's capacity changes or it is rebuilt; the
+// verdict clips the Candidate's windows to `now` each time, so it reads
+// exactly what a fresh decomposition would. The controller itself keeps no
+// Candidate: the one-shot evaluate/admit/force_admit on a Workflow build
+// one and drop it.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,17 +53,41 @@ struct AdmissionDecision {
 /// queries. This is a planning-side companion to FlowTimeScheduler: feed it
 /// the same arrivals/completions and ask before accepting new workflows.
 class AdmissionController {
+  struct AdmittedJob {
+    workload::WorkflowJobRef ref;
+    LpJob lp_job;
+    bool complete = false;
+  };
+
  public:
+  /// A workflow decomposed on one controller's slot grid (header comment).
+  /// It depends on the workflow and on that controller's cluster and
+  /// decomposition mode only; hand it back to the controller that built it.
+  class Candidate {
+   private:
+    friend class AdmissionController;
+    int workflow_id_ = -1;
+    std::string name_;
+    double deadline_s_ = 0.0;
+    DecomposeStatus status_ = DecomposeStatus::kOk;
+    std::vector<AdmittedJob> jobs_;  // empty unless status_ is kOk
+  };
+
   explicit AdmissionController(AdmissionConfig config = {});
+
+  /// Decomposes `workflow` into LpJobs on this controller's slot grid.
+  Candidate candidate(const workload::Workflow& workflow) const;
 
   /// Would admitting `candidate` at time `now_s` keep every admitted
   /// deadline feasible? Does not mutate state. A candidate that cannot be
   /// decomposed is rejected with an infinite peak load.
-  AdmissionDecision evaluate(const workload::Workflow& candidate,
+  AdmissionDecision evaluate(const Candidate& candidate, double now_s) const;
+  /// evaluate() on a Candidate built for this one verdict.
+  AdmissionDecision evaluate(const workload::Workflow& workflow,
                              double now_s) const;
 
-  /// evaluate() + commit on success, decomposing the candidate once.
-  AdmissionDecision admit(const workload::Workflow& candidate, double now_s);
+  /// evaluate() + commit on success, decomposing the workflow once.
+  AdmissionDecision admit(const workload::Workflow& workflow, double now_s);
 
   /// Commits the candidate without deciding anything: no verdict is
   /// computed and no `admission` event is emitted. The federation
@@ -62,8 +95,10 @@ class AdmissionController {
   /// just computed — including on a cell that rejected it (every cell
   /// rejected it, or a hotspot migration forced the move) — so the cell's
   /// future admission queries still see the demand. No-op when
-  /// decomposition fails.
-  void force_admit(const workload::Workflow& candidate, double now_s);
+  /// decomposition failed.
+  void force_admit(const Candidate& candidate, double now_s);
+  /// force_admit() on a Candidate built for this one commit.
+  void force_admit(const workload::Workflow& workflow, double now_s);
 
   /// Marks one admitted workflow's job complete (frees its demand). The
   /// optional timestamp closes the workflow's `admitted` span when its last
@@ -92,25 +127,11 @@ class AdmissionController {
   bool verify_cluster(const workload::ClusterSpec& authoritative) const;
 
  private:
-  struct AdmittedJob {
-    workload::WorkflowJobRef ref;
-    LpJob lp_job;
-    bool complete = false;
-  };
-
-  /// Decomposes a workflow into LpJobs on the slot grid. On failure returns
-  /// nullopt and, when `status` is non-null, stores the machine-readable
-  /// reason.
-  std::optional<std::vector<AdmittedJob>> decompose_to_jobs(
-      const workload::Workflow& workflow, DecomposeStatus* status) const;
-  /// The verdict on a decomposed candidate (nullopt: decomposition failed
-  /// with `status`) next to every admitted job.
-  AdmissionDecision decide(
-      const std::optional<std::vector<AdmittedJob>>& candidate_jobs,
-      DecomposeStatus status, double now_s) const;
-  /// Adds the jobs to the ledger and opens the workflow's `admitted` span.
-  void commit(const workload::Workflow& candidate,
-              std::vector<AdmittedJob> jobs, double now_s);
+  /// The verdict on a candidate next to every admitted job.
+  AdmissionDecision decide(const Candidate& candidate, double now_s) const;
+  /// Adds the candidate's jobs to the ledger and opens the workflow's
+  /// `admitted` span.
+  void commit(const Candidate& candidate, double now_s);
 
   AdmissionConfig config_;
   std::vector<AdmittedJob> admitted_;

@@ -75,7 +75,8 @@ DecompositionResult DeadlineDecomposer::decompose(
       const double runtime = job.min_runtime_s(config_.cluster.capacity);
       if (!std::isfinite(runtime)) {
         // Expected under admission (a candidate wider than one cell is
-        // decomposed once per verdict), so INFO: the status carries it.
+        // decomposed once per cell it is offered to), so INFO: the status
+        // carries it.
         FT_LOG(kInfo) << "job " << job.name
                       << " cannot fit the cluster at any parallelism";
         return failure(DecomposeStatus::kJobExceedsCapacity);

@@ -125,16 +125,26 @@ void split_earliest_deadline_first(std::vector<Share>& shares, int start,
   }
 }
 
+// How much of the lexmin a caller reads.
+enum class Depth {
+  kLevelOnly,   // the first level's value: no flows, no per-slot rows
+  kFirstLevel,  // the first level and per-slot rows achieving it
+  kAllLevels,   // every level and the per-slot rows of the last one
+};
+
 ResourceFlowLexmin solve_flow_lexmin(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
-    int first_slot, int r, lp::SolveBudget* budget, bool all_levels) {
+    int first_slot, int r, lp::SolveBudget* budget, Depth depth) {
   const int num_slots = static_cast<int>(capacity_per_slot.size());
   const int last_slot = first_slot + num_slots - 1;
+  const bool rows = depth != Depth::kLevelOnly;
   ResourceFlowLexmin result;
-  result.load.assign(static_cast<std::size_t>(num_slots), 0.0);
-  result.allocation.assign(
-      jobs.size(), std::vector<double>(static_cast<std::size_t>(num_slots)));
+  if (rows) {
+    result.load.assign(static_cast<std::size_t>(num_slots), 0.0);
+    result.allocation.assign(
+        jobs.size(), std::vector<double>(static_cast<std::size_t>(num_slots)));
+  }
 
   // C_t, and the same in units of the largest one (the network's units).
   std::vector<double> cap(static_cast<std::size_t>(num_slots));
@@ -339,11 +349,12 @@ ResourceFlowLexmin solve_flow_lexmin(
     for (int k : tight) frozen[static_cast<std::size_t>(k)] = u;
     free_intervals -= static_cast<int>(tight.size());
     result.levels.push_back(u);
+    if (!rows) return result;
     flows.resize(arcs.size());
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       flows[i] = network.flow(arcs[i].edge);
     }
-    if (!all_levels) break;
+    if (depth == Depth::kFirstLevel) break;
   }
 
   // Back to slots: each interval's flow, earliest deadline first.
@@ -375,7 +386,7 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
     int first_slot, int resource, lp::SolveBudget* budget) {
   if (!obs::enabled()) {
     return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                             budget, /*all_levels=*/true);
+                             budget, Depth::kAllLevels);
   }
   double wall_s = 0.0;
   ResourceFlowLexmin result;
@@ -383,7 +394,7 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
     obs::ScopedTimer timer(
         &wall_s, &obs::registry().histogram("lp.lexmin.solve_seconds"));
     result = solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                               budget, /*all_levels=*/true);
+                               budget, Depth::kAllLevels);
   }
   obs::registry().counter("lp.flow.augmentations").add(result.augmentations);
   lp::LexminTrace trace;
@@ -408,7 +419,7 @@ ResourceFlowLexmin solve_resource_flow_level(
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot, int resource) {
   return solve_flow_lexmin(jobs, capacity_per_slot, first_slot, resource,
-                           /*budget=*/nullptr, /*all_levels=*/false);
+                           /*budget=*/nullptr, Depth::kFirstLevel);
 }
 
 FlowPlacementResult solve_flow_placement(
@@ -423,15 +434,11 @@ FlowPlacementResult solve_flow_placement(
     result.min_max_level = std::numeric_limits<double>::infinity();
     return result;
   }
-  const int num_slots = static_cast<int>(capacity_per_slot.size());
-  result.allocation.assign(
-      jobs.size(),
-      std::vector<workload::ResourceVec>(static_cast<std::size_t>(num_slots)));
   result.feasible = true;
-
   for (int r = 0; r < workload::kNumResources; ++r) {
     const ResourceFlowLexmin level =
-        solve_resource_flow_level(jobs, capacity_per_slot, first_slot, r);
+        solve_flow_lexmin(jobs, capacity_per_slot, first_slot, r,
+                          /*budget=*/nullptr, Depth::kLevelOnly);
     if (!level.any_demand) continue;
     if (!level.ok()) {
       result.feasible = false;
@@ -440,12 +447,6 @@ FlowPlacementResult solve_flow_placement(
     }
     result.min_max_level = std::max(result.min_max_level, level.max_level());
     if (level.max_level() > 1.0 + 1e-6) result.feasible = false;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (int t = 0; t < num_slots; ++t) {
-        result.allocation[j][static_cast<std::size_t>(t)][r] =
-            level.allocation[j][static_cast<std::size_t>(t)];
-      }
-    }
   }
   return result;
 }

@@ -64,6 +64,9 @@
 //
 // The first level alone is the cheap feasibility primitive: admission
 // checks and capacity what-if queries (solve_flow_placement) stop there.
+// They read only the level's value, so solve_flow_placement neither copies
+// the flows off the network nor splits them to slots: it builds no per-slot
+// row at all. solve_resource_flow_level is the same solve with the rows.
 // Before any network is built, solve_flow_placement checks each resource's
 // width bound, the demand its jobs could route with unbounded slot
 // capacity: R = sum_j min(d_j, w_j * n_j) over each job's clipped window.
@@ -128,27 +131,28 @@ ResourceFlowLexmin solve_resource_flow_lexmin(
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot, int resource, lp::SolveBudget* budget = nullptr);
 
-/// The first level only: the min-max load and a flow achieving it. One
-/// Newton search, no refinement and no trace events.
+/// The first level only: the min-max load and per-slot rows achieving it,
+/// split to slots like the lexmin's. One Newton search, no refinement and
+/// no trace events.
 ResourceFlowLexmin solve_resource_flow_level(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,
     int first_slot, int resource);
 
+/// The verdict of a first-level check: no placement comes with it (rows
+/// that achieve the level come from solve_resource_flow_level).
 struct FlowPlacementResult {
   bool feasible = false;        // all demands placeable within windows/caps
   double min_max_level = 0.0;   // smallest uniform load bound u (max over
                                 // resources); > 1 means windows exceed caps
-  /// allocation[j][t][r] achieving min_max_level (valid when demands were
-  /// placeable at that level; empty when the width bound answered).
-  std::vector<std::vector<workload::ResourceVec>> allocation;
 };
 
-/// First-level placement of every resource (solve_resource_flow_level):
-/// the admission / what-if check "does this fit, and at what peak load?".
-/// Inputs match solve_placement. A width bound that rules the jobs out
-/// answers without a solve (header comment) and counts
-/// `core.admission.width_limited` when observability is on.
+/// The first level of every resource, value only: the admission / what-if
+/// check "does this fit, and at what peak load?". Each resource's level is
+/// the one solve_resource_flow_level finds. Inputs match solve_placement. A
+/// width bound that rules the jobs out answers without a solve (header
+/// comment) and counts `core.admission.width_limited` when observability
+/// is on.
 FlowPlacementResult solve_flow_placement(
     const std::vector<LpJob>& jobs,
     const std::vector<workload::ResourceVec>& capacity_per_slot,

@@ -10,16 +10,34 @@ namespace {
 constexpr double kEps = 1e-9;
 }
 
-FlowNetwork::FlowNetwork(int num_nodes)
-    : head_(static_cast<std::size_t>(num_nodes)) {}
+FlowNetwork::FlowNetwork(int num_nodes) : num_nodes_(num_nodes) {}
 
 int FlowNetwork::add_edge(int from, int to, double capacity) {
   const int id = static_cast<int>(edges_.size());
   edges_.push_back(Edge{to, capacity, capacity});
   edges_.push_back(Edge{from, 0.0, 0.0});
-  head_[static_cast<std::size_t>(from)].push_back(id);
-  head_[static_cast<std::size_t>(to)].push_back(id + 1);
   return id;
+}
+
+void FlowNetwork::build_adjacency() {
+  if (adj_.size() == edges_.size()) return;
+  // Edge id lives in the list of the node it leaves, which is where its
+  // companion (id ^ 1) points. Counting, then placing ids in increasing
+  // order, keeps each node's edges in creation order.
+  first_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
+  for (std::size_t id = 0; id < edges_.size(); ++id) {
+    ++first_[static_cast<std::size_t>(edges_[id ^ 1].to) + 1];
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(num_nodes_); ++v) {
+    first_[v + 1] += first_[v];
+  }
+  adj_.resize(edges_.size());
+  std::vector<int> next(first_.begin(), first_.end() - 1);
+  for (std::size_t id = 0; id < edges_.size(); ++id) {
+    adj_[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(edges_[id ^ 1].to)]++)] =
+        static_cast<int>(id);
+  }
 }
 
 bool FlowNetwork::set_capacity(int edge_id, double capacity) {
@@ -48,12 +66,14 @@ double FlowNetwork::flow(int edge_id) const {
 }
 
 bool FlowNetwork::build_levels(int source, int sink) {
-  level_.assign(head_.size(), -1);
+  level_.assign(static_cast<std::size_t>(num_nodes_), -1);
   queue_.assign(1, source);
   level_[static_cast<std::size_t>(source)] = 0;
   for (std::size_t next = 0; next < queue_.size(); ++next) {
     const int node = queue_[next];
-    for (int id : head_[static_cast<std::size_t>(node)]) {
+    const int end = first_[static_cast<std::size_t>(node) + 1];
+    for (int i = first_[static_cast<std::size_t>(node)]; i < end; ++i) {
+      const int id = adj_[static_cast<std::size_t>(i)];
       const Edge& e = edges_[static_cast<std::size_t>(id)];
       if (e.residual > kEps && level_[static_cast<std::size_t>(e.to)] < 0) {
         level_[static_cast<std::size_t>(e.to)] =
@@ -67,9 +87,9 @@ bool FlowNetwork::build_levels(int source, int sink) {
 
 double FlowNetwork::push(int node, int sink, double limit) {
   if (node == sink) return limit;
-  for (std::size_t& i = iter_[static_cast<std::size_t>(node)];
-       i < head_[static_cast<std::size_t>(node)].size(); ++i) {
-    const int id = head_[static_cast<std::size_t>(node)][i];
+  const int end = first_[static_cast<std::size_t>(node) + 1];
+  for (int& i = iter_[static_cast<std::size_t>(node)]; i < end; ++i) {
+    const int id = adj_[static_cast<std::size_t>(i)];
     Edge& e = edges_[static_cast<std::size_t>(id)];
     if (e.residual <= kEps ||
         level_[static_cast<std::size_t>(e.to)] !=
@@ -97,11 +117,12 @@ double FlowNetwork::max_flow(int source, int sink, SolveBudget* budget) {
 }
 
 double FlowNetwork::augment(int source, int sink, SolveBudget* budget) {
+  build_adjacency();
   augmentations_ = 0;
   budget_cut_ = false;
   double total = 0.0;
   while (build_levels(source, sink)) {
-    iter_.assign(head_.size(), 0);
+    iter_.assign(first_.begin(), first_.end() - 1);
     while (true) {
       if (budget != nullptr && budget->exhausted()) {
         budget_cut_ = true;
@@ -118,25 +139,28 @@ double FlowNetwork::augment(int source, int sink, SolveBudget* budget) {
   return total;
 }
 
-std::vector<bool> FlowNetwork::reachable_from(int node) const {
+std::vector<bool> FlowNetwork::reachable_from(int node) {
   return residual_search(node, /*forward=*/true);
 }
 
-std::vector<bool> FlowNetwork::reaching(int node) const {
+std::vector<bool> FlowNetwork::reaching(int node) {
   return residual_search(node, /*forward=*/false);
 }
 
-std::vector<bool> FlowNetwork::residual_search(int node, bool forward) const {
+std::vector<bool> FlowNetwork::residual_search(int node, bool forward) {
   // Forward: follow edges with residual capacity out of each node.
   // Backward: edge id's companion (id ^ 1) runs from e.to into the node,
   // so e.to reaches the node when the companion has residual left.
-  std::vector<bool> seen(head_.size(), false);
+  build_adjacency();
+  std::vector<bool> seen(static_cast<std::size_t>(num_nodes_), false);
   std::vector<int> stack = {node};
   seen[static_cast<std::size_t>(node)] = true;
   while (!stack.empty()) {
     const int at = stack.back();
     stack.pop_back();
-    for (int id : head_[static_cast<std::size_t>(at)]) {
+    const int end = first_[static_cast<std::size_t>(at) + 1];
+    for (int i = first_[static_cast<std::size_t>(at)]; i < end; ++i) {
+      const int id = adj_[static_cast<std::size_t>(i)];
       const Edge& e = edges_[static_cast<std::size_t>(id)];
       const double residual =
           forward ? e.residual

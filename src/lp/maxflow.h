@@ -6,6 +6,13 @@
 // core/flow_placement.h builds the exact lexmin on this; here is just a
 // clean, reusable max-flow engine on double capacities, with the residual
 // reachability queries that read minimum cuts off a finished flow.
+//
+// The adjacency is one flat array: add_edge only appends the edge, and the
+// first solve (or residual query) after an add_edge lays every node's edge
+// ids out contiguously, in the order they were added. Dinic's searches then
+// walk one array instead of one vector per node, and visit each node's
+// edges in exactly the order per-node lists would, so every augmenting path
+// and every min cut is the same.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +31,7 @@ class FlowNetwork {
   /// can be used to query its flow after solving.
   int add_edge(int from, int to, double capacity);
 
-  int num_nodes() const { return static_cast<int>(head_.size()); }
+  int num_nodes() const { return num_nodes_; }
 
   /// Computes the maximum flow from source to sink (Dinic). Can be called
   /// repeatedly after add_edge/set_capacity; flow state resets each call.
@@ -55,12 +62,12 @@ class FlowNetwork {
   /// Nodes reachable from `node` along edges with residual capacity left
   /// by the last max_flow. For the source after a complete max flow this
   /// is the source side of the minimal minimum cut.
-  std::vector<bool> reachable_from(int node) const;
+  std::vector<bool> reachable_from(int node);
 
   /// Nodes that can reach `node` along residual edges. For the sink after
   /// a complete max flow, the complement is the source side of the
   /// maximal minimum cut.
-  std::vector<bool> reaching(int node) const;
+  std::vector<bool> reaching(int node);
 
   /// Rewrites one FORWARD edge's capacity (used by parametric searches),
   /// keeping the flow the edge carries. `edge_id` must be an id returned
@@ -79,14 +86,20 @@ class FlowNetwork {
     double residual = 0.0;
   };
 
+  /// Lays out adj_ / first_ when an edge was added since the last layout.
+  void build_adjacency();
   bool build_levels(int source, int sink);
   double push(int node, int sink, double limit);
-  std::vector<bool> residual_search(int node, bool forward) const;
+  std::vector<bool> residual_search(int node, bool forward);
 
-  std::vector<std::vector<int>> head_;  // node -> edge ids (incl. reverse)
-  std::vector<Edge> edges_;             // edge 2k = forward, 2k+1 = reverse
+  int num_nodes_ = 0;
+  std::vector<Edge> edges_;  // edge 2k = forward, 2k+1 = reverse
+  /// Node v's edge ids (reverse ones included) are adj_[first_[v]] ..
+  /// adj_[first_[v + 1] - 1], in the order add_edge created them.
+  std::vector<int> adj_;
+  std::vector<int> first_;
   std::vector<int> level_;
-  std::vector<std::size_t> iter_;
+  std::vector<int> iter_;  // per node, the next position in adj_ to try
   std::vector<int> queue_;
   std::int64_t augmentations_ = 0;
   bool budget_cut_ = false;

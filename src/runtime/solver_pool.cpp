@@ -15,15 +15,17 @@ std::future<void> SolverPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return done;  // `job` dies unrun: broken promise
-    tasks_.push_back(std::move(job));
     if (workers_.empty()) {
       // First task: start the workers. They block on mu_ until this
-      // submit releases it.
+      // submit releases it. Started before the task is queued, so a
+      // thread that fails to start leaves nothing queued behind the
+      // exception: the caller never sees a future, and no task runs.
       workers_.reserve(static_cast<std::size_t>(threads_));
       for (int i = 0; i < threads_; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
       }
     }
+    tasks_.push_back(std::move(job));
   }
   work_ready_.notify_one();
   return done;

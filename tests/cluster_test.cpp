@@ -1,8 +1,8 @@
 // Federated scheduling tests (DESIGN.md §13): partitioner determinism
 // under a seed, the 1-cell pass-through identity against a plain
 // FlowTimeScheduler on the Fig. 4 workload, routing through the cells'
-// admission controllers, and hotspot migration preserving re-credited
-// work without stranding tasks. The 1-cell serial/pooled and 2-cell pooled
+// admission controllers and the candidates they cache, and hotspot
+// migration preserving re-credited work without stranding tasks. The 1-cell serial/pooled and 2-cell pooled
 // identities live in identity_test.cpp.
 #include <gtest/gtest.h>
 
@@ -225,6 +225,90 @@ TEST(FederatedScheduler, AllRejectFallbackSkipsCellThatCannotDecompose) {
   arrive(fed, w);
   EXPECT_EQ(fed.cell(big).admission.admitted_workflows(), 1);
   EXPECT_EQ(fed.cell(1 - big).admission.admitted_workflows(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Cached candidates: each cell decomposes a live workflow once
+
+void expect_same_verdict(const core::AdmissionDecision& got,
+                         const core::AdmissionDecision& expected) {
+  EXPECT_EQ(got.admitted, expected.admitted);
+  EXPECT_EQ(got.peak_load, expected.peak_load);
+  EXPECT_EQ(got.reason, expected.reason);
+}
+
+TEST(FederatedScheduler, CachedCandidatesGiveAFreshControllersVerdict) {
+  // Routing decomposes the workflow once per cell and keeps the candidate.
+  // A crash rebuilds a cell, and the decomposition depends on the cell's
+  // capacity, so after either the cell's verdict must be the one a
+  // controller built at that capacity gives.
+  cluster::FederatedConfig federated;
+  federated.flowtime = flowtime_config(small_cluster());
+  federated.partition.cells = 2;
+  cluster::FederatedScheduler fed(federated);
+  const workload::Workflow w = chain_workflow(0, 0.0, 2400.0);
+  arrive(fed, w);
+  const int owner = fed.cell(0).admission.admitted_workflows() == 1 ? 0 : 1;
+  const int other = 1 - owner;
+  ASSERT_EQ(fed.cell(owner).candidates.count(w.id), 1u);
+
+  // The verdict on `w` of a controller on cell `cell`'s slot grid with an
+  // empty ledger and the cell's slice of `capacity`, the cluster's
+  // per-slot resource-seconds as a broadcast carries them.
+  const auto fresh_verdict = [&](int cell, const ResourceVec& capacity,
+                                 double now_s) {
+    const cluster::CellSpec& spec = fed.cell(cell).spec;
+    core::AdmissionConfig config;
+    config.cluster = spec.cluster;
+    config.cluster.capacity = workload::scale(
+        capacity, spec.fraction / spec.cluster.slot_seconds);
+    return core::AdmissionController(config).evaluate(w, now_s);
+  };
+
+  // The owner crashes before any capacity broadcast: it is rebuilt empty,
+  // cache included, and w fails over to the other cell.
+  sim::CellFaultEvent crash;
+  crash.cell = owner;
+  crash.now_s = 60.0;
+  crash.mode = fault::CellFaultMode::kCrash;
+  crash.active = true;
+  fed.on_event(sim::SchedulerEvent{crash});
+  EXPECT_TRUE(fed.cell(owner).candidates.empty());
+  ASSERT_EQ(fed.cell(other).admission.admitted_workflows(), 1);
+  ASSERT_EQ(fed.cell(owner).admission.admitted_workflows(), 0);
+  const ResourceVec full = workload::scale(
+      federated.flowtime.cluster.capacity,
+      federated.flowtime.cluster.slot_seconds);
+  expect_same_verdict(fed.verdict(owner, w.id, 60.0),
+                      fresh_verdict(owner, full, 60.0));
+
+  // 8 cores in all, 4 a cell: w's first job runs in three waves instead of
+  // one, so its decomposed window moves and with it the peak load.
+  sim::CapacityChangeEvent shrink;
+  shrink.now_s = 70.0;
+  shrink.capacity = workload::scale(ResourceVec{8.0, 16.0}, 10.0);
+  fed.on_event(sim::SchedulerEvent{shrink});
+  expect_same_verdict(fed.verdict(owner, w.id, 70.0),
+                      fresh_verdict(owner, shrink.capacity, 70.0));
+}
+
+TEST(FederatedScheduler, FinishedWorkflowLeavesNoCachedCandidate) {
+  cluster::FederatedConfig federated;
+  federated.flowtime = flowtime_config(small_cluster());
+  federated.partition.cells = 2;
+  cluster::FederatedScheduler fed(federated);
+  const workload::Workflow w = chain_workflow(0, 0.0, 2400.0);
+  arrive(fed, w);
+  // Routing asked both cells, so both hold the candidate until w's last
+  // job completes.
+  fed.on_event(sim::SchedulerEvent{sim::JobCompleteEvent{0, 100.0}});
+  for (int i = 0; i < fed.num_cells(); ++i) {
+    EXPECT_EQ(fed.cell(i).candidates.count(w.id), 1u) << "cell " << i;
+  }
+  fed.on_event(sim::SchedulerEvent{sim::JobCompleteEvent{1, 200.0}});
+  for (int i = 0; i < fed.num_cells(); ++i) {
+    EXPECT_TRUE(fed.cell(i).candidates.empty()) << "cell " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

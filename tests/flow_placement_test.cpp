@@ -81,15 +81,39 @@ LpJob make_job(int uid, int release, int deadline, double cpu_demand,
   return job;
 }
 
+// Per-slot rows achieving the first level, allocation[j][t][r]: each
+// resource's rows from solve_resource_flow_level (solve_flow_placement
+// answers the level only), up to the first resource whose level fails.
+std::vector<std::vector<ResourceVec>> first_level_rows(
+    const std::vector<LpJob>& jobs, const std::vector<ResourceVec>& caps,
+    int first_slot) {
+  std::vector<std::vector<ResourceVec>> rows(
+      jobs.size(), std::vector<ResourceVec>(caps.size()));
+  for (int r = 0; r < workload::kNumResources; ++r) {
+    const core::ResourceFlowLexmin level =
+        core::solve_resource_flow_level(jobs, caps, first_slot, r);
+    if (!level.any_demand) continue;
+    if (!level.ok()) break;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t t = 0; t < caps.size(); ++t) {
+        rows[j][t][r] = level.allocation[j][t];
+      }
+    }
+  }
+  return rows;
+}
+
 TEST(FlowPlacement, SingleJobLevelMatchesArithmetic) {
   const std::vector<LpJob> jobs = {make_job(0, 0, 4, 50.0, 0.0, 20.0, 0.0)};
   const auto result =
       core::solve_flow_placement(jobs, uniform_caps(5, 100.0, 100.0), 0);
   EXPECT_TRUE(result.feasible);
   EXPECT_NEAR(result.min_max_level, 0.1, 1e-5);  // 50 / (5 x 100)
+  const auto allocation =
+      first_level_rows(jobs, uniform_caps(5, 100.0, 100.0), 0);
   ResourceVec placed{};
   for (int t = 0; t < 5; ++t) {
-    placed = workload::add(placed, result.allocation[0][static_cast<std::size_t>(t)]);
+    placed = workload::add(placed, allocation[0][static_cast<std::size_t>(t)]);
   }
   EXPECT_NEAR(placed[kCpu], 50.0, 1e-6);
 }
@@ -285,11 +309,12 @@ TEST_P(FlowVsLpProperty, FirstLevelAgreesWithTheLpSolver) {
       << "flow and LP disagree on the first lexmin level";
 
   // The flow allocation must satisfy all the same invariants.
+  const auto allocation = first_level_rows(jobs, caps, 0);
   for (int j = 0; j < n; ++j) {
     ResourceVec placed{};
     for (int t = 0; t < slots; ++t) {
       const ResourceVec& a =
-          flow.allocation[static_cast<std::size_t>(j)][static_cast<std::size_t>(t)];
+          allocation[static_cast<std::size_t>(j)][static_cast<std::size_t>(t)];
       EXPECT_TRUE(workload::fits_within(
           a, jobs[static_cast<std::size_t>(j)].width, 1e-5));
       placed = workload::add(placed, a);

@@ -2,8 +2,10 @@
 // FlowTimeScheduler's one begin_replan -> solve_replan -> finish_replan
 // cycle yields the same schedule as its reference — the 1-cell federation
 // (serial and pooled) and the async runtime in barrier mode match the bare
-// scheduler, and pooled 2-cell solves match serial ones. Carries the
-// "concurrent" label so the sanitize-tsan preset runs it.
+// scheduler, and pooled 2-cell solves match serial ones. The pooled 1-cell
+// federation solves every round on the serving thread; the pooled 2-cell
+// run must hand some solves to the pool. Carries the "concurrent" label so
+// the sanitize-tsan preset runs it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -84,6 +86,16 @@ DriverRun drive(Driver driver) {
       out.planners.push_back(&federated->cell(c).scheduler());
     }
     out.coordinator = {federated->migrations(), federated->overload_events()};
+    // The serving thread solves each round's first dirty cell: a one-cell
+    // federation never hands a solve to the pool, and the two-cell pooled
+    // run must, or the identity (and TSan) would say nothing about the
+    // hand-off.
+    if (driver == Driver::kOneCellPooled) {
+      EXPECT_EQ(federated->pooled_solves(), 0);
+    }
+    if (driver == Driver::kTwoCellsPooled) {
+      EXPECT_GT(federated->pooled_solves(), 0);
+    }
   } else if (concurrent != nullptr) {
     concurrent->drain_events();  // apply post-run completion events
     // The solves really ran on the solver thread, or the identity would
