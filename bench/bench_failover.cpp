@@ -84,7 +84,6 @@ FailoverRow run_config(int cells, int killed,
   cluster::FederatedConfig federated;
   federated.flowtime = experiment.flowtime;
   federated.partition.cells = cells;
-  federated.parallel_solve = cells > 1;  // one pool thread per cell
   cluster::FederatedScheduler fed(federated);
   const sim::SimResult result =
       sim::Simulator(sim_config).run(scenario, fed);

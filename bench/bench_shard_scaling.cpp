@@ -4,8 +4,8 @@
 // crowds, heavy-tailed ad-hoc runtimes — workload/trace_gen.h) against the
 // FederatedScheduler at increasing cell counts and reports how the re-plan
 // cost scales: per-round solve wall p50/p99 (a round is one allocate() that
-// solved at least one dirty cell; under the solver pool its wall is the max
-// over the concurrently solved cells), total solve wall, migrations, and
+// solved at least one dirty cell; its wall is the sum of those cells'
+// solves, which run one after another), total solve wall, migrations, and
 // the deadline-miss rate so the quality cost of sharding is visible next to
 // the latency win. The cells=1 row is the unsharded baseline — the
 // coordinator is a byte-identical pass-through there — and every other row
@@ -64,7 +64,6 @@ ShardRow run_cells(int cells, const workload::Scenario& scenario,
   cluster::FederatedConfig federated;
   federated.flowtime = experiment.flowtime;
   federated.partition.cells = cells;
-  federated.parallel_solve = cells > 1;  // one pool thread per cell
   cluster::FederatedScheduler fed(federated);
   sim::Simulator simulator(experiment.sim);
   const sim::SimResult result = simulator.run(scenario, fed);

@@ -23,24 +23,17 @@
 //   --async-replan       run the FlowTime variants behind the concurrent
 //                        runtime: events are queued and the LP solve runs
 //                        on a background thread while the current plan
-//                        keeps serving (DESIGN.md §11)
+//                        keeps serving (DESIGN.md §11). Single-cell only:
+//                        rejected with --cells > 1
 //   --async-barrier      with --async-replan: wait for every solve before
 //                        serving its slot — deterministic (plan-for-plan
 //                        identical to the synchronous path)
-//   --runtime-threads N  solver threads for federated runs (--cells > 1
-//                        with --async-replan; default 1, 0 = one per
-//                        cell). A single-cell run always solves on one
-//                        thread.
 //   --cells N            shard the cluster into N cells and run the
 //                        FlowTime variants federated: per-cell lexmin
 //                        plans, greedy cross-cell routing and hotspot
-//                        migration (DESIGN.md §13). With --async-replan
-//                        the per-cell solves run concurrently.
+//                        migration (DESIGN.md §13)
 //   --cell-policy P      partition policy for --cells > 1: "balanced"
 //                        (default) or "round_robin"
-//   --cell-deadline-ms N per-cell solve deadline (wall ms) for federated
-//                        runs; a solve that misses it degrades down the
-//                        escalation ladder. 0 (default) = unlimited
 //   --stats-every N      print a metric-registry snapshot to stderr every
 //                        N simulated slots (implies metrics collection)
 //   --dump-example       print a commented example scenario and exit
@@ -96,15 +89,18 @@ int main(int argc, char** argv) {
   const double solver_budget_ms = flags.get_double("solver-budget-ms", 0.0);
   const bool async_replan = flags.get_bool("async-replan", false);
   const bool async_barrier = flags.get_bool("async-barrier", false);
-  const int runtime_threads =
-      static_cast<int>(flags.get_double("runtime-threads", 1.0));
   const int cells = static_cast<int>(flags.get_double("cells", 1.0));
   const std::string cell_policy = flags.get_string("cell-policy", "balanced");
-  const double cell_deadline_ms = flags.get_double("cell-deadline-ms", 0.0);
   const int stats_every =
       static_cast<int>(flags.get_double("stats-every", 0.0));
   for (const std::string& typo : flags.unqueried()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", typo.c_str());
+  }
+  if (async_replan && cells > 1) {
+    std::fprintf(stderr,
+                 "flowtime_sim: --async-replan is single-cell; a federated "
+                 "run (--cells > 1) solves on the serving thread\n");
+    return 2;
   }
   if (!trace_out.empty() && !obs::open_trace_file(trace_out)) {
     return cli::fail(trace_out, "cannot open trace file");
@@ -138,10 +134,8 @@ int main(int argc, char** argv) {
   config.flowtime.solver_budget_ms = solver_budget_ms;
   config.async_replan = async_replan;
   config.async_barrier = async_barrier;
-  config.runtime_threads = runtime_threads;
   config.cells = cells;
   config.cell_policy = cell_policy;
-  config.cell_solve_deadline_ms = cell_deadline_ms;
   if (stats_every > 0) {
     // Periodic registry snapshots to stderr (stdout carries the report
     // table). Counters are cumulative across the run — and across the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <utility>
 #include <variant>
@@ -126,14 +125,7 @@ FederatedScheduler::FederatedScheduler(FederatedConfig config)
     cells_.push_back(
         std::make_unique<CellScheduler>(spec, cell_config, probe));
   }
-  if (config_.parallel_solve) {
-    const int threads = config_.solver_threads > 0 ? config_.solver_threads
-                                                   : std::min(n, 16);
-    pool_ = std::make_unique<runtime::SolverPool>(threads);
-  }
 }
-
-FederatedScheduler::~FederatedScheduler() = default;
 
 int FederatedScheduler::replans() const {
   return sum_over_cells(cells_, &core::FlowTimeScheduler::replans);
@@ -785,14 +777,11 @@ std::vector<sim::ClusterState> FederatedScheduler::split_state(
 
 void FederatedScheduler::replan_dirty_cells(
     const std::vector<sim::ClusterState>& cell_states, double now_s) {
-  struct SolveJob {
-    int cell = 0;
-    core::PendingReplan pending;
-    core::PlanSolveResult solved;
-    std::future<void> done;  // pooled solves only
-    bool adopted = false;
-  };
-  std::vector<SolveJob> jobs;
+  // Every solved cell's plan is adopted (or discarded), in cell order,
+  // before any health reaction: a quarantine below fails workflows over
+  // onto other cells, which must not stale their solves.
+  std::vector<std::pair<int, bool>> outcomes;  // (cell, plan adopted)
+  double round_wall = 0.0;
   for (int i = 0; i < num_cells(); ++i) {
     CellScheduler& cell = *cells_[i];
     if (!cell.scheduler().dirty()) continue;
@@ -803,76 +792,29 @@ void FederatedScheduler::replan_dirty_cells(
     if (cell.solver_broken && cell.health == CellHealth::kQuarantined) {
       continue;
     }
-    SolveJob job;
-    job.cell = i;
-    job.pending = cell.scheduler().begin_replan(
-        cell_states[static_cast<std::size_t>(i)]);
-    // The per-cell solve deadline caps whatever budget the cell already
-    // carries; 0 means no deadline (and byte-identity with the seed).
-    if (config_.cell_solve_deadline_ms > 0.0) {
-      job.pending.budget_wall_ms =
-          job.pending.budget_wall_ms > 0.0
-              ? std::min(job.pending.budget_wall_ms,
-                         config_.cell_solve_deadline_ms)
-              : config_.cell_solve_deadline_ms;
-    }
+    core::FlowTimeScheduler& planner = cell.scheduler();
+    core::PendingReplan pending =
+        planner.begin_replan(cell_states[static_cast<std::size_t>(i)]);
     // A broken solver preempts deterministically via the cancel token
     // rather than timing out on a wall clock.
-    if (cell.solver_broken) job.pending.cancel = &cell.cancel;
-    jobs.push_back(std::move(job));
+    if (cell.solver_broken) pending.cancel = &cell.cancel;
+    core::PlanSolveResult solved = planner.solve_replan(pending);
+    outcomes.emplace_back(
+        i, planner.finish_replan(pending, std::move(solved), now_s));
+    round_wall += pending.record.wall_s;
   }
-  if (jobs.empty()) return;
-
-  const auto solve = [this](SolveJob& job) {
-    job.solved = cells_[job.cell]->scheduler().solve_replan(job.pending);
-  };
-  {
-    // However this block exits, every pooled solve has finished first, so
-    // no solver thread still writes into `jobs`: not after a normal exit,
-    // and not when the serving thread's own solve throws.
-    struct WaitForPooled {
-      std::vector<SolveJob>& jobs;
-      ~WaitForPooled() {
-        for (const SolveJob& job : jobs) {
-          if (job.done.valid()) job.done.wait();
-        }
-      }
-    } wait_for_pooled{jobs};
-    // Caller runs: the pool gets every dirty cell but the first, which the
-    // serving thread solves meanwhile instead of waiting idle, so a round
-    // with one dirty cell crosses no thread.
-    if (pool_) {
-      for (std::size_t k = 1; k < jobs.size(); ++k) {
-        jobs[k].done = pool_->submit([&solve, &job = jobs[k]] { solve(job); });
-        ++pooled_solves_;
-      }
-      solve(jobs.front());
-    } else {
-      for (SolveJob& job : jobs) solve(job);
-    }
-  }
-  // Every cell's solve is adopted (or discarded) on the serving thread, in
-  // cell order, before any health reaction: a quarantine below fails
-  // workflows over onto other cells, which must not stale their solves.
-  double round_wall = 0.0;
-  for (SolveJob& job : jobs) {
-    if (job.done.valid()) job.done.get();
-    job.adopted = cells_[job.cell]->scheduler().finish_replan(
-        job.pending, std::move(job.solved), now_s);
-    const double wall = job.pending.record.wall_s;
-    round_wall = pool_ ? std::max(round_wall, wall) : round_wall + wall;
-  }
+  if (outcomes.empty()) return;
   replan_round_wall_s_.push_back(round_wall);
 
-  for (const SolveJob& job : jobs) {
-    const int slot = cell_states[static_cast<std::size_t>(job.cell)].slot;
-    if (job.adopted) {
+  for (const auto& [c, adopted] : outcomes) {
+    const int slot = cell_states[static_cast<std::size_t>(c)].slot;
+    if (adopted) {
       // A clean solve is proof of life.
-      recover_if_alive(job.cell, slot);
+      recover_if_alive(c, slot);
     } else {
-      // The solve failed (deadline or broken solver): the old plan keeps
-      // serving and the dirty bit is back.
-      record_failure(job.cell, slot, now_s, "solver_failure");
+      // The broken solver preempted the solve: the old plan keeps serving
+      // and the dirty bit is back.
+      record_failure(c, slot, now_s, "solver_failure");
     }
   }
 }

@@ -10,10 +10,9 @@
 // (prune-infeasible-first), ad-hoc jobs go to the cell with the least ad-hoc
 // pressure, and at most one workflow per slot migrates off a cell whose
 // degradation ladder engages or whose plan overloads/extends deadlines.
-// Per-cell replans are independent, so they can run concurrently: the
-// serving thread solves a round's first dirty cell itself and hands the
-// rest to a runtime::SolverPool; each cell's planner solves against its own
-// warm cache with a 1/N slice of the solver budget.
+// Per-cell replans are independent: the serving thread runs each dirty
+// cell's replan cycle in turn, and each cell's planner solves against its
+// own warm cache with a 1/N slice of the solver budget.
 //
 // Invariant: with cells = 1 the coordinator is a pass-through — same event
 // order, same replan sequence, same serve calls — so the federated plan is
@@ -45,7 +44,6 @@
 #include "core/flowtime_scheduler.h"
 #include "fault/plan.h"
 #include "obs/span.h"
-#include "runtime/solver_pool.h"
 #include "sim/scheduler.h"
 #include "util/backoff.h"
 
@@ -62,20 +60,11 @@ struct FederatedConfig {
   /// federation spends the same solve allowance in aggregate.
   core::FlowTimeConfig flowtime;
   PartitionConfig partition;
-  /// Solve dirty cells concurrently instead of one after another: the
-  /// serving thread solves a round's first dirty cell while a SolverPool
-  /// solves the others, so a round with one dirty cell crosses no thread.
-  /// Plans are unchanged either way (each cell's solve reads only its own
-  /// inputs); only wall clock differs. Adoption stays in cell order on the
-  /// serving thread.
+  /// Unread: every cell solves on the serving thread. Declared only because
+  /// bench_e2e's fed_failover scenario still sets them; they go with that
+  /// benchmark's next change (ROADMAP item 4).
   bool parallel_solve = false;
-  /// Worker threads for parallel_solve; 0 = one per cell, capped at 16.
   int solver_threads = 0;
-  /// Wall-clock ceiling (ms) on one cell's solve, merged into the solve
-  /// budget at begin_replan (tightest wins) so a slow shard degrades via
-  /// the escalation ladder instead of stalling the round. 0 = off, keeping
-  /// purely event-driven runs bit-deterministic (DESIGN.md §14).
-  double cell_solve_deadline_ms = 0.0;
 };
 
 /// Coordinator-observed health of one cell. Healthy cells are in the
@@ -153,12 +142,11 @@ class CellScheduler {
 /// The coordinator. Implements the plain sim::Scheduler typed-event
 /// interface, so the simulator (and the concurrent runtime) drive it like
 /// any single scheduler; internally it routes events to cells, drives the
-/// per-cell begin/solve/finish replan cycle (serially or on a SolverPool),
-/// and merges the per-cell allocations into one vector.
+/// per-cell begin/solve/finish replan cycle on the serving thread, and
+/// merges the per-cell allocations into one vector.
 class FederatedScheduler : public sim::Scheduler {
  public:
   explicit FederatedScheduler(FederatedConfig config = {});
-  ~FederatedScheduler() override;
 
   std::string name() const override { return "FlowTime"; }
   const workload::ClusterSpec* cluster_spec() const override {
@@ -186,10 +174,6 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations() const { return migrations_; }
   int overload_events() const { return overload_events_; }
-  /// Cell solves handed to the SolverPool. A round solves its first dirty
-  /// cell on the serving thread, so only rounds with two or more dirty
-  /// cells use the pool, and a one-cell federation never does.
-  int pooled_solves() const { return pooled_solves_; }
 
   // --- Fault-tolerance statistics (DESIGN.md §14) ------------------------
   /// Cell fault engagements observed (CellFaultEvent with active=true).
@@ -217,9 +201,8 @@ class FederatedScheduler : public sim::Scheduler {
   const std::vector<CellOutage>& outage_log() const { return outage_log_; }
 
   /// Wall seconds of each replan *round* (one allocate() that solved at
-  /// least one cell): max over concurrently solved cells under
-  /// parallel_solve, sum under serial. Zeros when obs is disabled. The
-  /// sharding bench derives its p50/p99 from this.
+  /// least one cell): the sum of its cells' solves. Zeros when obs is
+  /// disabled. The sharding bench derives its p50/p99 from this.
   const std::vector<double>& replan_round_wall_s() const {
     return replan_round_wall_s_;
   }
@@ -305,16 +288,14 @@ class FederatedScheduler : public sim::Scheduler {
   /// they get nothing.
   std::vector<sim::ClusterState> split_state(
       const sim::ClusterState& state) const;
-  /// Runs the begin/solve/finish cycle for every dirty cell (serially, or
-  /// the first on the serving thread and the rest on the pool; adoption in
-  /// cell order), applies the health reactions to the outcome, and records
-  /// the round's wall time.
+  /// Runs the begin/solve/finish cycle for every reachable dirty cell, in
+  /// cell order, then applies the health reactions to the outcome and
+  /// records the round's wall time.
   void replan_dirty_cells(const std::vector<sim::ClusterState>& cell_states,
                           double now_s);
 
   FederatedConfig config_;
   std::vector<std::unique_ptr<CellScheduler>> cells_;
-  std::unique_ptr<runtime::SolverPool> pool_;
 
   std::map<sim::JobUid, int> cell_of_uid_;
   std::map<sim::JobUid, int> workflow_of_uid_;   // deadline uids only
@@ -335,7 +316,6 @@ class FederatedScheduler : public sim::Scheduler {
 
   int migrations_ = 0;
   int overload_events_ = 0;
-  int pooled_solves_ = 0;
   int cell_failures_ = 0;
   int failovers_ = 0;
   int quarantines_ = 0;

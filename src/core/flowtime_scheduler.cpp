@@ -756,26 +756,6 @@ PlanSolveResult FlowTimeScheduler::solve_replan(
   return out;
 }
 
-void FlowTimeScheduler::check_cluster_skew(const sim::ClusterState& state) {
-  skew_checked_ = true;
-  const workload::ClusterSpec observed{
-      workload::scale(state.capacity, 1.0 / state.slot_seconds),
-      state.slot_seconds};
-  if (workload::approx_equal(config_.cluster, observed, 1e-6)) return;
-  FT_LOG(kWarn) << "FlowTime configured for "
-                << workload::to_string(config_.cluster)
-                << " but the simulator runs "
-                << workload::to_string(observed)
-                << "; plans will not match execution";
-  if (obs::enabled()) {
-    obs::registry().counter("core.scheduler.config_skew").add();
-    obs::emit(obs::TraceEvent("config_skew")
-                  .field("component", "flowtime_scheduler")
-                  .field("configured", workload::to_string(config_.cluster))
-                  .field("authoritative", workload::to_string(observed)));
-  }
-}
-
 std::vector<sim::Allocation> FlowTimeScheduler::allocate(
     const sim::ClusterState& state) {
   sync_views(state);
@@ -784,7 +764,6 @@ std::vector<sim::Allocation> FlowTimeScheduler::allocate(
 }
 
 void FlowTimeScheduler::sync_views(const sim::ClusterState& state) {
-  if (!skew_checked_) check_cluster_skew(state);
   // Sync authoritative view state.
   for (const sim::JobView& view : state.active) {
     if (view.kind != sim::JobKind::kDeadline) continue;

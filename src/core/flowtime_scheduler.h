@@ -363,9 +363,6 @@ class FlowTimeScheduler : public sim::Scheduler {
       ++planner_epoch_;
     }
   }
-  /// Once per run: compare config_.cluster against the simulator's view.
-  void check_cluster_skew(const sim::ClusterState& state);
-
   FlowTimeConfig config_;
   /// This planner's cross-replan solver state (empty today). Only
   /// solve_replan touches it, so under a replan driver the solver thread
@@ -378,7 +375,6 @@ class FlowTimeScheduler : public sim::Scheduler {
   /// staleness yardstick for asynchronous solves. Per-slot estimate drift
   /// does not count: a plan is not stale merely because time passed.
   std::uint64_t planner_epoch_ = 0;
-  bool skew_checked_ = false;
   int replans_ = 0;            // adopted plans only
   int replans_discarded_ = 0;  // stale/preempted solves, never adopted
   std::int64_t total_pivots_ = 0;

@@ -6,45 +6,19 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace flowtime::obs {
 
 namespace {
 
-// Minimal JSON string escaping (mirrors TraceEvent's rules).
-std::string escaped(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+std::string escaped(std::string_view text) {
+  std::string out;
+  append_escaped(&out, text);
   return out;
 }
 

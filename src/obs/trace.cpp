@@ -10,8 +10,6 @@
 
 namespace flowtime::obs {
 
-namespace {
-
 void append_escaped(std::string* out, std::string_view text) {
   out->push_back('"');
   for (const char c : text) {
@@ -44,6 +42,8 @@ void append_escaped(std::string* out, std::string_view text) {
   }
   out->push_back('"');
 }
+
+namespace {
 
 void append_key(std::string* body, std::string_view key) {
   if (!body->empty()) body->push_back(',');

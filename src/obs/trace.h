@@ -28,6 +28,12 @@
 
 namespace flowtime::obs {
 
+/// Appends `text` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, newline, tab and carriage return take their short
+/// escapes, and every other byte below 0x20 becomes \u00XX. TraceEvent and
+/// the Chrome exporter both quote their strings with it.
+void append_escaped(std::string* out, std::string_view text);
+
 /// Builder for one flat JSON event line. Field order is preserved.
 class TraceEvent {
  public:

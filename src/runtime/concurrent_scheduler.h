@@ -169,10 +169,10 @@ class ConcurrentScheduler : public sim::Scheduler {
   RuntimeConfig config_;
   core::FlowTimeScheduler inner_;
   EventQueue queue_;
-  /// One thread: inflight_ is singular, so the planner never has two
+  /// The solver thread. inflight_ is singular, so the planner never has two
   /// solves in flight — the contract core::FlowTimeScheduler::solve_replan
   /// documents for its warm cache.
-  SolverPool pool_{1};
+  SolverPool pool_;
   std::unique_ptr<InFlight> inflight_;
   std::vector<StampedEvent> batch_;  // drain scratch, reused
   std::vector<PendingBatch> pending_batches_;  // trigger batches awaiting a replan

@@ -1,11 +1,10 @@
 #include "runtime/solver_pool.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace flowtime::runtime {
 
-SolverPool::SolverPool(int threads) : threads_(std::max(threads, 1)) {}
+SolverPool::SolverPool() : worker_([this] { worker_loop(); }) {}
 
 SolverPool::~SolverPool() { shutdown(); }
 
@@ -15,16 +14,6 @@ std::future<void> SolverPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return done;  // `job` dies unrun: broken promise
-    if (workers_.empty()) {
-      // First task: start the workers. They block on mu_ until this
-      // submit releases it. Started before the task is queued, so a
-      // thread that fails to start leaves nothing queued behind the
-      // exception: the caller never sees a future, and no task runs.
-      workers_.reserve(static_cast<std::size_t>(threads_));
-      for (int i = 0; i < threads_; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-      }
-    }
     tasks_.push_back(std::move(job));
   }
   work_ready_.notify_one();
@@ -38,9 +27,7 @@ void SolverPool::shutdown() {
     stopping_ = true;
   }
   work_ready_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  worker_.join();
 }
 
 void SolverPool::worker_loop() {

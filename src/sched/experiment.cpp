@@ -26,9 +26,6 @@ std::unique_ptr<sim::Scheduler> make_flowtime(
       FT_LOG(kError) << "unknown cell policy: " << config.cell_policy;
       std::abort();
     }
-    federated.parallel_solve = config.async_replan;
-    federated.solver_threads = config.runtime_threads;
-    federated.cell_solve_deadline_ms = config.cell_solve_deadline_ms;
     return std::make_unique<cluster::FederatedScheduler>(
         std::move(federated));
   }

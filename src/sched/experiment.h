@@ -47,27 +47,19 @@ struct ExperimentConfig {
   std::vector<std::string> schedulers;
   /// Run the FlowTime variants behind the concurrent runtime: events are
   /// queued and the LP solve runs on a background thread (DESIGN.md §11).
-  /// Baselines are unaffected (they have no solver to move).
+  /// Single-cell only: a federated run (cells > 1) solves every cell on
+  /// the serving thread and ignores it. Baselines are unaffected (they
+  /// have no solver to move).
   bool async_replan = false;
   /// With async_replan: wait for every solve before serving its slot, so
   /// the run is deterministic (plan-for-plan equal to the sync path).
   bool async_barrier = false;
-  /// Solver threads of a federated run's SolverPool (cells > 1 with
-  /// async_replan; 0 = one per cell). A single-cell run has one planner,
-  /// which never has two solves in flight, so it always uses one thread.
-  int runtime_threads = 1;
   /// Shard the cluster into this many cells and run the FlowTime variants
   /// federated (cluster::FederatedScheduler): per-cell lexmin plans, greedy
-  /// cross-cell routing/migration. 1 = plain single-cell FlowTime. With
-  /// async_replan the per-cell solves run concurrently on a SolverPool of
-  /// runtime_threads workers.
+  /// cross-cell routing/migration. 1 = plain single-cell FlowTime.
   int cells = 1;
   /// Partition policy for cells > 1: "balanced" or "round_robin".
   std::string cell_policy = "balanced";
-  /// Per-cell solve deadline (wall ms) for federated runs; 0 = unlimited.
-  /// A solve that misses the deadline degrades via the escalation ladder;
-  /// the health machine only reacts to injected cell faults.
-  double cell_solve_deadline_ms = 0.0;
 
   ExperimentConfig() { flowtime.cluster = sim.cluster; }
 };

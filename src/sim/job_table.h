@@ -1,9 +1,10 @@
-// What both simulators do the same way: the uid layout (workflow jobs
-// first, in scenario order, then ad-hoc jobs), the release of arrivals into
-// the uid-ordered live list of arrived, incomplete jobs, readiness, the
-// common view fields and the end of the run. Each simulator keeps its
-// execution state in a vector parallel to the uids and walks live() in
-// every per-slot pass, so a slot costs in proportion to live jobs.
+// What both simulators do the same way: the start-of-run config-skew
+// check, the uid layout (workflow jobs first, in scenario order, then
+// ad-hoc jobs), the release of arrivals into the uid-ordered live list of
+// arrived, incomplete jobs, readiness, the common view fields and the end
+// of the run. Each simulator keeps its execution state in a vector
+// parallel to the uids and walks live() in every per-slot pass, so a slot
+// costs in proportion to live jobs.
 #pragma once
 
 #include <algorithm>
@@ -15,10 +16,32 @@
 #include <vector>
 
 #include "obs/deadline_monitor.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
 
 namespace flowtime::sim {
+
+/// Config skew: a scheduler that plans against a different cluster than the
+/// one executing produces plans that silently never fit (or silently
+/// underuse the cluster). Checked once, at the start of a run: one WARN,
+/// plus the `sim.config_skew` counter and a `config_skew` event with obs on.
+inline void check_config_skew(const Scheduler& scheduler,
+                              const workload::ClusterSpec& cluster) {
+  const workload::ClusterSpec* spec = scheduler.cluster_spec();
+  if (spec == nullptr || workload::approx_equal(*spec, cluster, 1e-6)) return;
+  FT_LOG(kWarn) << "scheduler " << scheduler.name() << " is configured for "
+                << workload::to_string(*spec) << " but the simulator runs "
+                << workload::to_string(cluster);
+  if (!obs::enabled()) return;
+  obs::registry().counter("sim.config_skew").add();
+  obs::emit(obs::TraceEvent("config_skew")
+                .field("component", "simulator")
+                .field("scheduler", scheduler.name())
+                .field("configured", workload::to_string(*spec))
+                .field("authoritative", workload::to_string(cluster)));
+}
 
 class JobTable {
  public:

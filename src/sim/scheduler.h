@@ -77,8 +77,8 @@ class Scheduler {
   virtual std::string name() const = 0;
 
   /// The cluster model this policy was configured with, or nullptr when the
-  /// policy has none. The simulator compares it against its own spec at the
-  /// start of a run and flags config skew — the classic footgun where the
+  /// policy has none. Both simulators compare it against their own spec at
+  /// the start of a run and flag config skew — the classic footgun where the
   /// scheduler plans against a different cluster than the one executing.
   virtual const workload::ClusterSpec* cluster_spec() const {
     return nullptr;

@@ -49,26 +49,7 @@ SimResult Simulator::run(const workload::Scenario& scenario,
   result.slot_seconds = config_.cluster.slot_seconds;
   fault::FaultInjector injector(config_.fault_plan, config_.cluster);
 
-  // Config-skew check: a scheduler that plans against a different cluster
-  // than the one executing produces plans that silently never fit (or
-  // silently underuse the cluster). Flag it up front, once per run.
-  if (const workload::ClusterSpec* spec = scheduler.cluster_spec()) {
-    if (!workload::approx_equal(*spec, config_.cluster, 1e-6)) {
-      FT_LOG(kWarn) << "scheduler " << scheduler.name()
-                    << " is configured for " << workload::to_string(*spec)
-                    << " but the simulator runs "
-                    << workload::to_string(config_.cluster);
-      if (obs::enabled()) {
-        obs::registry().counter("sim.config_skew").add();
-        obs::emit(obs::TraceEvent("config_skew")
-                      .field("component", "simulator")
-                      .field("scheduler", scheduler.name())
-                      .field("configured", workload::to_string(*spec))
-                      .field("authoritative",
-                             workload::to_string(config_.cluster)));
-      }
-    }
-  }
+  check_config_skew(scheduler, config_.cluster);
 
   // A job's width is its full parallelism over one slot.
   JobTable table(scenario, config_.cluster.slot_seconds,

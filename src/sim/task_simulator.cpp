@@ -28,6 +28,7 @@ SimResult TaskLevelSimulator::run(const workload::Scenario& scenario,
                                   Scheduler& scheduler) {
   SimResult result;
   result.slot_seconds = config_.cluster.slot_seconds;
+  check_config_skew(scheduler, config_.cluster);
   // A job's width is one container per task.
   JobTable table(scenario, config_.cluster.slot_seconds,
                  [](const workload::JobSpec& spec, double slot_s) {

@@ -2,8 +2,9 @@
 // under a seed, the 1-cell pass-through identity against a plain
 // FlowTimeScheduler on the Fig. 4 workload, routing through the cells'
 // admission controllers and the candidates they cache, and hotspot
-// migration preserving re-credited work without stranding tasks. The 1-cell serial/pooled and 2-cell pooled
-// identities live in identity_test.cpp.
+// migration preserving re-credited work without stranding tasks. The
+// 1-cell identity against the other replan drivers lives in
+// identity_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -1,11 +1,8 @@
 // Replan-driver identities (DESIGN.md §11, §13): every way of driving
 // FlowTimeScheduler's one begin_replan -> solve_replan -> finish_replan
-// cycle yields the same schedule as its reference — the 1-cell federation
-// (serial and pooled) and the async runtime in barrier mode match the bare
-// scheduler, and pooled 2-cell solves match serial ones. The pooled 1-cell
-// federation solves every round on the serving thread; the pooled 2-cell
-// run must hand some solves to the pool. Carries the "concurrent" label so
-// the sanitize-tsan preset runs it.
+// cycle yields the same schedule as the bare scheduler — the 1-cell
+// federation and the async runtime in barrier mode. Carries the
+// "concurrent" label so the sanitize-tsan preset runs it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,12 +24,9 @@ using test::mixed_scenario;
 using test::small_cluster;
 
 enum class Driver {
-  kBare,           // FlowTimeScheduler::allocate re-plans inline
-  kOneCell,        // FederatedScheduler, 1 cell, serial solves
-  kOneCellPooled,  // FederatedScheduler, 1 cell, solves on the pool
-  kAsyncBarrier,   // ConcurrentScheduler in barrier mode
-  kTwoCells,       // FederatedScheduler, 2 cells, serial solves
-  kTwoCellsPooled  // FederatedScheduler, 2 cells, solves on the pool
+  kBare,         // FlowTimeScheduler::allocate re-plans inline
+  kOneCell,      // FederatedScheduler, 1 cell
+  kAsyncBarrier  // ConcurrentScheduler in barrier mode
 };
 
 struct DriverRun {
@@ -64,15 +58,10 @@ DriverRun drive(Driver driver) {
       out.scheduler = std::move(owned);
       break;
     }
-    default: {
+    case Driver::kOneCell: {
       cluster::FederatedConfig config;
       config.flowtime = flowtime;
-      config.partition.cells =
-          driver == Driver::kTwoCells || driver == Driver::kTwoCellsPooled
-              ? 2
-              : 1;
-      config.parallel_solve = driver == Driver::kOneCellPooled ||
-                              driver == Driver::kTwoCellsPooled;
+      config.partition.cells = 1;
       auto owned = std::make_unique<cluster::FederatedScheduler>(config);
       federated = owned.get();
       out.scheduler = std::move(owned);
@@ -86,16 +75,6 @@ DriverRun drive(Driver driver) {
       out.planners.push_back(&federated->cell(c).scheduler());
     }
     out.coordinator = {federated->migrations(), federated->overload_events()};
-    // The serving thread solves each round's first dirty cell: a one-cell
-    // federation never hands a solve to the pool, and the two-cell pooled
-    // run must, or the identity (and TSan) would say nothing about the
-    // hand-off.
-    if (driver == Driver::kOneCellPooled) {
-      EXPECT_EQ(federated->pooled_solves(), 0);
-    }
-    if (driver == Driver::kTwoCellsPooled) {
-      EXPECT_GT(federated->pooled_solves(), 0);
-    }
   } else if (concurrent != nullptr) {
     concurrent->drain_events();  // apply post-run completion events
     // The solves really ran on the solver thread, or the identity would
@@ -144,12 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         IdentityCase{"OneCellSerialMatchesBare", Driver::kOneCell,
                      Driver::kBare},
-        IdentityCase{"OneCellPooledMatchesBare", Driver::kOneCellPooled,
-                     Driver::kBare},
         IdentityCase{"AsyncBarrierMatchesSync", Driver::kAsyncBarrier,
-                     Driver::kBare},
-        IdentityCase{"TwoCellPooledMatchesSerial", Driver::kTwoCellsPooled,
-                     Driver::kTwoCells}));
+                     Driver::kBare}));
 
 }  // namespace
 }  // namespace flowtime

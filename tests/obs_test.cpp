@@ -247,6 +247,32 @@ TEST_F(ObsTest, ChromeTraceProjectsSpanHierarchy) {
   EXPECT_NE(json.find("\"name\":\"replan(arrival)\""), std::string::npos);
 }
 
+TEST_F(ObsTest, ChromeTraceEscapesNamesLikeTraceEvents) {
+  auto owned = std::make_unique<MemorySink>();
+  MemorySink* sink = owned.get();
+  set_trace_sink(std::move(owned));
+  const std::string name = "a\"b\\c\nd\x01";
+  end_span(begin_span("plan", name, kNoSpan, 0.0), 10.0);
+
+  std::vector<std::map<std::string, std::string>> events;
+  for (const std::string& line : sink->lines()) {
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(parse_flat_json(line, &fields));
+    events.push_back(std::move(fields));
+  }
+  // A TraceEvent string field renders as "s":<escaped>: cut the value out.
+  const std::string field = TraceEvent("t").field("s", name).to_json();
+  const std::string prefix = "{\"type\":\"t\",\"s\":";
+  ASSERT_EQ(field.substr(0, prefix.size()), prefix);
+  const std::string escaped =
+      field.substr(prefix.size(), field.size() - prefix.size() - 1);
+  EXPECT_EQ(escaped, "\"a\\\"b\\\\c\\nd\\u0001\"");
+  const std::string json = render_chrome_trace(events);
+  EXPECT_NE(json.find("\"name\":" + escaped + ",\"cat\":\"plan\""),
+            std::string::npos)
+      << json;
+}
+
 TEST_F(ObsTest, PrometheusRendersAllMetricKinds) {
   registry().counter("core.replans").add(3);
   registry().gauge("obs.deadline.min_laxity_s").set(-2.5);

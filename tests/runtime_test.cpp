@@ -62,7 +62,7 @@ TEST(EventQueue, DrainPreservesFifoOrderAcrossKinds) {
 TEST(SolverPool, ShutdownRunsQueuedTasks) {
   std::atomic<int> ran{0};
   {
-    runtime::SolverPool pool(2);
+    runtime::SolverPool pool;
     for (int i = 0; i < 16; ++i) {
       pool.submit([&ran] { ran.fetch_add(1); });
     }
@@ -71,7 +71,7 @@ TEST(SolverPool, ShutdownRunsQueuedTasks) {
 }
 
 TEST(SolverPool, FutureHandsOverResultsAndExceptions) {
-  runtime::SolverPool pool(1);
+  runtime::SolverPool pool;
   int result = 0;
   pool.submit([&result] { result = 42; }).get();
   EXPECT_EQ(result, 42) << "the task's writes are visible after get()";

@@ -330,6 +330,35 @@ TEST(Simulator, CapacityOverridesApply) {
   EXPECT_DOUBLE_EQ(result.jobs[0].completion_s.value(), 40.0);
 }
 
+TEST(Simulator, SlotZeroMachineChurnIsNotConfigSkew) {
+  // A machine group down from slot 0 shrinks the first slot's capacity,
+  // but the planner is configured for the cluster the simulator runs:
+  // churn is not skew, so no skew warning is logged.
+  SimConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  config.fault_plan.machines.push_back(
+      fault::MachineFault{0, 5, ResourceVec{30.0, 64.0}});
+  core::FlowTimeScheduler flowtime(test::flowtime_config(config));
+  ::testing::internal::CaptureStderr();
+  const SimResult result =
+      Simulator(config).run(single_chain_scenario(), flowtime);
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(result.all_completed);
+  EXPECT_EQ(test::occurrences(logged, "configured for"), 0) << logged;
+}
+
+TEST(Simulator, MismatchedSchedulerConfigWarnsOnce) {
+  SimConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  core::FlowTimeConfig planned = test::flowtime_config(config);
+  planned.cluster.capacity = ResourceVec{50.0, 100.0};
+  core::FlowTimeScheduler flowtime(planned);
+  ::testing::internal::CaptureStderr();
+  Simulator(config).run(single_chain_scenario(), flowtime);
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(test::occurrences(logged, "configured for"), 1) << logged;
+}
+
 TEST(Metrics, DeadlineEvaluation) {
   Simulator sim(SimConfig{});
   FullWidthScheduler scheduler;

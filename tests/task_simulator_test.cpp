@@ -7,6 +7,7 @@
 
 #include "core/flowtime_scheduler.h"
 #include "dag/generators.h"
+#include "obs/testing.h"
 #include "sched/baselines.h"
 #include "sim/metrics.h"
 #include "sim/task_simulator.h"
@@ -272,6 +273,24 @@ TEST(TaskSimulator, LaysOutAndReleasesLikeTheFluidSimulator) {
       {"adhoc", {4}, 50.0}};
   EXPECT_TRUE(fluid_scheduler.arrivals == expected);
   EXPECT_TRUE(task_scheduler.arrivals == fluid_scheduler.arrivals);
+}
+
+TEST(TaskSimulator, MismatchedSchedulerConfigWarnsOnce) {
+  // The task-level simulator makes the fluid simulator's start-of-run
+  // check: one warning, one sim.config_skew count.
+  obs::testing::ScopedRegistryReset reset;
+  obs::set_enabled(true);
+  TaskSimConfig config;
+  config.cluster.capacity = ResourceVec{100.0, 200.0};
+  core::FlowTimeConfig planned;
+  planned.cluster = config.cluster;
+  planned.cluster.capacity = ResourceVec{50.0, 100.0};
+  core::FlowTimeScheduler flowtime(planned);
+  ::testing::internal::CaptureStderr();
+  TaskLevelSimulator(config).run(chain_scenario(), flowtime);
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(test::occurrences(logged, "configured for"), 1) << logged;
+  EXPECT_EQ(obs::registry().counter("sim.config_skew").value(), 1);
 }
 
 TEST(TaskSimulator, HorizonExpiryReported) {

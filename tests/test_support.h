@@ -34,6 +34,16 @@ inline std::vector<double> sorted_loads(const core::LpSchedule& s, int r) {
   return loads;
 }
 
+/// How many times `needle` occurs in `text` (counting captured log lines).
+inline int occurrences(const std::string& text, const std::string& needle) {
+  int count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 inline sim::SimConfig small_cluster() {
   sim::SimConfig config;
   config.cluster.capacity = workload::ResourceVec{100.0, 200.0};
